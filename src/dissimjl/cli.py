@@ -132,11 +132,11 @@ def _run_from_args(args):
 def cmd_project(args) -> int:
     started = time.monotonic()
     result = _run_from_args(args)
+    if args.out_matrix:
+        write_matrix(args.out_matrix, result.reconstructed)
     report = {"manifest": _manifest("project", [args.matrix], args, started)}
     report.update(report_dict(result))
     _write_text(args.out_report, json.dumps(report, indent=2) + "\n")
-    if args.out_matrix:
-        write_matrix(args.out_matrix, result.reconstructed)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from .evaluate import (
     validate_power_residual,
     validate_pq_bound,
 )
-from .power import PowerRepresentation, euclideanize, power_radius, recover_centers
+from .power import PowerRepresentation, power_representation
 from .projection import (
     ProjectionConfig,
     project_classical,
@@ -102,13 +102,12 @@ def run_projection(
         Dhat = reconstruct(projected)
         pq_check = validate_pq_bound(Dm, embedding, Dhat, config.epsilon)
     else:
-        radius = power_radius(dec) if radius_override is None else float(radius_override)
-        representation = PowerRepresentation(
-            recover_centers(euclideanize(Dm, radius)), radius
-        )
+        representation = power_representation(Dm, dec, radius_override)
         projected = project_power(representation, config)
         Dhat = reconstruct(projected)
-        power_check = validate_power_residual(Dm, radius, Dhat, config.epsilon)
+        power_check = validate_power_residual(
+            Dm, representation.radius, Dhat, config.epsilon
+        )
     stats = relative_error_stats(Dm, Dhat)
     return RunResult(
         method=method,

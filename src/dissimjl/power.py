@@ -3,9 +3,11 @@
 Any symmetric hollow D becomes Euclidean after shifting every
 off-diagonal entry by 4r^2 with 2r^2 >= |e_n| (e_n the most negative
 Gram eigenvalue).  Points are then balls (center, r) and D is
-reproduced by the generalized power distance.  The same bilinear form
-doubles as a closed-form silhouette gap for isotropic Gaussian
-clusters.
+reproduced by the generalized power distance.  The shifted matrix E has
+Gram(E) = B + 2r^2 C (the constant-shift embedding of Roth et al.,
+IEEE TPAMI 2003), so its centers come from B's own eigenpairs and every
+route needs one eigendecomposition.  The same bilinear form doubles as
+a closed-form silhouette gap for isotropic Gaussian clusters.
 """
 
 from __future__ import annotations
@@ -130,14 +132,18 @@ def recover_centers(E, tau_rel: float = DEFAULT_TAU_REL) -> np.ndarray:
         i.e. E is not Euclidean.
     """
     dec = decompose(center_gram(E), tau_rel)
-    lam = dec.eigenvalues
-    if lam[-1] < -10.0 * dec.tau:
+    keep = _psd_keep(dec.eigenvalues, dec.tau)
+    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
+
+
+def _psd_keep(mu: np.ndarray, tau: float) -> np.ndarray:
+    """Mask of eigenvalues above tau; raises if any is below -10 tau."""
+    if mu.min() < -10.0 * tau:
         raise DissimilarityError(
-            f"matrix is not Euclidean: Gram eigenvalue {lam[-1]:.6g} "
-            f"below {-10.0 * dec.tau:.6g}"
+            f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "
+            f"below {-10.0 * tau:.6g}"
         )
-    keep = lam > dec.tau
-    return dec.eigenvectors[:, keep] * np.sqrt(lam[keep])
+    return mu > tau
 
 
 def power_representation(
@@ -147,15 +153,48 @@ def power_representation(
 
     The radius defaults to :func:`power_radius` of D's Gram spectrum; an
     explicit smaller value makes the shifted matrix non-Euclidean and
-    fails in :func:`recover_centers`, a larger one works and changes
-    only the split between center geometry and radius.
+    raises, a larger one works and changes only the split between
+    center geometry and radius.
+
+    The centers are the classical scaling of E = euclideanize(D, r),
+    read off B's eigenpairs instead of a second eigendecomposition:
+    Gram(E) = B + 2r^2 C, whose spectrum is lambda_k + 2r^2 on the
+    complement of the all-ones direction and 0 on it.  The ones
+    direction is split off B's null block by a Householder reflection,
+    since the solver returns an arbitrary basis of that block.  Without
+    dec, D is decomposed once here.
     """
     Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
+    if dec is None:
+        dec = decompose(center_gram(Dm))
     if radius is None:
-        if dec is None:
-            dec = decompose(center_gram(Dm))
         radius = power_radius(dec)
-    centers = recover_centers(euclideanize(Dm, radius))
+    if radius < 0.0:
+        raise DissimilarityError(f"radius must be nonnegative, got {radius}")
+    lam, U = dec.eigenvalues, dec.eigenvectors
+    coef = np.full(dec.n, 1.0 / math.sqrt(dec.n)) @ U
+    # B1 = 0, so the ones vector lies in the null block; the argmax keeps
+    # it there even if a caller's tau is too small to catch it
+    null = np.abs(lam) <= dec.tau
+    null[np.argmax(np.abs(coef))] = True
+    block = np.flatnonzero(null)
+    # reflect the block's coefficients of the ones vector onto its first
+    # column; the other columns then span the rest of the null space
+    a = coef[block]
+    v = a.copy()
+    v[0] += math.copysign(float(np.linalg.norm(a)), a[0])
+    H = np.eye(block.size) - (2.0 / float(v @ v)) * np.outer(v, v)
+    mu = lam + 2.0 * radius**2
+    # rotated columns take their Rayleigh quotients on B, all near 0
+    mu[block] = (H * H) @ lam[block] + 2.0 * radius**2
+    mu[block[0]] = 0.0
+    keep = _psd_keep(mu, DEFAULT_TAU_REL * max(1.0, float(np.abs(mu).max())))
+    centers = U[:, keep]
+    rotated = keep[block]
+    # column of centers that each kept eigenpair lands in
+    slot = np.cumsum(keep) - 1
+    centers[:, slot[block[rotated]]] = U[:, block] @ H[:, rotated]
+    centers *= np.sqrt(mu[keep])
     return PowerRepresentation(centers, float(radius))
 
 

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from dissimjl import (
     squared_distances,
     target_dim,
 )
+from dissimjl import cli
 from dissimjl.cli import main, read_matrix, write_matrix
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
@@ -156,6 +158,21 @@ class TestProject:
             report["manifest"].pop("duration_s")
             report["manifest"]["config"].pop("out_report")
         assert a == b
+
+    def test_duration_covers_matrix_write(self, simplex_csv, tmp_path,
+                                          monkeypatch):
+        real = cli.write_matrix
+
+        def slow_write(path, D):
+            time.sleep(0.2)
+            real(path, D)
+
+        monkeypatch.setattr(cli, "write_matrix", slow_write)
+        report_path = tmp_path / "r.json"
+        assert main(["project", simplex_csv, "--out-matrix",
+                     str(tmp_path / "rec.csv"),
+                     "--out-report", str(report_path)]) == 0
+        assert load_json(str(report_path))["manifest"]["duration_s"] >= 0.2
 
     def test_radius_override_lands_in_report(self, simplex_csv, tmp_path):
         path = tmp_path / "r.json"

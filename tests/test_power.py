@@ -7,21 +7,29 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dissimjl import (
+    BallSpec,
     DissimilarityError,
     GaussianCluster,
     PowerRepresentation,
+    SimplexSpec,
+    as_matrix,
     center_gram,
     decompose,
     euclideanize,
+    gen_balls,
+    gen_simplex,
+    graph_hops,
     power_distance,
     power_radius,
     power_representation,
     recover_centers,
+    run_projection,
     silhouette_gaussian,
     silhouette_normalized,
     squared_distances,
     validate_matrix,
 )
+from dissimjl.cli import main, write_matrix
 
 from conftest import mc_silhouette, random_hollow
 
@@ -145,6 +153,124 @@ class TestPowerRepresentation:
     def test_negative_radius_rejected_in_dataclass(self):
         with pytest.raises(DissimilarityError, match="nonnegative"):
             PowerRepresentation(np.zeros((2, 1)), -1.0)
+
+
+def grid_hops(k):
+    """Hop counts of a k x k grid: Euclidean, with a null block of rank >> 1."""
+    edges = []
+    for v in range(k * k):
+        if (v + 1) % k:
+            edges.append((v, v + 1))
+        if v + k < k * k:
+            edges.append((v, v + k))
+    return graph_hops(edges)
+
+
+def max_rel_offdiag(E, Ehat):
+    iu = np.triu_indices(E.shape[0], 1)
+    e, eh = E[iu], Ehat[iu]
+    mask = e != 0.0
+    return float(np.max(np.abs(eh[mask] - e[mask]) / np.abs(e[mask])))
+
+
+# (matrix, radius factor over power_radius, additive radius); None keeps
+# the minimal radius
+EQUIVALENCE_CASES = {
+    "simplex": (lambda: gen_simplex(SimplexSpec(120, seed=3)), None, 0.0),
+    "balls": (lambda: gen_balls(BallSpec(120, seed=3)), None, 0.0),
+    "random": (lambda: random_hollow(np.random.default_rng(12), 40), None, 0.0),
+    "random-larger-radius": (
+        lambda: random_hollow(np.random.default_rng(13), 40), 3.0, 1.0
+    ),
+    "grid-null-block": (lambda: grid_hops(8), 1.0, 1.5),
+}
+
+
+class TestMatchesTwoEighOracle:
+    """Centers from B's eigenpairs against a second eigh of the shifted matrix."""
+
+    @staticmethod
+    def build(name):
+        make, factor, extra = EQUIVALENCE_CASES[name]
+        D = validate_matrix(as_matrix(make()))
+        dec = decompose(center_gram(D))
+        r_min = power_radius(dec)
+        radius = None if factor is None else factor * r_min + extra
+        return D, dec, r_min, radius
+
+    @pytest.fixture(params=sorted(EQUIVALENCE_CASES))
+    def case(self, request):
+        return self.build(request.param)
+
+    def test_centers_reproduce_shifted_matrix(self, case):
+        D, dec, r_min, radius = case
+        rep = power_representation(D, dec, radius)
+        E = euclideanize(D, r_min if radius is None else radius)
+        assert max_rel_offdiag(E, squared_distances(rep.centers)) <= 1e-6
+
+    def test_center_dimension_matches_oracle(self, case):
+        D, dec, r_min, radius = case
+        rep = power_representation(D, dec, radius)
+        oracle = recover_centers(euclideanize(D, rep.radius))
+        assert rep.dim == oracle.shape[1]
+
+    def test_pipeline_uses_the_same_centers(self, case):
+        D, _, r_min, radius = case
+        res = run_projection(D, "jl-power", radius_override=radius)
+        E = euclideanize(D, res.representation.radius)
+        assert res.representation.dim == recover_centers(E).shape[1]
+        assert max_rel_offdiag(
+            E, squared_distances(res.representation.centers)
+        ) <= 1e-6
+
+    # the grid is Euclidean (minimal radius 0), so it has no radius below
+    @pytest.mark.parametrize(
+        "name", sorted(set(EQUIVALENCE_CASES) - {"grid-null-block"})
+    )
+    def test_radius_below_minimum_still_rejected(self, name, tmp_path, capsys):
+        D, dec, r_min, _ = self.build(name)
+        assert r_min > 0.0
+        with pytest.raises(DissimilarityError, match="not Euclidean"):
+            power_representation(D, dec, 0.5 * r_min)
+        with pytest.raises(DissimilarityError, match="not Euclidean"):
+            run_projection(D, "jl-power", radius_override=0.5 * r_min)
+        path = tmp_path / "D.csv"
+        write_matrix(str(path), D)
+        assert main(["project", str(path), "--method", "jl-power",
+                     "--radius-override", repr(0.5 * r_min)]) == 2
+        assert "not Euclidean" in capsys.readouterr().err
+
+    def test_grid_null_block_holds_the_ones_direction(self):
+        D = grid_hops(8)
+        dec = decompose(center_gram(D))
+        assert dec.zero_rank > 1
+        rep = power_representation(D, dec, 1.5)
+        assert rep.dim == D.n - 1
+        assert_allclose(rep.centers.sum(axis=0), 0.0, atol=1e-9)
+
+
+class TestSingleEigendecomposition:
+    @pytest.fixture()
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    @pytest.mark.parametrize("radius_override", [None, 5.0])
+    def test_run_projection_calls_eigh_once(self, eigh_calls, radius_override):
+        D = random_hollow(np.random.default_rng(14), 30)
+        run_projection(D, "jl-power", radius_override=radius_override)
+        assert len(eigh_calls) == 1
+
+    def test_power_representation_calls_eigh_once(self, eigh_calls):
+        power_representation(random_hollow(np.random.default_rng(15), 30))
+        assert len(eigh_calls) == 1
 
 
 class TestSilhouette:
