@@ -43,6 +43,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
+# pair rows formatted per block in `validate`; bounds the text held at once
+_PAIR_BLOCK = 65536
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures on exit code 1 (2 means bad data here)."""
@@ -68,12 +71,14 @@ def write_matrix(path: str | None, D) -> None:
     np.savetxt(target, as_matrix(D), delimiter=",", fmt="%.17g")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text) -> None:
+    """Write a string, or an iterable of string chunks, to path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _manifest(command: str, inputs: list[str], args, started: float) -> dict:
@@ -140,69 +145,52 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon):
-    """Per-pair plot records; returns (header, list of row strings)."""
-    iu = np.triu_indices(A.shape[0], 1)
-    d = A[iu]
-    dh = np.asarray(Dhat)[iu]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = dh / d
-    num = "%.10g"
+def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon, picked):
+    """Per-pair plot records as CSV text: the header line, then row blocks.
 
-    def fmt(*values):
-        return ",".join(
-            num % v if isinstance(v, float) else str(v) for v in values
-        )
-
-    rows = []
+    Rows exist only for the ``picked`` positions of the upper triangle
+    (row-major, i < j): their columns are gathered there, stacked, and
+    formatted ``_PAIR_BLOCK`` rows at a time with one row format, so
+    ``validate --sample N`` formats N rows and the full table is never
+    held as text at once.
+    """
+    iu, ju = np.triu_indices(A.shape[0], 1)
     if method == "jl-pq":
         header = "i,j,dissimilarity,reconstructed,ratio,factor,band_lower,band_upper,violated"
-        for t in range(d.size):
-            rows.append(
-                fmt(
-                    int(iu[0][t]),
-                    int(iu[1][t]),
-                    float(d[t]),
-                    float(dh[t]),
-                    float(ratio[t]),
-                    float(pq_check.factor[t]),
-                    float(pq_check.lower[t]),
-                    float(pq_check.upper[t]),
-                    int(pq_check.violated[t]),
-                )
-            )
     elif method == "jl-power":
         header = "i,j,dissimilarity,reconstructed,ratio,residual,bound,violated"
-        for t in range(d.size):
-            rows.append(
-                fmt(
-                    int(iu[0][t]),
-                    int(iu[1][t]),
-                    float(d[t]),
-                    float(dh[t]),
-                    float(ratio[t]),
-                    float(power_check.residuals[t]),
-                    float(power_check.bound),
-                    int(power_check.residuals[t] > power_check.bound),
-                )
-            )
     else:
         header = "i,j,dissimilarity,reconstructed,ratio,band_lower,band_upper,violated"
-        half = epsilon * np.abs(d)
-        for t in range(d.size):
-            rows.append(
-                fmt(
-                    int(iu[0][t]),
-                    int(iu[1][t]),
-                    float(d[t]),
-                    float(dh[t]),
-                    float(ratio[t]),
-                    float(d[t] - half[t]),
-                    float(d[t] + half[t]),
-                    int(abs(dh[t] - d[t]) > half[t]),
-                )
+    width = header.count(",") + 1
+    row = "%d,%d" + ",%.10g" * (width - 3) + ",%d\n"
+    yield header + "\n"
+    Dhat = np.asarray(Dhat)
+    for start in range(0, picked.size, _PAIR_BLOCK):
+        at = picked[start:start + _PAIR_BLOCK]
+        i, j = iu[at], ju[at]
+        d = A[i, j]
+        dh = Dhat[i, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = dh / d
+        if method == "jl-pq":
+            checks = (
+                pq_check.factor[at],
+                pq_check.lower[at],
+                pq_check.upper[at],
+                pq_check.violated[at],
             )
-    return header, rows
+        elif method == "jl-power":
+            residual = power_check.residuals[at]
+            checks = (
+                residual,
+                np.full(at.size, power_check.bound),
+                residual > power_check.bound,
+            )
+        else:
+            half = epsilon * np.abs(d)
+            checks = (d - half, d + half, np.abs(dh - d) > half)
+        table = np.column_stack((i, j, d, dh, ratio) + checks)
+        yield (row * at.size) % tuple(table.ravel().tolist())
 
 
 def cmd_validate(args) -> int:
@@ -226,19 +214,21 @@ def cmd_validate(args) -> int:
         stats = result.stats
         pq_check = result.pq_check
         power_check = result.power_check
-    header, rows = _pair_rows(
-        args.method, D.entries, Dhat, pq_check, power_check, args.epsilon
-    )
+    npairs = D.n * (D.n - 1) // 2
+    picked = np.arange(npairs)
     if args.sample is not None:
         if args.sample < 1:
             raise DissimilarityError(f"--sample must be >= 1, got {args.sample}")
-        if args.sample < len(rows):
+        if args.sample < npairs:
             rng = np.random.default_rng(args.seed)
-            picked = np.sort(
-                rng.choice(len(rows), size=args.sample, replace=False)
-            )
-            rows = [rows[i] for i in picked]
-    _write_text(args.out_csv, "\n".join([header] + rows) + "\n")
+            picked = np.sort(rng.choice(npairs, size=args.sample, replace=False))
+    _write_text(
+        args.out_csv,
+        _pair_rows(
+            args.method, D.entries, Dhat, pq_check, power_check, args.epsilon,
+            picked,
+        ),
+    )
     radius = None
     if result.representation is not None:
         radius = result.representation.radius

@@ -6,8 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .core import DissimilarityError, DissimilarityMatrix, squared_distances, validate_matrix
 
@@ -125,7 +123,13 @@ def graph_hops(edges) -> DissimilarityMatrix:
     largest id plus one.  A disconnected graph is reduced to its
     largest connected component with a warning (vertices keep their
     relative order and are re-indexed from 0).
+
+    scipy is imported here, not at module level, so that importing
+    dissimjl loads it only for graph ingest.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     cleaned = [(u, v) for u, v in edges if u != v]
     if not cleaned:
         raise DissimilarityError("graph has no edges between distinct vertices")

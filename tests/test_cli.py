@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,18 +12,32 @@ from numpy.testing import assert_allclose
 
 import jsonschema
 
+import dissimjl
 from dissimjl import (
+    DEFAULT_DIM_CONSTANT,
+    DEFAULT_EPSILON,
     ProjectionConfig,
     SimplexSpec,
     gen_simplex,
     run_projection,
     squared_distances,
     target_dim,
+    validate_matrix,
+    validate_power_residual,
+    validate_pq_bound,
 )
 from dissimjl import cli
 from dissimjl.cli import main, read_matrix, write_matrix
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
+METHODS = ["jl", "jl-pq", "jl-power"]
+
+
+def subprocess_env():
+    """Environment whose PYTHONPATH finds the dissimjl these tests import."""
+    src = str(Path(dissimjl.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +68,72 @@ def blobs_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def zeros_csv(tmp_path):
+    # overlapping balls: most off-diagonal entries are exactly 0, which
+    # puts inf, -inf and nan into the ratio column
+    path = tmp_path / "zeros.csv"
+    assert main(["gen", "ball", "--n", "14", "--dim", "2", "--rmin", "0.8",
+                 "--rmax", "1.6", "--seed", "2", "--out", str(path)]) == 0
+    return str(path)
+
+
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def reference_pair_csv(method, A, Dhat, pq_check, power_check, epsilon):
+    """Pair CSV through one Python loop per pair and per-value formatting."""
+    lines = [TestValidate.HEADERS[method]]
+    iu, ju = np.triu_indices(A.shape[0], 1)
+    for t, (i, j) in enumerate(zip(iu, ju)):
+        d, dh = A[i, j], Dhat[i, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = dh / d
+        if method == "jl-pq":
+            floats = [pq_check.factor[t], pq_check.lower[t], pq_check.upper[t]]
+            flag = pq_check.violated[t]
+        elif method == "jl-power":
+            floats = [power_check.residuals[t], power_check.bound]
+            flag = power_check.residuals[t] > power_check.bound
+        else:
+            half = epsilon * abs(d)
+            floats = [d - half, d + half]
+            flag = abs(dh - d) > half
+        lines.append(",".join(
+            [str(int(i)), str(int(j))]
+            + ["%.10g" % float(v) for v in [d, dh, ratio] + floats]
+            + [str(int(flag))]
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def library_pair_inputs(path, method, identity_debug):
+    """The arrays `validate` formats, rebuilt through the library API."""
+    D = validate_matrix(read_matrix(path))
+    config = ProjectionConfig(
+        epsilon=DEFAULT_EPSILON, dim_constant=DEFAULT_DIM_CONSTANT, seed=0
+    )
+    result = run_projection(D, method, config)
+    if not identity_debug:
+        return D.entries, result.reconstructed, result.pq_check, result.power_check
+    pq_check = power_check = None
+    if method == "jl-pq":
+        pq_check = validate_pq_bound(D, result.embedding, D.entries, DEFAULT_EPSILON)
+    elif method == "jl-power":
+        power_check = validate_power_residual(
+            D, result.representation.radius, D.entries, DEFAULT_EPSILON
+        )
+    return D.entries, D.entries, pq_check, power_check
+
+
+def validate_csv(path, tmp_path, *flags):
+    """Run `validate` in-process and return the pair CSV text."""
+    csv_path = tmp_path / "pairs.csv"
+    assert main(["validate", path, *flags, "--out-csv", str(csv_path),
+                 "--out-report", str(tmp_path / "r.json")]) == 0
+    return csv_path.read_text()
 
 
 class TestGenerate:
@@ -251,6 +330,62 @@ class TestValidate:
         assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
 
 
+class TestPairCsv:
+    @pytest.mark.parametrize("identity_debug", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_reference_formatter(
+        self, method, identity_debug, zeros_csv, tmp_path
+    ):
+        flags = ["--method", method] + ["--identity-debug"] * identity_debug
+        expected = reference_pair_csv(
+            method,
+            *library_pair_inputs(zeros_csv, method, identity_debug),
+            DEFAULT_EPSILON,
+        )
+        assert validate_csv(zeros_csv, tmp_path, *flags) == expected
+
+    def test_zero_entries_give_every_nonfinite_ratio(self, zeros_csv, tmp_path):
+        ratios = set()
+        for method in METHODS:
+            for flags in ([], ["--identity-debug"]):
+                text = validate_csv(zeros_csv, tmp_path, "--method", method, *flags)
+                ratios.update(row.split(",")[4] for row in text.splitlines()[1:])
+        assert {"inf", "-inf", "nan"} <= ratios
+
+    @pytest.mark.parametrize("identity_debug", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sample_picks_oracle_rows(
+        self, method, identity_debug, zeros_csv, tmp_path
+    ):
+        flags = ["--method", method, "--seed", "5"]
+        flags += ["--identity-debug"] * identity_debug
+        full = validate_csv(zeros_csv, tmp_path, *flags).splitlines()
+        npairs = 14 * 13 // 2
+        picked = np.sort(
+            np.random.default_rng(5).choice(npairs, 17, replace=False)
+        )
+        sampled = validate_csv(zeros_csv, tmp_path, *flags, "--sample", "17")
+        expected = [full[0]] + [full[1 + t] for t in picked]
+        assert sampled == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_block_size_does_not_change_output(
+        self, method, zeros_csv, tmp_path, monkeypatch
+    ):
+        runs = [["--method", method], ["--method", method, "--sample", "30"]]
+        before = [validate_csv(zeros_csv, tmp_path, *flags) for flags in runs]
+        monkeypatch.setattr(cli, "_PAIR_BLOCK", 7)
+        after = [validate_csv(zeros_csv, tmp_path, *flags) for flags in runs]
+        assert after == before
+
+    def test_unsampled_stdout_matches_file(self, zeros_csv, tmp_path, capsys):
+        expected = validate_csv(zeros_csv, tmp_path)
+        capsys.readouterr()
+        assert main(["validate", zeros_csv,
+                     "--out-report", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestKMeans:
     def test_report_fields(self, blobs_csv, tmp_path):
         path = tmp_path / "km.json"
@@ -340,18 +475,32 @@ class TestExitCodes:
         assert capsys.readouterr().out.strip() == "0.1.0"
 
 
-@pytest.mark.skipif(shutil.which("dissimjl") is None,
-                    reason="console script not on PATH")
+def test_import_loads_no_scipy():
+    probe = "import sys, dissimjl, dissimjl.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_console_script_end_to_end(tmp_path):
+    # the installed console script when present, else the package's
+    # __main__ under this interpreter
+    command = ["dissimjl"]
+    if shutil.which("dissimjl") is None:
+        command = [sys.executable, "-m", "dissimjl"]
+    env = subprocess_env()
     matrix = tmp_path / "m.csv"
     gen = subprocess.run(
-        ["dissimjl", "gen", "simplex", "--n", "10", "--out", str(matrix)],
-        capture_output=True, text=True,
+        [*command, "gen", "simplex", "--n", "10", "--out", str(matrix)],
+        capture_output=True, text=True, env=env,
     )
     assert gen.returncode == 0, gen.stderr
     report = subprocess.run(
-        ["dissimjl", "project", str(matrix), "--method", "jl-power"],
-        capture_output=True, text=True,
+        [*command, "project", str(matrix), "--method", "jl-power"],
+        capture_output=True, text=True, env=env,
     )
     assert report.returncode == 0, report.stderr
     body = json.loads(report.stdout)
