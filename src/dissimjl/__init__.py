@@ -41,7 +41,7 @@ from .evaluate import (
     validate_power_residual,
     validate_pq_bound,
 )
-from .pipeline import METHODS, RunResult, report_dict, run_projection, signed_coords
+from .pipeline import METHODS, RunResult, report_dict, run_projection
 from .power import (
     GaussianCluster,
     PowerRepresentation,
@@ -57,8 +57,6 @@ from .projection import (
     DEFAULT_DIM_CONSTANT,
     DEFAULT_EPSILON,
     JLMap,
-    ProjectedPQ,
-    ProjectedPower,
     ProjectionConfig,
     gaussian_map,
     project_classical,
@@ -96,8 +94,6 @@ __all__ = [
     "PowerRepresentation",
     "PowerResidualCheck",
     "PqBoundCheck",
-    "ProjectedPQ",
-    "ProjectedPower",
     "ProjectionConfig",
     "PseudoEuclideanEmbedding",
     "RunResult",
@@ -131,7 +127,6 @@ __all__ = [
     "relative_error_stats",
     "report_dict",
     "run_projection",
-    "signed_coords",
     "silhouette_gaussian",
     "silhouette_normalized",
     "squared_distances",

@@ -27,14 +27,8 @@ from .datagen import (
     graph_hops,
     parse_edge_list,
 )
-from .evaluate import (
-    DEFAULT_RESTARTS,
-    kmeans_projected,
-    relative_error_stats,
-    validate_power_residual,
-    validate_pq_bound,
-)
-from .pipeline import METHODS, report_dict, run_projection, summary_dict
+from .evaluate import DEFAULT_RESTARTS, kmeans_projected
+from .pipeline import METHODS, _scored, report_dict, run_projection
 from .projection import DEFAULT_DIM_CONSTANT, DEFAULT_EPSILON, ProjectionConfig
 from .pqspace import embed_pq
 
@@ -96,6 +90,12 @@ def _manifest(command: str, inputs: list[str], args, started: float) -> dict:
     }
 
 
+def _write_report(args, command: str, started: float, body: dict) -> None:
+    """Write the JSON report: the run manifest, then the body's keys."""
+    report = {"manifest": _manifest(command, [args.matrix], args, started), **body}
+    _write_text(args.out_report, json.dumps(report, indent=2) + "\n")
+
+
 def cmd_gen_simplex(args) -> int:
     D = gen_simplex(SimplexSpec(n=args.n, alpha=args.alpha, seed=args.seed))
     write_matrix(args.out, D)
@@ -129,9 +129,9 @@ def _run_from_args(args):
         epsilon=args.epsilon, dim_constant=args.const, seed=args.seed
     )
     D = validate_matrix(read_matrix(args.matrix))
-    return run_projection(
-        D, args.method, config, radius_override=args.radius_override
-    )
+    # kmeans has no --radius-override
+    radius = getattr(args, "radius_override", None)
+    return run_projection(D, args.method, config, radius_override=radius)
 
 
 def cmd_project(args) -> int:
@@ -139,13 +139,11 @@ def cmd_project(args) -> int:
     result = _run_from_args(args)
     if args.out_matrix:
         write_matrix(args.out_matrix, result.reconstructed)
-    report = {"manifest": _manifest("project", [args.matrix], args, started)}
-    report.update(report_dict(result))
-    _write_text(args.out_report, json.dumps(report, indent=2) + "\n")
+    _write_report(args, "project", started, report_dict(result))
     return EXIT_OK
 
 
-def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon, picked):
+def _pair_rows(result, picked):
     """Per-pair plot records as CSV text: the header line, then row blocks.
 
     Rows exist only for the ``picked`` positions of the upper triangle
@@ -154,6 +152,8 @@ def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon, picked):
     ``validate --sample N`` formats N rows and the full table is never
     held as text at once.
     """
+    method, A = result.method, result.matrix.entries
+    pq_check, power_check = result.pq_check, result.power_check
     iu, ju = np.triu_indices(A.shape[0], 1)
     if method == "jl-pq":
         header = "i,j,dissimilarity,reconstructed,ratio,factor,band_lower,band_upper,violated"
@@ -164,7 +164,7 @@ def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon, picked):
     width = header.count(",") + 1
     row = "%d,%d" + ",%.10g" * (width - 3) + ",%d\n"
     yield header + "\n"
-    Dhat = np.asarray(Dhat)
+    Dhat = np.asarray(result.reconstructed)
     for start in range(0, picked.size, _PAIR_BLOCK):
         at = picked[start:start + _PAIR_BLOCK]
         i, j = iu[at], ju[at]
@@ -187,7 +187,7 @@ def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon, picked):
                 residual > power_check.bound,
             )
         else:
-            half = epsilon * np.abs(d)
+            half = result.config.epsilon * np.abs(d)
             checks = (d - half, d + half, np.abs(dh - d) > half)
         table = np.column_stack((i, j, d, dh, ratio) + checks)
         yield (row * at.size) % tuple(table.ravel().tolist())
@@ -195,75 +195,28 @@ def _pair_rows(method, A, Dhat, pq_check, power_check, epsilon, picked):
 
 def cmd_validate(args) -> int:
     started = time.monotonic()
+    if args.sample is not None and args.sample < 1:
+        raise DissimilarityError(f"--sample must be >= 1, got {args.sample}")
     result = _run_from_args(args)
-    D = result.matrix
     if args.identity_debug:
         # bypass the projection: score the matrix against itself so the
         # whole reporting path can be checked for spurious violations
-        Dhat = D.entries
-        stats = relative_error_stats(D, Dhat)
-        pq_check = power_check = None
-        if args.method == "jl-pq":
-            pq_check = validate_pq_bound(D, result.embedding, Dhat, args.epsilon)
-        elif args.method == "jl-power":
-            power_check = validate_power_residual(
-                D, result.representation.radius, Dhat, args.epsilon
-            )
-    else:
-        Dhat = result.reconstructed
-        stats = result.stats
-        pq_check = result.pq_check
-        power_check = result.power_check
-    npairs = D.n * (D.n - 1) // 2
+        result = _scored(result, result.matrix.entries)
+    n = result.matrix.n
+    npairs = n * (n - 1) // 2
     picked = np.arange(npairs)
-    if args.sample is not None:
-        if args.sample < 1:
-            raise DissimilarityError(f"--sample must be >= 1, got {args.sample}")
-        if args.sample < npairs:
-            rng = np.random.default_rng(args.seed)
-            picked = np.sort(rng.choice(npairs, size=args.sample, replace=False))
-    _write_text(
-        args.out_csv,
-        _pair_rows(
-            args.method, D.entries, Dhat, pq_check, power_check, args.epsilon,
-            picked,
-        ),
-    )
-    radius = None
-    if result.representation is not None:
-        radius = result.representation.radius
-    report = {"manifest": _manifest("validate", [args.matrix], args, started)}
-    report.update(
-        summary_dict(
-            args.method,
-            D.n,
-            result.out_dim,
-            result.config,
-            stats,
-            pq_check,
-            power_check,
-            radius,
-        )
-    )
-    _write_text(args.out_report, json.dumps(report, indent=2) + "\n")
+    if args.sample is not None and args.sample < npairs:
+        rng = np.random.default_rng(args.seed)
+        picked = np.sort(rng.choice(npairs, size=args.sample, replace=False))
+    _write_text(args.out_csv, _pair_rows(result, picked))
+    _write_report(args, "validate", started, report_dict(result))
     return EXIT_OK
 
 
 def cmd_kmeans(args) -> int:
     started = time.monotonic()
-    config = ProjectionConfig(
-        epsilon=args.epsilon, dim_constant=args.const, seed=args.seed
-    )
-    D = validate_matrix(read_matrix(args.matrix))
-    result = run_projection(D, args.method, config)
-    if args.method == "jl-pq":
-        coords = np.hstack(
-            [result.projected.pos_coords, result.projected.neg_coords]
-        )
-    elif args.method == "jl-power":
-        coords = result.projected.centers
-    else:
-        coords = result.projected
+    result = _run_from_args(args)
+    D = result.matrix
     original = kmeans_projected(
         D,
         embed_pq(result.decomposition).pos_coords,
@@ -272,13 +225,12 @@ def cmd_kmeans(args) -> int:
         restarts=args.restarts,
     )
     projected = kmeans_projected(
-        D, coords, args.k, seed=args.seed, restarts=args.restarts
+        D, result.coords, args.k, seed=args.seed, restarts=args.restarts
     )
     ratio = None
     if original.cost != 0.0:
         ratio = projected.cost / original.cost
-    report = {
-        "manifest": _manifest("kmeans", [args.matrix], args, started),
+    _write_report(args, "kmeans", started, {
         "method": args.method,
         "n": D.n,
         "k": args.k,
@@ -287,8 +239,7 @@ def cmd_kmeans(args) -> int:
         "original_cost": original.cost,
         "projected_cost": projected.cost,
         "cost_ratio": ratio,
-    }
-    _write_text(args.out_report, json.dumps(report, indent=2) + "\n")
+    })
     return EXIT_OK
 
 

@@ -52,16 +52,13 @@ def relative_error_stats(D, Dhat) -> ErrorStats:
 class PqBoundCheck:
     """Per-pair band check for the signed projection route.
 
-    Arrays run over the upper triangle (i < j).  The band around each
-    D_ij has half-width epsilon * euclid_interval, which equals
-    epsilon * C_ij * |D_ij| wherever the factor C_ij is finite.  Pairs
-    with an infinite factor are excluded from the rate and counted.
+    Arrays run over the upper triangle in row-major order, the pairs of
+    ``np.triu_indices(n, 1)``.  The band around each D_ij has half-width
+    epsilon * euclid_interval, which equals epsilon * C_ij * |D_ij|
+    wherever the factor C_ij is finite.  Pairs with an infinite factor
+    are excluded from the rate and counted.
     """
 
-    i: np.ndarray
-    j: np.ndarray
-    expected: np.ndarray
-    observed: np.ndarray
     factor: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -102,7 +99,7 @@ def validate_pq_bound(
     upper = d + half
     excluded = ~np.isfinite(factor)
     violated = ((dh < lower) | (dh > upper)) & ~excluded
-    return PqBoundCheck(iu[0], iu[1], d, dh, factor, lower, upper, violated, excluded)
+    return PqBoundCheck(factor, lower, upper, violated, excluded)
 
 
 @dataclass(frozen=True)
@@ -110,13 +107,10 @@ class PowerResidualCheck:
     """Residual beyond the multiplicative band, against the 4 eps r^2 slack.
 
     residual_ij = max(0, |Dhat_ij - D_ij| - epsilon |D_ij|) over the
-    upper triangle; the additive slack bound is shared by all pairs.
+    pairs of ``np.triu_indices(n, 1)``, in that order; the additive
+    slack bound is shared by all pairs.
     """
 
-    i: np.ndarray
-    j: np.ndarray
-    expected: np.ndarray
-    observed: np.ndarray
     residuals: np.ndarray
     bound: float
 
@@ -140,9 +134,7 @@ def validate_power_residual(
     d = A[iu]
     dh = np.asarray(Dhat, dtype=float)[iu]
     resid = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
-    return PowerResidualCheck(
-        iu[0], iu[1], d, dh, resid, 4.0 * epsilon * radius**2
-    )
+    return PowerResidualCheck(resid, 4.0 * epsilon * radius**2)
 
 
 @dataclass(frozen=True)
@@ -175,6 +167,22 @@ def relational_cost(D, assignment) -> float:
         block = A[np.ix_(members, members)]
         total += block.sum() / (2.0 * members.size)
     return float(total)
+
+
+def _best_of_restarts(A, k, seed, restarts, lloyd) -> KMeansResult:
+    """Lowest relational cost on A of lloyd(seed + t) -> (labels, iters)."""
+    n = A.shape[0]
+    if not 1 <= k <= n:
+        raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
+    if restarts < 1:
+        raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
+    best = None
+    for t in range(restarts):
+        labels, iters = lloyd(seed + t)
+        cost = relational_cost(A, labels)
+        if best is None or cost < best[1]:
+            best = (labels, cost, iters)
+    return KMeansResult(best[0], best[1], best[2], restarts, seed)
 
 
 def _one_hot(labels, k):
@@ -229,18 +237,9 @@ def relational_kmeans(
     final relational cost wins.
     """
     A = as_matrix(D)
-    n = A.shape[0]
-    if not 1 <= k <= n:
-        raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
-    if restarts < 1:
-        raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
-    best = None
-    for t in range(restarts):
-        labels, iters = _lloyd_relational(A, k, seed + t, max_iter)
-        cost = relational_cost(A, labels)
-        if best is None or cost < best[1]:
-            best = (labels, cost, iters)
-    return KMeansResult(best[0], best[1], best[2], restarts, seed)
+    return _best_of_restarts(
+        A, k, seed, restarts, lambda s: _lloyd_relational(A, k, s, max_iter)
+    )
 
 
 def _lloyd_euclidean(X, k, seed, max_iter):
@@ -292,14 +291,6 @@ def kmeans_projected(
         raise DissimilarityError(
             f"coordinate rows ({X.shape[0]}) do not match matrix size ({n})"
         )
-    if not 1 <= k <= n:
-        raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
-    if restarts < 1:
-        raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
-    best = None
-    for t in range(restarts):
-        labels, iters = _lloyd_euclidean(X, k, seed + t, max_iter)
-        cost = relational_cost(A, labels)
-        if best is None or cost < best[1]:
-            best = (labels, cost, iters)
-    return KMeansResult(best[0], best[1], best[2], restarts, seed)
+    return _best_of_restarts(
+        A, k, seed, restarts, lambda s: _lloyd_euclidean(X, k, s, max_iter)
+    )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,16 +36,6 @@ from .pqspace import PseudoEuclideanEmbedding, embed_pq
 METHODS = ("jl", "jl-pq", "jl-power")
 
 
-def signed_coords(emb: PseudoEuclideanEmbedding) -> np.ndarray:
-    """Positive and negative coordinates side by side, signs discarded.
-
-    This is the |lambda|-scaled classical embedding; treating it as
-    Euclidean is the baseline the signed and power routes are measured
-    against.
-    """
-    return np.hstack([emb.pos_coords, emb.neg_coords])
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Everything a projection run produced."""
@@ -62,6 +52,32 @@ class RunResult:
     representation: PowerRepresentation | None = None
     pq_check: PqBoundCheck | None = None
     power_check: PowerResidualCheck | None = None
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Projected coordinate rows, the input k-means clusters on."""
+        if self.method == "jl":
+            return self.projected
+        return self.projected.coords
+
+
+def _scored(result: RunResult, Dhat) -> RunResult:
+    """result with reconstruction Dhat, its stats and bound check redone."""
+    D, epsilon = result.matrix, result.config.epsilon
+    pq_check = power_check = None
+    if result.method == "jl-pq":
+        pq_check = validate_pq_bound(D, result.embedding, Dhat, epsilon)
+    elif result.method == "jl-power":
+        power_check = validate_power_residual(
+            D, result.representation.radius, Dhat, epsilon
+        )
+    return replace(
+        result,
+        reconstructed=Dhat,
+        stats=relative_error_stats(D, Dhat),
+        pq_check=pq_check,
+        power_check=power_check,
+    )
 
 
 def run_projection(
@@ -87,68 +103,52 @@ def run_projection(
         config = ProjectionConfig()
     Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
     dec = decompose(center_gram(Dm))
-    m = target_dim(Dm.n, config)
     embedding = None
     representation = None
-    pq_check = None
-    power_check = None
     if method == "jl":
         embedding = embed_pq(dec)
-        projected = project_classical(signed_coords(embedding), config)
-        Dhat = reconstruct(projected)
+        projected = project_classical(embedding.coords, config)
     elif method == "jl-pq":
         embedding = embed_pq(dec)
         projected = project_pq(embedding, config)
-        Dhat = reconstruct(projected)
-        pq_check = validate_pq_bound(Dm, embedding, Dhat, config.epsilon)
     else:
         representation = power_representation(Dm, dec, radius_override)
         projected = project_power(representation, config)
-        Dhat = reconstruct(projected)
-        power_check = validate_power_residual(
-            Dm, representation.radius, Dhat, config.epsilon
-        )
-    stats = relative_error_stats(Dm, Dhat)
-    return RunResult(
+    unscored = RunResult(
         method=method,
         config=config,
         matrix=Dm,
         decomposition=dec,
-        out_dim=m,
+        out_dim=target_dim(Dm.n, config),
         projected=projected,
-        reconstructed=Dhat,
-        stats=stats,
+        reconstructed=None,
+        stats=None,
         embedding=embedding,
         representation=representation,
-        pq_check=pq_check,
-        power_check=power_check,
     )
+    return _scored(unscored, reconstruct(projected))
 
 
-def summary_dict(
-    method: str,
-    n: int,
-    m: int,
-    config: ProjectionConfig,
-    stats: ErrorStats,
-    pq_check: PqBoundCheck | None = None,
-    power_check: PowerResidualCheck | None = None,
-    radius: float | None = None,
-) -> dict:
-    """Assemble the report body in the shape of the published schema."""
+def report_dict(result: RunResult) -> dict:
+    """Report body for a finished run, in the shape of the published schema.
+
+    The manifest key is added by the command layer; everything else is
+    produced here so library users get the same numbers the CLI emits.
+    """
     bounds = {}
-    if pq_check is not None:
-        bounds["pq_violation_rate"] = pq_check.violation_rate
-    if power_check is not None:
-        bounds["power_residual_max"] = power_check.max_residual
-        bounds["bound_4er2"] = power_check.bound
-        bounds["fraction_within"] = power_check.fraction_within
-    if radius is not None:
-        bounds["radius"] = radius
+    if result.pq_check is not None:
+        bounds["pq_violation_rate"] = result.pq_check.violation_rate
+    if result.power_check is not None:
+        bounds["power_residual_max"] = result.power_check.max_residual
+        bounds["bound_4er2"] = result.power_check.bound
+        bounds["fraction_within"] = result.power_check.fraction_within
+    if result.representation is not None:
+        bounds["radius"] = result.representation.radius
+    config, stats = result.config, result.stats
     return {
-        "method": method,
-        "n": n,
-        "m": m,
+        "method": result.method,
+        "n": result.matrix.n,
+        "m": result.out_dim,
         "epsilon": config.epsilon,
         "const": config.dim_constant,
         "seed": config.seed,
@@ -160,24 +160,3 @@ def summary_dict(
         },
         "bounds": bounds,
     }
-
-
-def report_dict(result: RunResult) -> dict:
-    """Report body for a finished run.
-
-    The manifest key is added by the command layer; everything else is
-    produced here so library users get the same numbers the CLI emits.
-    """
-    radius = None
-    if result.representation is not None:
-        radius = result.representation.radius
-    return summary_dict(
-        result.method,
-        result.matrix.n,
-        result.out_dim,
-        result.config,
-        result.stats,
-        result.pq_check,
-        result.power_check,
-        radius,
-    )

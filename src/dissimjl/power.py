@@ -25,6 +25,7 @@ from .core import (
     as_matrix,
     center_gram,
     decompose,
+    squared_distances,
     validate_matrix,
 )
 
@@ -47,6 +48,16 @@ class PowerRepresentation:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self.centers
+
+    def reconstruct(self) -> np.ndarray:
+        """Power distances: squared center distances minus 4 r^2 off the diagonal."""
+        D = squared_distances(self.centers) - 4.0 * self.radius**2
+        np.fill_diagonal(D, 0.0)
+        return D
 
 
 @dataclass(frozen=True)

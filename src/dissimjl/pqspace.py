@@ -41,6 +41,22 @@ class PseudoEuclideanEmbedding:
     def q(self) -> int:
         return self.neg_coords.shape[1]
 
+    @property
+    def coords(self) -> np.ndarray:
+        """Positive and negative coordinates side by side, signs discarded.
+
+        This is the |lambda|-scaled classical embedding; treating it as
+        Euclidean is the baseline the signed and power routes are
+        measured against.
+        """
+        return np.hstack([self.pos_coords, self.neg_coords])
+
+    def reconstruct(self) -> np.ndarray:
+        """Signed squared intervals P - Q, symmetric with a zero diagonal."""
+        D = squared_distances(self.pos_coords) - squared_distances(self.neg_coords)
+        np.fill_diagonal(D, 0.0)
+        return D
+
 
 def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
     """Coordinates sqrt(|lambda_k|) * U[:, k], split by eigenvalue sign.

@@ -1,10 +1,13 @@
 """Gaussian random projection with signed and power-shifted variants.
 
 The target dimension follows the usual JL budget
-m = ceil(c * log2(n) / eps^2).  Signed embeddings project their
-positive and negative parts with independent maps into separate copies
-of R^m; power representations project centers only and carry the
-radius through unchanged.
+m = ceil(c * log2(n) / eps^2).  Projection maps a representation to
+its own type: signed embeddings project their positive and negative
+parts with independent maps into separate copies of R^m; power
+representations project centers only and carry the radius through
+unchanged.  Each projected representation rebuilds its dissimilarities
+with its ``reconstruct()`` method and exposes its coordinate rows as
+``coords``; plain coordinate rows reconstruct as squared distances.
 """
 
 from __future__ import annotations
@@ -88,30 +91,6 @@ def gaussian_map(out_dim: int, in_dim: int, seed: int) -> JLMap:
     return JLMap(M, seed)
 
 
-@dataclass(frozen=True)
-class ProjectedPQ:
-    """Signed embedding after projection; parts may have dimension 0."""
-
-    pos_coords: np.ndarray
-    neg_coords: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.pos_coords.shape[0]
-
-
-@dataclass(frozen=True)
-class ProjectedPower:
-    """Projected ball centers with the radius carried through."""
-
-    centers: np.ndarray
-    radius: float
-
-    @property
-    def n(self) -> int:
-        return self.centers.shape[0]
-
-
 def project_classical(coords, config: ProjectionConfig) -> np.ndarray:
     """Project coordinate rows to the target dimension for their count."""
     X = np.asarray(coords, dtype=float)
@@ -121,7 +100,7 @@ def project_classical(coords, config: ProjectionConfig) -> np.ndarray:
 
 def project_pq(
     emb: PseudoEuclideanEmbedding, config: ProjectionConfig
-) -> ProjectedPQ:
+) -> PseudoEuclideanEmbedding:
     """Project both signature parts with independent maps.
 
     The positive part uses the configured seed, the negative part
@@ -137,34 +116,25 @@ def project_pq(
         neg = gaussian_map(m, emb.q, config.seed + 1).apply(emb.neg_coords)
     else:
         neg = np.zeros((emb.n, 0))
-    return ProjectedPQ(pos, neg)
+    return PseudoEuclideanEmbedding(pos, neg)
 
 
 def project_power(
     rep: PowerRepresentation, config: ProjectionConfig
-) -> ProjectedPower:
+) -> PowerRepresentation:
     """Project the centers; the common radius is not touched."""
     m = target_dim(rep.n, config)
     centers = gaussian_map(m, rep.dim, config.seed).apply(rep.centers)
-    return ProjectedPower(centers, rep.radius)
+    return PowerRepresentation(centers, rep.radius)
 
 
 def reconstruct(projected) -> np.ndarray:
-    """Dissimilarity matrix induced by a projected object.
+    """Dissimilarity matrix induced by a projection, symmetric and hollow.
 
-    Accepts a ProjectedPQ (signed squared intervals), a ProjectedPower
-    (squared center distances minus 4 r^2 off the diagonal), or a plain
-    coordinate array (squared Euclidean distances).  The result is
-    symmetric with a zero diagonal; entries may be negative for the
-    first two forms.
+    Plain coordinate rows (the jl route) give squared Euclidean
+    distances; a representation gives its own ``reconstruct()``.
     """
-    if isinstance(projected, ProjectedPQ):
-        D = squared_distances(projected.pos_coords) - squared_distances(
-            projected.neg_coords
-        )
-    elif isinstance(projected, ProjectedPower):
-        D = squared_distances(projected.centers) - 4.0 * projected.radius**2
-    else:
-        D = squared_distances(projected)
-    np.fill_diagonal(D, 0.0)
-    return D
+    # perfbench/run.py times this stage by name on the jl and jl-pq routes
+    if isinstance(projected, np.ndarray):
+        return squared_distances(projected)
+    return projected.reconstruct()

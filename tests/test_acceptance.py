@@ -262,15 +262,8 @@ def test_criterion_8_relational_kmeans():
         for seed in range(5):
             D = gen_simplex(SimplexSpec(200, seed=seed))
             res = run_projection(D, method, ProjectionConfig(seed=seed))
-            if method == "jl-pq":
-                coords = np.hstack([res.projected.pos_coords,
-                                    res.projected.neg_coords])
-            elif method == "jl-power":
-                coords = res.projected.centers
-            else:
-                coords = res.projected
             costs.append(
-                kmeans_projected(D, coords, 4, seed=seed, restarts=5).cost
+                kmeans_projected(D, res.coords, 4, seed=seed, restarts=5).cost
             )
         means[method] = float(np.mean(costs))
     directional_ok = min(means["jl-pq"], means["jl-power"]) < means["jl"]

@@ -316,6 +316,12 @@ class TestValidate:
                      "--out-csv", str(tmp_path / "p.csv"),
                      "--out-report", str(tmp_path / "r.json")]) == 2
 
+    def test_sample_checked_before_reading(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path / "no.csv"), "--sample", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--sample must be >= 1" in err
+        assert "cannot read" not in err
+
     def test_identity_debug_reports_zero_violations(self, simplex_csv, tmp_path):
         csv_path = tmp_path / "pairs.csv"
         report_path = tmp_path / "r.json"

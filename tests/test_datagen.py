@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -170,8 +172,8 @@ class TestGraphHops:
         edges = [(int(rng.integers(0, 20)), int(rng.integers(0, 20)))
                  for _ in range(60)]
         edges = [(u, v) for u, v in edges if u != v]
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             D = graph_hops(edges)
         A = D.entries
         assert np.array_equal(A, np.round(A))

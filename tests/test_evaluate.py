@@ -98,10 +98,10 @@ class TestValidatePqBound:
         D, emb = self.embedding()
         eps = 0.5
         check = validate_pq_bound(D, emb, D.entries, epsilon=eps)
-        half = check.upper - check.expected
-        assert_allclose(half, eps * check.factor * np.abs(check.expected),
-                        atol=1e-9)
-        assert_allclose(check.expected - check.lower, half, atol=1e-12)
+        d = D.entries[np.triu_indices(D.n, 1)]
+        half = check.upper - d
+        assert_allclose(half, eps * check.factor * np.abs(d), atol=1e-9)
+        assert_allclose(d - check.lower, half, atol=1e-12)
 
     def test_out_of_band_entry_is_flagged(self):
         D, emb = self.embedding()
@@ -109,7 +109,8 @@ class TestValidatePqBound:
         Dhat[0, 1] = Dhat[1, 0] = 4.0  # band at eps=0.5 is [0.25, 1.75]
         check = validate_pq_bound(D, emb, Dhat, epsilon=0.5)
         assert check.violated.sum() == 1
-        pair = (int(check.i[check.violated][0]), int(check.j[check.violated][0]))
+        iu, ju = np.triu_indices(3, 1)
+        pair = (int(iu[check.violated][0]), int(ju[check.violated][0]))
         assert pair == (0, 1)
         assert_allclose(check.violation_rate, 1.0 / 3.0, atol=1e-15)
 

@@ -5,8 +5,7 @@ from numpy.testing import assert_allclose
 from dissimjl import (
     DissimilarityError,
     JLMap,
-    ProjectedPower,
-    ProjectedPQ,
+    PowerRepresentation,
     ProjectionConfig,
     PseudoEuclideanEmbedding,
     center_gram,
@@ -147,6 +146,14 @@ class TestProjectPq:
         assert proj.neg_coords.shape == (3, 13)
         assert proj.n == 3
 
+    def test_returns_input_type(self):
+        proj = project_pq(three_point_embedding(), ProjectionConfig())
+        assert type(proj) is PseudoEuclideanEmbedding
+        assert (proj.p, proj.q) == (13, 13)
+        assert np.array_equal(
+            proj.coords, np.hstack([proj.pos_coords, proj.neg_coords])
+        )
+
     def test_parts_use_independent_maps(self):
         coords = np.random.default_rng(7).standard_normal((5, 2))
         emb = PseudoEuclideanEmbedding(coords, coords.copy())
@@ -179,6 +186,15 @@ class TestProjectPower:
         assert proj.radius == rep.radius
         assert proj.centers.shape == (3, 13)
 
+    def test_returns_input_type(self):
+        D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
+        rep = power_representation(D, radius=2.5)
+        proj = project_power(rep, ProjectionConfig(seed=2))
+        assert type(proj) is PowerRepresentation
+        assert proj.radius == 2.5
+        assert proj.coords is proj.centers
+        assert proj.dim == 13
+
     def test_classical_matches_power_on_centers(self):
         rep = power_representation(
             np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
@@ -196,7 +212,7 @@ class TestReconstruct:
     def test_projected_pq_is_signed_difference(self):
         rng = np.random.default_rng(11)
         pos, neg = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
-        D = reconstruct(ProjectedPQ(pos, neg))
+        D = PseudoEuclideanEmbedding(pos, neg).reconstruct()
         expected = pairwise_sq_oracle(pos) - pairwise_sq_oracle(neg)
         np.fill_diagonal(expected, 0.0)
         assert_allclose(D, expected, atol=1e-10)
@@ -205,7 +221,7 @@ class TestReconstruct:
 
     def test_projected_power_subtracts_radius_term(self):
         centers = np.random.default_rng(12).standard_normal((6, 3))
-        D = reconstruct(ProjectedPower(centers, 1.5))
+        D = PowerRepresentation(centers, 1.5).reconstruct()
         expected = pairwise_sq_oracle(centers) - 9.0
         np.fill_diagonal(expected, 0.0)
         assert_allclose(D, expected, atol=1e-10)
@@ -218,10 +234,19 @@ class TestReconstruct:
         dec = decompose(center_gram(D))
         emb = embed_pq(dec)
         cfg = ProjectionConfig(seed=5)
-        via_classical = reconstruct(project_classical(emb.pos_coords, cfg))
-        via_pq = reconstruct(project_pq(emb, cfg))
+        via_classical = squared_distances(project_classical(emb.pos_coords, cfg))
+        via_pq = project_pq(emb, cfg).reconstruct()
         assert np.array_equal(via_classical, via_pq)
         rep = power_representation(D, dec=dec)
         assert rep.radius == 0.0
-        via_power = reconstruct(project_power(rep, cfg))
+        via_power = project_power(rep, cfg).reconstruct()
         assert_allclose(via_power, via_classical, atol=1e-10)
+
+    def test_function_defers_to_representation(self):
+        rng = np.random.default_rng(14)
+        emb = PseudoEuclideanEmbedding(
+            rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        )
+        rep = PowerRepresentation(rng.standard_normal((5, 4)), 0.75)
+        assert np.array_equal(reconstruct(emb), emb.reconstruct())
+        assert np.array_equal(reconstruct(rep), rep.reconstruct())
