@@ -17,7 +17,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import DissimilarityError, NumericalError, as_matrix, validate_matrix
+from .core import (
+    DissimilarityError,
+    NumericalError,
+    _pair_offsets,
+    as_matrix,
+    validate_matrix,
+)
 from .datagen import (
     DEFAULT_ALPHA,
     BallSpec,
@@ -154,7 +160,7 @@ def _pair_rows(result, picked):
     """
     method, A = result.method, result.matrix.entries
     pq_check, power_check = result.pq_check, result.power_check
-    iu, ju = np.triu_indices(A.shape[0], 1)
+    offsets = _pair_offsets(A.shape[0])
     if method == "jl-pq":
         header = "i,j,dissimilarity,reconstructed,ratio,factor,band_lower,band_upper,violated"
     elif method == "jl-power":
@@ -167,7 +173,8 @@ def _pair_rows(result, picked):
     Dhat = np.asarray(result.reconstructed)
     for start in range(0, picked.size, _PAIR_BLOCK):
         at = picked[start:start + _PAIR_BLOCK]
-        i, j = iu[at], ju[at]
+        i = np.searchsorted(offsets, at, side="right") - 1
+        j = at - offsets[i] + i + 1
         d = A[i, j]
         dh = Dhat[i, j]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,6 +14,11 @@ import numpy as np
 
 DEFAULT_TAU_REL = 1e-9
 
+# Elementwise O(n^2) passes run over row tiles of about 1 MB of doubles, and
+# reads of a transpose over square blocks, so each pass stays in cache.
+_TILE_ENTRIES = 2**17
+_BLOCK = 256
+
 
 class DissimilarityError(ValueError):
     """Input data breaks a structural contract (shape, symmetry, range)."""
@@ -58,7 +63,8 @@ def validate_matrix(raw) -> DissimilarityMatrix:
     Returns
     -------
     DissimilarityMatrix
-        Exactly symmetrized copy with the diagonal forced to zero.
+        Exactly symmetrized copy, 0.5 A_ij + 0.5 A_ji (finite for any
+        finite input), with the diagonal forced to zero.
 
     Raises
     ------
@@ -71,12 +77,14 @@ def validate_matrix(raw) -> DissimilarityMatrix:
         raise DissimilarityError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
         raise DissimilarityError("matrix is empty")
-    if not np.all(np.isfinite(A)):
+    top = _abs_max(A)
+    if not np.isfinite(top):
         i, j = np.argwhere(~np.isfinite(A))[0]
         raise DissimilarityError(f"non-finite entry at ({i}, {j}): {A[i, j]!r}")
-    tol = 1e-9 * max(1.0, float(np.abs(A).max()))
-    gap = np.abs(A - A.T)
-    if gap.max() > tol:
+    tol = 1e-9 * max(1.0, top)
+    sym = np.empty(A.shape)
+    if _asymmetry(A, sym) > tol:
+        gap = np.abs(A - A.T)
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise DissimilarityError(
             f"asymmetric at ({i}, {j}): {A[i, j]!r} vs {A[j, i]!r}"
@@ -85,7 +93,6 @@ def validate_matrix(raw) -> DissimilarityMatrix:
     if diag.max() > tol:
         i = int(np.argmax(diag))
         raise DissimilarityError(f"nonzero diagonal at ({i}, {i}): {A[i, i]!r}")
-    sym = 0.5 * (A + A.T)
     np.fill_diagonal(sym, 0.0)
     return DissimilarityMatrix(sym)
 
@@ -100,8 +107,14 @@ def center_gram(D) -> np.ndarray:
     A = as_matrix(D)
     row = A.mean(axis=1)
     grand = row.mean()
-    # one symmetric mean term, so both triangles round identically
-    return -0.5 * (A - (row[:, None] + row[None, :]) + grand)
+    B = np.empty(A.shape)
+    for r0, r1 in _row_tiles(A.shape[0]):
+        tile = B[r0:r1]
+        # one symmetric mean term, so both triangles round identically
+        np.subtract(A[r0:r1], row[r0:r1, None] + row[None, :], out=tile)
+        tile += grand
+        tile *= -0.5
+    return B
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ def decompose(B, tau_rel: float = DEFAULT_TAU_REL) -> GramDecomposition:
         raise DissimilarityError(f"expected a square matrix, got shape {B.shape}")
     if B.size == 0:
         raise DissimilarityError("matrix is empty")
-    if np.abs(B - B.T).max() > 1e-8 * max(1.0, float(np.abs(B).max())):
+    if _asymmetry(B) > 1e-8 * max(1.0, _abs_max(B)):
         raise DissimilarityError("matrix is not symmetric")
     try:
         lam, U = np.linalg.eigh(B)
@@ -173,12 +186,103 @@ def squared_distances(X) -> np.ndarray:
 
     Returns a symmetric hollow matrix; tiny negative values from
     cancellation are clamped to zero.  A zero-column input (no
-    coordinates) gives the all-zero matrix.
+    coordinates) gives the all-zero matrix.  After the one Gram product
+    X X^T, the distances are formed, clamped and averaged with their
+    transpose block by block, in place in the Gram buffer.
     """
-    X = np.asarray(X, dtype=float)
-    sq = np.einsum("ij,ij->i", X, X)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(D, 0.0, out=D)
-    D = 0.5 * (D + D.T)
+    D, sq = _gram(X)
+    for rows, cols in _blocks(D.shape[0]):
+        block = _symmetric_distances(D, sq, rows, cols)
+        D[rows, cols] = block
+        D[cols, rows] = block.T
     np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _tiles(n: int, size: int):
+    """Consecutive index ranges (start, stop) of at most size covering range(n)."""
+    for start in range(0, n, size):
+        yield start, min(n, start + size)
+
+
+def _row_tiles(n: int):
+    """Row ranges of an n-column matrix, about _TILE_ENTRIES entries each."""
+    return _tiles(n, max(1, _TILE_ENTRIES // max(n, 1)))
+
+
+def _blocks(n: int):
+    """Square blocks (rows, cols) of the upper block triangle of an n x n matrix.
+
+    Each off-diagonal block stands for itself and its mirror image.
+    """
+    for r0, r1 in _tiles(n, _BLOCK):
+        for c0, c1 in _tiles(n, _BLOCK):
+            if c0 >= r0:
+                yield slice(r0, r1), slice(c0, c1)
+
+
+def _pair_offsets(n: int) -> np.ndarray:
+    """Position of pair (i, i + 1) in ``np.triu_indices(n, 1)`` order, i = 0..n.
+
+    Row i's pairs fill positions offsets[i] to offsets[i + 1].
+    """
+    i = np.arange(n + 1)
+    return i * n - i * (i + 1) // 2
+
+
+def _upper_rows(n: int):
+    """Row tiles of the strict upper triangle of an n x n matrix.
+
+    Yields (block, pairs, tri): the tile's pairs are ``M[block][tri]`` for
+    any n x n M, in row-major order, and ``pairs`` is their slice of a
+    vector over all pairs in ``np.triu_indices(n, 1)`` order.
+    """
+    offsets = _pair_offsets(n)
+    cols = np.arange(n)
+    for r0, r1 in _row_tiles(n):
+        tri = cols[None, r0:] > np.arange(r0, r1)[:, None]
+        yield (slice(r0, r1), slice(r0, n)), slice(offsets[r0], offsets[r1]), tri
+
+
+def _abs_max(A: np.ndarray) -> float:
+    """max |A|, nan if A holds a nan."""
+    return float(np.max([np.abs(A[r0:r1]).max() for r0, r1 in _row_tiles(A.shape[0])]))
+
+
+def _asymmetry(A: np.ndarray, out: np.ndarray | None = None) -> float:
+    """max |A - A^T|; with out, also write 0.5 A + 0.5 A^T there.
+
+    Halving before the sum keeps the average finite for entries near the
+    float64 limit.
+    """
+    gaps = []
+    for rows, cols in _blocks(A.shape[0]):
+        a, b = A[rows, cols], A[cols, rows].T
+        gaps.append(np.abs(a - b).max())
+        if out is not None:
+            avg = 0.5 * a + 0.5 * b
+            out[rows, cols] = avg
+            out[cols, rows] = avg.T
+    return float(np.max(gaps))
+
+
+def _gram(X):
+    """(X X^T, squared row norms) for the rows of X."""
+    X = np.asarray(X, dtype=float)
+    return X @ X.T, np.einsum("ij,ij->i", X, X)
+
+
+def _distances(G, sq, rows, cols) -> np.ndarray:
+    """sq_i + sq_j - 2 G_ij on one block of a Gram matrix, clamped at zero."""
+    D = sq[rows, None] + sq[None, cols]
+    D -= 2.0 * G[rows, cols]
+    return np.maximum(D, 0.0, out=D)
+
+
+def _symmetric_distances(G, sq, rows, cols) -> np.ndarray:
+    """Clamped squared distances on the block (rows, cols), averaged with the
+    transposed block (cols, rows), so the two triangles agree exactly."""
+    D = _distances(G, sq, rows, cols)
+    D += _distances(G, sq, cols, rows).T
+    D *= 0.5
     return D

@@ -6,8 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DissimilarityError, as_matrix, squared_distances
-from .pqspace import PseudoEuclideanEmbedding, interval_matrices
+from .core import (
+    DissimilarityError,
+    _gram,
+    _symmetric_distances,
+    _upper_rows,
+    as_matrix,
+)
+from .pqspace import PseudoEuclideanEmbedding
 
 DEFAULT_RESTARTS = 10
 
@@ -27,19 +33,25 @@ def relative_error_stats(D, Dhat) -> ErrorStats:
 
     Pairs with D_ij = 0 carry no relative error; they are excluded and
     counted.  Non-finite reconstructed entries push max and mean to
-    infinity rather than being dropped.
+    infinity rather than being dropped.  The errors are computed in row
+    tiles of the upper triangle into one whole vector, in
+    ``np.triu_indices(n, 1)`` order, which the mean and median then read.
     """
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
-    iu = np.triu_indices(A.shape[0], 1)
-    d = A[iu]
-    dh = Ah[iu]
-    mask = d != 0.0
-    excluded = int(np.sum(~mask))
-    if not mask.any():
+    n = A.shape[0]
+    rel = np.empty(n * (n - 1) // 2)
+    used = 0
+    for block, _, tri in _upper_rows(n):
+        d, dh = A[block][tri], Ah[block][tri]
+        mask = d != 0.0
+        tile = np.abs(dh[mask] - d[mask]) / np.abs(d[mask])
+        rel[used:used + tile.size] = np.where(np.isfinite(tile), tile, np.inf)
+        used += tile.size
+    excluded = rel.size - used
+    if used == 0:
         return ErrorStats(0.0, 0.0, 0.0, excluded)
-    rel = np.abs(dh[mask] - d[mask]) / np.abs(d[mask])
-    rel = np.where(np.isfinite(rel), rel, np.inf)
+    rel = rel[:used]
     return ErrorStats(
         float(rel.max()),
         float(rel.mean()),
@@ -53,7 +65,8 @@ class PqBoundCheck:
     """Per-pair band check for the signed projection route.
 
     Arrays run over the upper triangle in row-major order, the pairs of
-    ``np.triu_indices(n, 1)``.  The band around each D_ij has half-width
+    ``np.triu_indices(n, 1)``.  They are filled in row tiles of the upper
+    triangle and stay whole.  The band around each D_ij has half-width
     epsilon * euclid_interval, which equals epsilon * C_ij * |D_ij|
     wherever the factor C_ij is finite.  Pairs with an infinite factor
     are excluded from the rate and counted.
@@ -80,25 +93,38 @@ class PqBoundCheck:
 def validate_pq_bound(
     D, emb: PseudoEuclideanEmbedding, Dhat, epsilon: float
 ) -> PqBoundCheck:
-    """Check a reconstruction against the factor-widened band of D."""
+    """Check a reconstruction against the factor-widened band of D.
+
+    Each row tile of the upper triangle takes its signed and Euclidean
+    intervals from the Gram products of the two signature parts, so no
+    n x n interval matrix is formed.
+    """
     A = as_matrix(D)
-    pq, eu = interval_matrices(emb)
-    iu = np.triu_indices(A.shape[0], 1)
-    d = A[iu]
-    dh = np.asarray(Dhat, dtype=float)[iu]
-    pqv = pq[iu]
-    euv = eu[iu]
-    safe = np.where(pqv != 0.0, pqv, 1.0)
-    factor = np.where(
-        pqv != 0.0,
-        np.abs(euv / safe),
-        np.where(euv == 0.0, 1.0, np.inf),
-    )
-    half = epsilon * euv
-    lower = d - half
-    upper = d + half
-    excluded = ~np.isfinite(factor)
-    violated = ((dh < lower) | (dh > upper)) & ~excluded
+    Ah = np.asarray(Dhat, dtype=float)
+    n = A.shape[0]
+    (Gp, sp), (Gq, sq) = _gram(emb.pos_coords), _gram(emb.neg_coords)
+    npairs = n * (n - 1) // 2
+    factor, lower, upper = np.empty(npairs), np.empty(npairs), np.empty(npairs)
+    violated = np.empty(npairs, dtype=bool)
+    excluded = np.empty(npairs, dtype=bool)
+    for block, pairs, tri in _upper_rows(n):
+        p = _symmetric_distances(Gp, sp, *block)[tri]
+        q = _symmetric_distances(Gq, sq, *block)[tri]
+        pqv, euv = p - q, p + q
+        d, dh = A[block][tri], Ah[block][tri]
+        safe = np.where(pqv != 0.0, pqv, 1.0)
+        factor[pairs] = np.where(
+            pqv != 0.0,
+            np.abs(euv / safe),
+            np.where(euv == 0.0, 1.0, np.inf),
+        )
+        half = epsilon * euv
+        lower[pairs] = d - half
+        upper[pairs] = d + half
+        excluded[pairs] = ~np.isfinite(factor[pairs])
+        violated[pairs] = (
+            (dh < lower[pairs]) | (dh > upper[pairs])
+        ) & ~excluded[pairs]
     return PqBoundCheck(factor, lower, upper, violated, excluded)
 
 
@@ -107,8 +133,9 @@ class PowerResidualCheck:
     """Residual beyond the multiplicative band, against the 4 eps r^2 slack.
 
     residual_ij = max(0, |Dhat_ij - D_ij| - epsilon |D_ij|) over the
-    pairs of ``np.triu_indices(n, 1)``, in that order; the additive
-    slack bound is shared by all pairs.
+    pairs of ``np.triu_indices(n, 1)``, in that order, filled in row
+    tiles of the upper triangle; the additive slack bound is shared by
+    all pairs.
     """
 
     residuals: np.ndarray
@@ -130,10 +157,12 @@ def validate_power_residual(
 ) -> PowerResidualCheck:
     """Check a power-route reconstruction against the additive slack."""
     A = as_matrix(D)
-    iu = np.triu_indices(A.shape[0], 1)
-    d = A[iu]
-    dh = np.asarray(Dhat, dtype=float)[iu]
-    resid = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
+    Ah = np.asarray(Dhat, dtype=float)
+    n = A.shape[0]
+    resid = np.empty(n * (n - 1) // 2)
+    for block, pairs, tri in _upper_rows(n):
+        d, dh = A[block][tri], Ah[block][tri]
+        resid[pairs] = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
     return PowerResidualCheck(resid, 4.0 * epsilon * radius**2)
 
 

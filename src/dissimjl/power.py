@@ -55,7 +55,8 @@ class PowerRepresentation:
 
     def reconstruct(self) -> np.ndarray:
         """Power distances: squared center distances minus 4 r^2 off the diagonal."""
-        D = squared_distances(self.centers) - 4.0 * self.radius**2
+        D = squared_distances(self.centers)
+        D -= 4.0 * self.radius**2
         np.fill_diagonal(D, 0.0)
         return D
 

@@ -53,7 +53,8 @@ class PseudoEuclideanEmbedding:
 
     def reconstruct(self) -> np.ndarray:
         """Signed squared intervals P - Q, symmetric with a zero diagonal."""
-        D = squared_distances(self.pos_coords) - squared_distances(self.neg_coords)
+        D = squared_distances(self.pos_coords)
+        D -= squared_distances(self.neg_coords)
         np.fill_diagonal(D, 0.0)
         return D
 
