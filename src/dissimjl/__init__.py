@@ -45,18 +45,15 @@ from .pipeline import METHODS, RunResult, report_dict, run_projection
 from .power import (
     GaussianCluster,
     PowerRepresentation,
-    euclideanize,
     power_distance,
     power_radius,
     power_representation,
-    recover_centers,
     silhouette_gaussian,
     silhouette_normalized,
 )
 from .projection import (
     DEFAULT_DIM_CONSTANT,
     DEFAULT_EPSILON,
-    JLMap,
     ProjectionConfig,
     gaussian_map,
     project_classical,
@@ -70,7 +67,6 @@ from .pqspace import (
     distortion_factor,
     embed_pq,
     euclid_interval,
-    interval_matrices,
     norm_ratio_sample,
     pq_interval,
 )
@@ -88,7 +84,6 @@ __all__ = [
     "ErrorStats",
     "GaussianCluster",
     "GramDecomposition",
-    "JLMap",
     "KMeansResult",
     "NumericalError",
     "PowerRepresentation",
@@ -104,12 +99,10 @@ __all__ = [
     "distortion_factor",
     "embed_pq",
     "euclid_interval",
-    "euclideanize",
     "gaussian_map",
     "gen_balls",
     "gen_simplex",
     "graph_hops",
-    "interval_matrices",
     "kmeans_projected",
     "norm_ratio_sample",
     "parse_edge_list",
@@ -121,7 +114,6 @@ __all__ = [
     "project_power",
     "project_pq",
     "reconstruct",
-    "recover_centers",
     "relational_cost",
     "relational_kmeans",
     "relative_error_stats",

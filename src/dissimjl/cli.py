@@ -262,11 +262,9 @@ def _add_projection_flags(parser) -> None:
         "--const", type=float, default=DEFAULT_DIM_CONSTANT,
         help="dimension constant c in ceil(c log2(n) / eps^2)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="projection seed")
     parser.add_argument(
-        "--radius-override", type=float, default=None,
-        help="replace the minimal power radius (jl-power only); values below "
-        "the minimum make the shifted matrix non-Euclidean and fail",
+        "--seed", type=int, default=0,
+        help="seed of the projection, of validate's --sample and of k-means",
     )
 
 
@@ -330,18 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--out-csv", default=None, help="pair CSV path (default stdout)")
     validate.add_argument("--out-report", default=None, help="JSON path (default stdout)")
     validate.set_defaults(func=cmd_validate)
+    for scored in (project, validate):
+        scored.add_argument(
+            "--radius-override", type=float, default=None,
+            help="replace the minimal power radius (jl-power only); values below "
+            "the minimum make the shifted matrix non-Euclidean and fail",
+        )
 
     kmeans = sub.add_parser(
         "kmeans", help="cluster on projected coordinates, score relationally"
     )
     kmeans.add_argument("matrix", help="input CSV matrix")
     kmeans.add_argument("--k", type=int, required=True, help="cluster count")
-    kmeans.add_argument(
-        "--method", choices=METHODS, default="jl-pq", help="projection route"
-    )
-    kmeans.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    kmeans.add_argument("--const", type=float, default=DEFAULT_DIM_CONSTANT)
-    kmeans.add_argument("--seed", type=int, default=0)
+    _add_projection_flags(kmeans)
     kmeans.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     kmeans.add_argument("--out-report", default=None, help="JSON path (default stdout)")
     kmeans.set_defaults(func=cmd_kmeans)

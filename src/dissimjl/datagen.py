@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,16 @@ class SimplexSpec:
     alpha: float = DEFAULT_ALPHA
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise DissimilarityError(f"need n >= 2, got {self.n}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise DissimilarityError(
+                f"alpha must be nonnegative and finite, got {self.alpha}"
+            )
+        if self.seed < 0:
+            raise DissimilarityError(f"seed must be nonnegative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class BallSpec:
@@ -31,6 +42,19 @@ class BallSpec:
     radius_min: float = 0.5
     radius_max: float = 2.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise DissimilarityError(f"need n >= 2, got {self.n}")
+        if self.dim < 1:
+            raise DissimilarityError(f"need dim >= 1, got {self.dim}")
+        if not 0.0 <= self.radius_min <= self.radius_max < math.inf:
+            raise DissimilarityError(
+                f"need 0 <= radius_min <= radius_max < inf, got "
+                f"[{self.radius_min}, {self.radius_max}]"
+            )
+        if self.seed < 0:
+            raise DissimilarityError(f"seed must be nonnegative, got {self.seed}")
 
 
 def gen_simplex(spec: SimplexSpec) -> DissimilarityMatrix:
@@ -48,10 +72,6 @@ def gen_simplex(spec: SimplexSpec) -> DissimilarityMatrix:
     negative eigenvalues; as alpha -> 0 the matrix degenerates to the
     squared distances of a regular simplex (Euclidean, q = 0).
     """
-    if spec.n < 2:
-        raise DissimilarityError(f"need n >= 2, got {spec.n}")
-    if spec.alpha < 0.0:
-        raise DissimilarityError(f"alpha must be nonnegative, got {spec.alpha}")
     rng = np.random.default_rng(spec.seed)
     k = max(1, round(HEAVY_FRACTION * spec.n))
     z = rng.uniform(0.0, spec.alpha, size=(spec.n, k))
@@ -69,15 +89,6 @@ def gen_balls(spec: BallSpec) -> DissimilarityMatrix:
     Unsquared and clamped, so the result is generally non-metric and
     non-Euclidean once radii vary.
     """
-    if spec.n < 2:
-        raise DissimilarityError(f"need n >= 2, got {spec.n}")
-    if spec.dim < 1:
-        raise DissimilarityError(f"need dim >= 1, got {spec.dim}")
-    if not 0.0 <= spec.radius_min <= spec.radius_max:
-        raise DissimilarityError(
-            f"need 0 <= radius_min <= radius_max, got "
-            f"[{spec.radius_min}, {spec.radius_max}]"
-        )
     rng = np.random.default_rng(spec.seed)
     centers = rng.standard_normal((spec.n, spec.dim))
     radii = rng.uniform(spec.radius_min, spec.radius_max, size=spec.n)

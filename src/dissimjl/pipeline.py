@@ -112,7 +112,7 @@ def run_projection(
         embedding = embed_pq(dec)
         projected = project_pq(embedding, config)
     else:
-        representation = power_representation(Dm, dec, radius_override)
+        representation = power_representation(dec, radius_override)
         projected = project_power(representation, config)
     unscored = RunResult(
         method=method,

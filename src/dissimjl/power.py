@@ -5,8 +5,8 @@ off-diagonal entry by 4r^2 with 2r^2 >= |e_n| (e_n the most negative
 Gram eigenvalue).  Points are then balls (center, r) and D is
 reproduced by the generalized power distance.  The shifted matrix E has
 Gram(E) = B + 2r^2 C (the constant-shift embedding of Roth et al.,
-IEEE TPAMI 2003), so its centers come from B's own eigenpairs and every
-route needs one eigendecomposition.  The same bilinear form doubles as
+IEEE TPAMI 2003), so the representation is built from the decomposition
+of B itself: E is never formed and never decomposed.  The same bilinear form doubles as
 a closed-form silhouette gap for isotropic Gaussian clusters.
 """
 
@@ -20,13 +20,8 @@ import numpy as np
 from .core import (
     DEFAULT_TAU_REL,
     DissimilarityError,
-    DissimilarityMatrix,
     GramDecomposition,
-    as_matrix,
-    center_gram,
-    decompose,
     squared_distances,
-    validate_matrix,
 )
 
 
@@ -38,8 +33,10 @@ class PowerRepresentation:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0.0:
-            raise DissimilarityError(f"radius must be nonnegative, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise DissimilarityError(
+                f"radius must be nonnegative and finite, got {self.radius}"
+            )
 
     @property
     def n(self) -> int:
@@ -106,83 +103,30 @@ def power_radius(dec: GramDecomposition) -> float:
     return math.sqrt(-e_n / 2.0)
 
 
-def euclideanize(D, radius: float) -> np.ndarray:
-    """Shift every off-diagonal entry by 4 radius^2, keeping a zero diagonal.
-
-    E = D + 4 r^2 (J - I).  With radius >= power_radius the result is a
-    Euclidean squared-distance matrix.
-    """
-    if radius < 0.0:
-        raise DissimilarityError(f"radius must be nonnegative, got {radius}")
-    E = as_matrix(D) + 4.0 * radius**2
-    np.fill_diagonal(E, 0.0)
-    return E
-
-
-def recover_centers(E, tau_rel: float = DEFAULT_TAU_REL) -> np.ndarray:
-    """Classical scaling coordinates for a Euclidean squared-distance matrix.
-
-    Parameters
-    ----------
-    E : array_like
-        Symmetric hollow matrix whose centered Gram matrix is PSD
-        within tau (negative eigenvalues above -tau are treated as
-        zero).
-    tau_rel : float
-        Relative eigenvalue threshold, as in :func:`decompose`.
-
-    Returns
-    -------
-    ndarray
-        (n, d) coordinates whose squared distances reproduce E, with d
-        the count of eigenvalues above tau.
-
-    Raises
-    ------
-    DissimilarityError
-        If the centered Gram matrix has an eigenvalue below -10 tau,
-        i.e. E is not Euclidean.
-    """
-    dec = decompose(center_gram(E), tau_rel)
-    keep = _psd_keep(dec.eigenvalues, dec.tau)
-    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
-
-
-def _psd_keep(mu: np.ndarray, tau: float) -> np.ndarray:
-    """Mask of eigenvalues above tau; raises if any is below -10 tau."""
-    if mu.min() < -10.0 * tau:
-        raise DissimilarityError(
-            f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "
-            f"below {-10.0 * tau:.6g}"
-        )
-    return mu > tau
-
-
 def power_representation(
-    D, dec: GramDecomposition | None = None, radius: float | None = None
+    dec: GramDecomposition, radius: float | None = None
 ) -> PowerRepresentation:
-    """Centers plus common radius reproducing D as power distances.
+    """Centers plus common radius reproducing the matrix behind dec.
 
-    The radius defaults to :func:`power_radius` of D's Gram spectrum; an
-    explicit smaller value makes the shifted matrix non-Euclidean and
-    raises, a larger one works and changes only the split between
-    center geometry and radius.
+    The matrix D behind dec comes back as power distances.  The radius
+    defaults to :func:`power_radius`; an explicit smaller value leaves
+    the shifted matrix E = D + 4r^2 (J - I) non-Euclidean and raises, a
+    larger one works and changes only the split between center geometry
+    and radius.
 
-    The centers are the classical scaling of E = euclideanize(D, r),
-    read off B's eigenpairs instead of a second eigendecomposition:
-    Gram(E) = B + 2r^2 C, whose spectrum is lambda_k + 2r^2 on the
-    complement of the all-ones direction and 0 on it.  The ones
-    direction is split off B's null block by a Householder reflection,
-    since the solver returns an arbitrary basis of that block.  Without
-    dec, D is decomposed once here.
+    The centers are the classical scaling of E, read off B's eigenpairs
+    instead of a second eigendecomposition: Gram(E) = B + 2r^2 C, whose
+    spectrum is lambda_k + 2r^2 on the complement of the all-ones
+    direction and 0 on it.  The ones direction is split off B's null
+    block by a Householder reflection, since the solver returns an
+    arbitrary basis of that block.
     """
-    Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
-    if dec is None:
-        dec = decompose(center_gram(Dm))
     if radius is None:
         radius = power_radius(dec)
-    if radius < 0.0:
-        raise DissimilarityError(f"radius must be nonnegative, got {radius}")
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise DissimilarityError(
+            f"radius must be nonnegative and finite, got {radius}"
+        )
     lam, U = dec.eigenvalues, dec.eigenvectors
     coef = np.full(dec.n, 1.0 / math.sqrt(dec.n)) @ U
     # B1 = 0, so the ones vector lies in the null block; the argmax keeps
@@ -200,7 +144,13 @@ def power_representation(
     # rotated columns take their Rayleigh quotients on B, all near 0
     mu[block] = (H * H) @ lam[block] + 2.0 * radius**2
     mu[block[0]] = 0.0
-    keep = _psd_keep(mu, DEFAULT_TAU_REL * max(1.0, float(np.abs(mu).max())))
+    tol = DEFAULT_TAU_REL * max(1.0, float(np.abs(mu).max()))
+    if mu.min() < -10.0 * tol:
+        raise DissimilarityError(
+            f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "
+            f"below {-10.0 * tol:.6g}"
+        )
+    keep = mu > tol
     centers = U[:, keep]
     rotated = keep[block]
     # column of centers that each kept eigenpair lands in

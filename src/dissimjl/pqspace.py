@@ -113,19 +113,6 @@ def distortion_factor(emb: PseudoEuclideanEmbedding, i: int, j: int) -> float:
     return abs(eu / pq)
 
 
-def interval_matrices(emb: PseudoEuclideanEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs signed and Euclidean interval matrices.
-
-    Returns:
-        (pq, euclid): two symmetric hollow n x n arrays where
-        pq = P - Q and euclid = P + Q for the per-part squared
-        distance matrices P and Q.
-    """
-    P = squared_distances(emb.pos_coords)
-    Q = squared_distances(emb.neg_coords)
-    return P - Q, P + Q
-
-
 def norm_ratio_sample(p: int, q: int, trials: int, seed: int = 0) -> np.ndarray:
     """Sample the ratio ||v||_E^2 / ||v||_pq^2 over uniform unit directions.
 

@@ -1,11 +1,12 @@
 """Gaussian random projection with signed and power-shifted variants.
 
 The target dimension follows the usual JL budget
-m = ceil(c * log2(n) / eps^2).  Projection maps a representation to
-its own type: signed embeddings project their positive and negative
-parts with independent maps into separate copies of R^m; power
-representations project centers only and carry the radius through
-unchanged.  Each projected representation rebuilds its dissimilarities
+m = ceil(c * log2(n) / eps^2).  A Gaussian map is a plain (m, d)
+matrix M, and coordinate rows X map to X @ M.T.  Projection maps a
+representation to its own type: signed embeddings project their
+positive and negative parts with independent maps into separate copies
+of R^m; power representations project their centers as the jl route
+projects plain rows and carry the radius through unchanged.  Each projected representation rebuilds its dissimilarities
 with its ``reconstruct()`` method and exposes its coordinate rows as
 ``coords``; plain coordinate rows reconstruct as squared distances.
 """
@@ -38,10 +39,12 @@ class ProjectionConfig:
             raise DissimilarityError(
                 f"epsilon must lie in (0, 1), got {self.epsilon}"
             )
-        if self.dim_constant <= 0.0:
+        if not (math.isfinite(self.dim_constant) and self.dim_constant > 0.0):
             raise DissimilarityError(
-                f"dim constant must be positive, got {self.dim_constant}"
+                f"dim constant must be positive and finite, got {self.dim_constant}"
             )
+        if self.seed < 0:
+            raise DissimilarityError(f"seed must be nonnegative, got {self.seed}")
 
 
 def target_dim(n: int, config: ProjectionConfig) -> int:
@@ -52,50 +55,24 @@ def target_dim(n: int, config: ProjectionConfig) -> int:
     return max(1, m)
 
 
-@dataclass(frozen=True)
-class JLMap:
-    """Linear map x -> M x given by an (m, d) Gaussian matrix."""
+def gaussian_map(out_dim: int, in_dim: int, seed: int) -> np.ndarray:
+    """(out_dim, in_dim) matrix M, entries iid N(0, 1/out_dim).
 
-    matrix: np.ndarray
-    seed: int
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def apply(self, X) -> np.ndarray:
-        """Map each row of an (n, d) array, returning (n, m).
-
-        A d = 0 map sends everything to the zero vector of R^m.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.shape[-1] != self.in_dim:
-            raise DissimilarityError(
-                f"expected {self.in_dim} input coordinates, got {X.shape[-1]}"
-            )
-        return X @ self.matrix.T
-
-
-def gaussian_map(out_dim: int, in_dim: int, seed: int) -> JLMap:
-    """JL map with entries iid N(0, 1/out_dim) from default_rng(seed)."""
+    Drawn from default_rng(seed); coordinate rows X map to X @ M.T.
+    """
     if out_dim < 1:
         raise DissimilarityError(f"output dimension must be >= 1, got {out_dim}")
     if in_dim < 0:
         raise DissimilarityError(f"input dimension must be >= 0, got {in_dim}")
     rng = np.random.default_rng(seed)
-    M = rng.normal(0.0, 1.0 / math.sqrt(out_dim), size=(out_dim, in_dim))
-    return JLMap(M, seed)
+    return rng.normal(0.0, 1.0 / math.sqrt(out_dim), size=(out_dim, in_dim))
 
 
 def project_classical(coords, config: ProjectionConfig) -> np.ndarray:
     """Project coordinate rows to the target dimension for their count."""
     X = np.asarray(coords, dtype=float)
     m = target_dim(X.shape[0], config)
-    return gaussian_map(m, X.shape[1], config.seed).apply(X)
+    return X @ gaussian_map(m, X.shape[1], config.seed).T
 
 
 def project_pq(
@@ -109,11 +86,11 @@ def project_pq(
     """
     m = target_dim(emb.n, config)
     if emb.p > 0:
-        pos = gaussian_map(m, emb.p, config.seed).apply(emb.pos_coords)
+        pos = emb.pos_coords @ gaussian_map(m, emb.p, config.seed).T
     else:
         pos = np.zeros((emb.n, 0))
     if emb.q > 0:
-        neg = gaussian_map(m, emb.q, config.seed + 1).apply(emb.neg_coords)
+        neg = emb.neg_coords @ gaussian_map(m, emb.q, config.seed + 1).T
     else:
         neg = np.zeros((emb.n, 0))
     return PseudoEuclideanEmbedding(pos, neg)
@@ -123,9 +100,7 @@ def project_power(
     rep: PowerRepresentation, config: ProjectionConfig
 ) -> PowerRepresentation:
     """Project the centers; the common radius is not touched."""
-    m = target_dim(rep.n, config)
-    centers = gaussian_map(m, rep.dim, config.seed).apply(rep.centers)
-    return PowerRepresentation(centers, rep.radius)
+    return PowerRepresentation(project_classical(rep.centers, config), rep.radius)
 
 
 def reconstruct(projected) -> np.ndarray:

@@ -4,9 +4,25 @@ The oracles here deliberately recompute quantities through different
 routes than the library (explicit centering products, per-pair loops,
 exhaustive partition search, Monte-Carlo coupling) so tests compare two
 independent derivations instead of the code with itself.
+
+The power oracles take the long way round that the library avoids:
+``euclideanize`` forms the shifted matrix E = D + 4r^2 (J - I) and
+``recover_centers`` runs a second eigendecomposition on it, where
+``power_representation`` reads the centers off B's own eigenpairs.
+``interval_matrices`` builds the whole signed and Euclidean interval
+matrices P - Q and P + Q that the tiled bound check never forms.
 """
 
 import numpy as np
+
+from dissimjl import (
+    DEFAULT_TAU_REL,
+    DissimilarityError,
+    as_matrix,
+    center_gram,
+    decompose,
+    squared_distances,
+)
 
 
 def random_hollow(rng, n, scale=1.0):
@@ -107,3 +123,36 @@ def mc_silhouette(mean_a, sigma_a, mean_b, sigma_b, samples=100_000,
     return float(estimates.mean()), float(
         estimates.std(ddof=1) / np.sqrt(batches)
     )
+
+
+def euclideanize(D, radius):
+    """Shift every off-diagonal entry by 4 radius^2, keeping a zero diagonal."""
+    if radius < 0.0:
+        raise DissimilarityError(f"radius must be nonnegative, got {radius}")
+    E = as_matrix(D) + 4.0 * radius**2
+    np.fill_diagonal(E, 0.0)
+    return E
+
+
+def recover_centers(E, tau_rel=DEFAULT_TAU_REL):
+    """Classical scaling of a Euclidean squared-distance matrix.
+
+    Keeps the eigenvalues above tau; raises DissimilarityError if one
+    lies below -10 tau, i.e. E is not Euclidean.
+    """
+    dec = decompose(center_gram(E), tau_rel)
+    mu = dec.eigenvalues
+    if mu.min() < -10.0 * dec.tau:
+        raise DissimilarityError(
+            f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "
+            f"below {-10.0 * dec.tau:.6g}"
+        )
+    keep = mu > dec.tau
+    return dec.eigenvectors[:, keep] * np.sqrt(mu[keep])
+
+
+def interval_matrices(emb):
+    """All-pairs signed and Euclidean intervals (P - Q, P + Q) of an embedding."""
+    P = squared_distances(emb.pos_coords)
+    Q = squared_distances(emb.neg_coords)
+    return P - Q, P + Q

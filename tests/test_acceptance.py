@@ -24,16 +24,13 @@ from dissimjl import (
     center_gram,
     decompose,
     embed_pq,
-    euclideanize,
     gaussian_map,
     gen_balls,
     gen_simplex,
-    interval_matrices,
     kmeans_projected,
     norm_ratio_sample,
     power_distance,
     power_radius,
-    recover_centers,
     relational_cost,
     relational_kmeans,
     run_projection,
@@ -46,7 +43,10 @@ from dissimjl import (
 from conftest import (
     brute_force_best_2partition,
     coordinate_kmeans_cost,
+    euclideanize,
+    interval_matrices,
     mc_silhouette,
+    recover_centers,
 )
 
 
@@ -193,7 +193,7 @@ def test_criterion_6_classical_projection_sanity():
     X = rng.standard_normal((1000, 200))
     cfg = ProjectionConfig()
     m = target_dim(1000, cfg)
-    Y = gaussian_map(m, 200, cfg.seed).apply(X)
+    Y = X @ gaussian_map(m, 200, cfg.seed).T
     iu = np.triu_indices(1000, 1)
     ratio = squared_distances(Y)[iu] / squared_distances(X)[iu]
     frac = float(np.mean((ratio >= 1.0 - cfg.epsilon) & (ratio <= 1.0 + cfg.epsilon)))

@@ -474,6 +474,30 @@ class TestExitCodes:
     def test_epsilon_out_of_range(self, simplex_csv):
         assert main(["project", simplex_csv, "--epsilon", "1.5"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["project", "{csv}", "--const", "nan"], "dim constant"),
+        (["project", "{csv}", "--const", "inf"], "dim constant"),
+        (["project", "{csv}", "--seed", "-1"], "seed"),
+        (["kmeans", "{csv}", "--k", "2", "--seed", "-1"], "seed"),
+        (["gen", "simplex", "--n", "5", "--seed", "-1"], "seed"),
+        (["gen", "ball", "--n", "5", "--seed", "-1"], "seed"),
+        (["gen", "simplex", "--n", "5", "--alpha", "nan"], "alpha"),
+        (["gen", "simplex", "--n", "5", "--alpha", "inf"], "alpha"),
+        (["gen", "ball", "--n", "5", "--rmax", "inf"], "radius_max"),
+        (["project", "{csv}", "--method", "jl-power", "--radius-override", "nan"],
+         "radius"),
+        (["project", "{csv}", "--method", "jl-power", "--radius-override", "inf"],
+         "radius"),
+    ])
+    def test_bad_parameter_is_one_line_data_error(
+        self, argv, message, simplex_csv, capsys
+    ):
+        assert main([a.replace("{csv}", simplex_csv) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_version_action(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])

@@ -56,8 +56,11 @@ class TestGenSimplex:
     def test_rejects_bad_spec(self):
         with pytest.raises(DissimilarityError, match="n >= 2"):
             gen_simplex(SimplexSpec(1))
-        with pytest.raises(DissimilarityError, match="alpha"):
-            gen_simplex(SimplexSpec(5, alpha=-1.0))
+        for alpha in (-1.0, np.nan, np.inf):
+            with pytest.raises(DissimilarityError, match="alpha"):
+                gen_simplex(SimplexSpec(5, alpha=alpha))
+        with pytest.raises(DissimilarityError, match="seed"):
+            SimplexSpec(5, seed=-1)
 
 
 class TestGenBalls:
@@ -110,6 +113,10 @@ class TestGenBalls:
             gen_balls(BallSpec(5, radius_min=2.0, radius_max=1.0))
         with pytest.raises(DissimilarityError, match="radius"):
             gen_balls(BallSpec(5, radius_min=-0.5))
+        with pytest.raises(DissimilarityError, match="radius"):
+            gen_balls(BallSpec(5, radius_max=np.inf))
+        with pytest.raises(DissimilarityError, match="seed"):
+            BallSpec(5, seed=-1)
 
 
 class TestParseEdgeList:

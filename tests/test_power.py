@@ -15,14 +15,12 @@ from dissimjl import (
     as_matrix,
     center_gram,
     decompose,
-    euclideanize,
     gen_balls,
     gen_simplex,
     graph_hops,
     power_distance,
     power_radius,
     power_representation,
-    recover_centers,
     run_projection,
     silhouette_gaussian,
     silhouette_normalized,
@@ -31,9 +29,13 @@ from dissimjl import (
 )
 from dissimjl.cli import main, write_matrix
 
-from conftest import mc_silhouette, random_hollow
+from conftest import euclideanize, mc_silhouette, random_hollow, recover_centers
 
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
+
+
+def decomposed(D):
+    return decompose(center_gram(validate_matrix(D)))
 
 
 def power_matrix(rep: PowerRepresentation) -> np.ndarray:
@@ -123,7 +125,7 @@ class TestRecoverCenters:
 
 class TestPowerRepresentation:
     def test_reproduces_three_point(self):
-        rep = power_representation(THREE_POINT)
+        rep = power_representation(decomposed(THREE_POINT))
         assert_allclose(rep.radius, math.sqrt(1.0 / 12.0), atol=1e-12)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -134,25 +136,33 @@ class TestPowerRepresentation:
 
     def test_matrix_roundtrip(self):
         D = random_hollow(np.random.default_rng(5), 20)
-        rep = power_representation(D)
+        rep = power_representation(decomposed(D))
         assert_allclose(power_matrix(rep), D, atol=1e-7)
 
     def test_larger_radius_also_reproduces(self):
         D = random_hollow(np.random.default_rng(6), 10)
-        r = power_radius(decompose(center_gram(validate_matrix(D))))
-        rep = power_representation(D, radius=2.0 * r + 1.0)
+        dec = decomposed(D)
+        r = power_radius(dec)
+        rep = power_representation(dec, radius=2.0 * r + 1.0)
         assert rep.radius == 2.0 * r + 1.0
         assert_allclose(power_matrix(rep), D, atol=1e-6)
 
     def test_radius_below_minimum_rejected(self):
-        D = random_hollow(np.random.default_rng(7), 10)
-        r = power_radius(decompose(center_gram(validate_matrix(D))))
+        dec = decomposed(random_hollow(np.random.default_rng(7), 10))
+        r = power_radius(dec)
         with pytest.raises(DissimilarityError, match="not Euclidean"):
-            power_representation(D, radius=0.5 * r)
+            power_representation(dec, radius=0.5 * r)
 
     def test_negative_radius_rejected_in_dataclass(self):
         with pytest.raises(DissimilarityError, match="nonnegative"):
             PowerRepresentation(np.zeros((2, 1)), -1.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, radius):
+        with pytest.raises(DissimilarityError, match="nonnegative and finite"):
+            PowerRepresentation(np.zeros((2, 1)), radius)
+        with pytest.raises(DissimilarityError, match="nonnegative and finite"):
+            power_representation(decomposed(THREE_POINT), radius)
 
 
 def grid_hops(k):
@@ -204,13 +214,13 @@ class TestMatchesTwoEighOracle:
 
     def test_centers_reproduce_shifted_matrix(self, case):
         D, dec, r_min, radius = case
-        rep = power_representation(D, dec, radius)
+        rep = power_representation(dec, radius)
         E = euclideanize(D, r_min if radius is None else radius)
         assert max_rel_offdiag(E, squared_distances(rep.centers)) <= 1e-6
 
     def test_center_dimension_matches_oracle(self, case):
         D, dec, r_min, radius = case
-        rep = power_representation(D, dec, radius)
+        rep = power_representation(dec, radius)
         oracle = recover_centers(euclideanize(D, rep.radius))
         assert rep.dim == oracle.shape[1]
 
@@ -231,7 +241,7 @@ class TestMatchesTwoEighOracle:
         D, dec, r_min, _ = self.build(name)
         assert r_min > 0.0
         with pytest.raises(DissimilarityError, match="not Euclidean"):
-            power_representation(D, dec, 0.5 * r_min)
+            power_representation(dec, 0.5 * r_min)
         with pytest.raises(DissimilarityError, match="not Euclidean"):
             run_projection(D, "jl-power", radius_override=0.5 * r_min)
         path = tmp_path / "D.csv"
@@ -244,7 +254,7 @@ class TestMatchesTwoEighOracle:
         D = grid_hops(8)
         dec = decompose(center_gram(D))
         assert dec.zero_rank > 1
-        rep = power_representation(D, dec, 1.5)
+        rep = power_representation(dec, 1.5)
         assert rep.dim == D.n - 1
         assert_allclose(rep.centers.sum(axis=0), 0.0, atol=1e-9)
 
@@ -269,7 +279,7 @@ class TestSingleEigendecomposition:
         assert len(eigh_calls) == 1
 
     def test_power_representation_calls_eigh_once(self, eigh_calls):
-        power_representation(random_hollow(np.random.default_rng(15), 30))
+        power_representation(decomposed(random_hollow(np.random.default_rng(15), 30)))
         assert len(eigh_calls) == 1
 
 
@@ -326,7 +336,7 @@ class TestSilhouette:
 @settings(max_examples=40, deadline=None)
 def test_representation_roundtrip_property(n, seed):
     D = random_hollow(np.random.default_rng(seed), n, scale=3.0)
-    rep = power_representation(D)
+    rep = power_representation(decomposed(D))
     assert rep.radius >= 0.0
     scale = max(1.0, np.abs(D).max())
     assert np.abs(power_matrix(rep) - D).max() <= 1e-6 * scale

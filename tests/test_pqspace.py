@@ -14,14 +14,13 @@ from dissimjl import (
     distortion_factor,
     embed_pq,
     euclid_interval,
-    interval_matrices,
     norm_ratio_sample,
     pq_interval,
     squared_distances,
     validate_matrix,
 )
 
-from conftest import random_hollow
+from conftest import interval_matrices, random_hollow
 
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 

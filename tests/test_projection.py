@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dissimjl import (
     DissimilarityError,
-    JLMap,
     PowerRepresentation,
     ProjectionConfig,
     PseudoEuclideanEmbedding,
@@ -40,10 +41,14 @@ class TestProjectionConfig:
         with pytest.raises(DissimilarityError, match="epsilon"):
             ProjectionConfig(epsilon=eps)
 
-    @pytest.mark.parametrize("c", [0.0, -2.0])
+    @pytest.mark.parametrize("c", [0.0, -2.0, math.nan, math.inf, -math.inf])
     def test_nonpositive_constant(self, c):
         with pytest.raises(DissimilarityError, match="constant"):
             ProjectionConfig(dim_constant=c)
+
+    def test_negative_seed(self):
+        with pytest.raises(DissimilarityError, match="seed"):
+            ProjectionConfig(seed=-1)
 
 
 class TestTargetDim:
@@ -73,33 +78,26 @@ class TestTargetDim:
 
 class TestGaussianMap:
     def test_shape_and_scale(self):
-        jl = gaussian_map(40, 500, seed=0)
-        assert jl.matrix.shape == (40, 500)
-        assert (jl.out_dim, jl.in_dim) == (40, 500)
-        assert abs(jl.matrix.mean()) < 0.005
-        assert abs(jl.matrix.std() - 1.0 / np.sqrt(40)) < 0.01
+        M = gaussian_map(40, 500, seed=0)
+        assert M.shape == (40, 500)
+        assert abs(M.mean()) < 0.005
+        assert abs(M.std() - 1.0 / np.sqrt(40)) < 0.01
 
     def test_deterministic_in_seed(self):
         a = gaussian_map(8, 5, seed=3)
         b = gaussian_map(8, 5, seed=3)
-        assert np.array_equal(a.matrix, b.matrix)
-        assert not np.array_equal(a.matrix, gaussian_map(8, 5, seed=4).matrix)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, gaussian_map(8, 5, seed=4))
 
     def test_apply_is_linear(self):
-        jl = gaussian_map(6, 4, seed=1)
+        M = gaussian_map(6, 4, seed=1)
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-        assert_allclose(jl.apply(X + Y), jl.apply(X) + jl.apply(Y), atol=1e-12)
-        assert_allclose(jl.apply(2.5 * X), 2.5 * jl.apply(X), atol=1e-12)
-
-    def test_apply_checks_width(self):
-        jl = gaussian_map(6, 4, seed=1)
-        with pytest.raises(DissimilarityError, match="input coordinates"):
-            jl.apply(np.zeros((3, 5)))
+        assert_allclose((X + Y) @ M.T, X @ M.T + Y @ M.T, atol=1e-12)
+        assert_allclose((2.5 * X) @ M.T, 2.5 * (X @ M.T), atol=1e-12)
 
     def test_zero_input_dimension_maps_to_origin(self):
-        jl = gaussian_map(7, 0, seed=0)
-        out = jl.apply(np.zeros((4, 0)))
+        out = np.zeros((4, 0)) @ gaussian_map(7, 0, seed=0).T
         assert out.shape == (4, 7)
         assert np.all(out == 0.0)
 
@@ -116,7 +114,7 @@ class TestGaussianMap:
         misses = 0
         trials = 2500
         for seed in range(trials):
-            y = gaussian_map(13, 7, seed=seed).apply(x[None, :])[0]
+            y = gaussian_map(13, 7, seed=seed) @ x
             ratio = float(y @ y) / sq
             misses += not (0.5 <= ratio <= 1.5)
         assert abs(misses / trials - BAND_MISS_M13) < 0.04
@@ -127,15 +125,19 @@ class TestGaussianMap:
         misses = 0
         trials = 400
         for seed in range(trials):
-            y = gaussian_map(80, 50, seed=seed).apply(x[None, :])[0]
+            y = gaussian_map(80, 50, seed=seed) @ x
             ratio = float(y @ y) / sq
             misses += not (0.5 <= ratio <= 1.5)
         assert misses / trials <= 0.02
 
 
-def three_point_embedding():
+def three_point_decomposition():
     D = validate_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]]))
-    return embed_pq(decompose(center_gram(D)))
+    return decompose(center_gram(D))
+
+
+def three_point_embedding():
+    return embed_pq(three_point_decomposition())
 
 
 class TestProjectPq:
@@ -180,15 +182,13 @@ class TestProjectPq:
 
 class TestProjectPower:
     def test_radius_carried_through(self):
-        D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
-        rep = power_representation(D)
+        rep = power_representation(three_point_decomposition())
         proj = project_power(rep, ProjectionConfig(seed=2))
         assert proj.radius == rep.radius
         assert proj.centers.shape == (3, 13)
 
     def test_returns_input_type(self):
-        D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
-        rep = power_representation(D, radius=2.5)
+        rep = power_representation(three_point_decomposition(), radius=2.5)
         proj = project_power(rep, ProjectionConfig(seed=2))
         assert type(proj) is PowerRepresentation
         assert proj.radius == 2.5
@@ -196,9 +196,7 @@ class TestProjectPower:
         assert proj.dim == 13
 
     def test_classical_matches_power_on_centers(self):
-        rep = power_representation(
-            np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
-        )
+        rep = power_representation(three_point_decomposition())
         cfg = ProjectionConfig(seed=4)
         proj = project_power(rep, cfg)
         assert np.array_equal(proj.centers, project_classical(rep.centers, cfg))
@@ -237,7 +235,7 @@ class TestReconstruct:
         via_classical = squared_distances(project_classical(emb.pos_coords, cfg))
         via_pq = project_pq(emb, cfg).reconstruct()
         assert np.array_equal(via_classical, via_pq)
-        rep = power_representation(D, dec=dec)
+        rep = power_representation(dec)
         assert rep.radius == 0.0
         via_power = project_power(rep, cfg).reconstruct()
         assert_allclose(via_power, via_classical, atol=1e-10)
