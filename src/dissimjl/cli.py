@@ -20,7 +20,6 @@ from . import __version__
 from .core import (
     DissimilarityError,
     NumericalError,
-    _pair_offsets,
     as_matrix,
     validate_matrix,
 )
@@ -33,7 +32,7 @@ from .datagen import (
     graph_hops,
     parse_edge_list,
 )
-from .evaluate import DEFAULT_RESTARTS, kmeans_projected
+from .evaluate import DEFAULT_RESTARTS, _band_tiles, kmeans_projected
 from .pipeline import METHODS, _scored, report_dict, run_projection
 from .projection import DEFAULT_DIM_CONSTANT, DEFAULT_EPSILON, ProjectionConfig
 from .pqspace import embed_pq
@@ -43,8 +42,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# pair rows formatted per block in `validate`; bounds the text held at once
-_PAIR_BLOCK = 65536
+# pair CSV columns per route; those after ratio are evaluate._band_tiles columns
+_PAIR_HEADERS = {
+    "jl": "i,j,dissimilarity,reconstructed,ratio,band_lower,band_upper,violated",
+    "jl-pq": "i,j,dissimilarity,reconstructed,ratio,factor,band_lower,band_upper,violated",
+    "jl-power": "i,j,dissimilarity,reconstructed,ratio,residual,bound,violated",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,50 +156,39 @@ def _pair_rows(result, picked):
     """Per-pair plot records as CSV text: the header line, then row blocks.
 
     Rows exist only for the ``picked`` positions of the upper triangle
-    (row-major, i < j): their columns are gathered there, stacked, and
-    formatted ``_PAIR_BLOCK`` rows at a time with one row format, so
-    ``validate --sample N`` formats N rows and the full table is never
+    (row-major, i < j, sorted).  evaluate's band pass for the run's route
+    walks the upper triangle in row tiles; each tile's picked positions
+    take their i and j from the tile and their values from its columns,
+    and are formatted as one block with one row format.  So
+    ``validate --sample N`` formats N rows, and the full table is never
     held as text at once.
     """
-    method, A = result.method, result.matrix.entries
-    pq_check, power_check = result.pq_check, result.power_check
-    offsets = _pair_offsets(A.shape[0])
-    if method == "jl-pq":
-        header = "i,j,dissimilarity,reconstructed,ratio,factor,band_lower,band_upper,violated"
-    elif method == "jl-power":
-        header = "i,j,dissimilarity,reconstructed,ratio,residual,bound,violated"
-    else:
-        header = "i,j,dissimilarity,reconstructed,ratio,band_lower,band_upper,violated"
-    width = header.count(",") + 1
-    row = "%d,%d" + ",%.10g" * (width - 3) + ",%d\n"
+    header = _PAIR_HEADERS[result.method]
+    names = header.split(",")
+    row = "%d,%d" + ",%.10g" * (len(names) - 3) + ",%d\n"
     yield header + "\n"
-    Dhat = np.asarray(result.reconstructed)
-    for start in range(0, picked.size, _PAIR_BLOCK):
-        at = picked[start:start + _PAIR_BLOCK]
-        i = np.searchsorted(offsets, at, side="right") - 1
-        j = at - offsets[i] + i + 1
-        d = A[i, j]
-        dh = Dhat[i, j]
+    power_check = result.power_check
+    tiles = _band_tiles(
+        result.method,
+        result.matrix,
+        result.reconstructed,
+        result.config.epsilon,
+        emb=result.embedding,
+        bound=None if power_check is None else power_check.bound,
+    )
+    for block, pairs, tri, columns in tiles:
+        lo, hi = np.searchsorted(picked, (pairs.start, pairs.stop))
+        if lo == hi:
+            continue
+        at = picked[lo:hi] - pairs.start
+        i, j = np.nonzero(tri)
+        d, dh = columns["dissimilarity"][at], columns["reconstructed"][at]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = dh / d
-        if method == "jl-pq":
-            checks = (
-                pq_check.factor[at],
-                pq_check.lower[at],
-                pq_check.upper[at],
-                pq_check.violated[at],
-            )
-        elif method == "jl-power":
-            residual = power_check.residuals[at]
-            checks = (
-                residual,
-                np.full(at.size, power_check.bound),
-                residual > power_check.bound,
-            )
-        else:
-            half = result.config.epsilon * np.abs(d)
-            checks = (d - half, d + half, np.abs(dh - d) > half)
-        table = np.column_stack((i, j, d, dh, ratio) + checks)
+        table = np.column_stack(
+            (i[at] + block[0].start, j[at] + block[1].start, d, dh, ratio)
+            + tuple(columns[name][at] for name in names[5:])
+        )
         yield (row * at.size) % tuple(table.ravel().tolist())
 
 
@@ -222,6 +214,10 @@ def cmd_validate(args) -> int:
 
 def cmd_kmeans(args) -> int:
     started = time.monotonic()
+    if args.k < 1:
+        raise DissimilarityError(f"--k must be >= 1, got {args.k}")
+    if args.restarts < 1:
+        raise DissimilarityError(f"--restarts must be >= 1, got {args.restarts}")
     result = _run_from_args(args)
     D = result.matrix
     original = kmeans_projected(

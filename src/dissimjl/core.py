@@ -221,15 +221,6 @@ def _blocks(n: int):
                 yield slice(r0, r1), slice(c0, c1)
 
 
-def _pair_offsets(n: int) -> np.ndarray:
-    """Position of pair (i, i + 1) in ``np.triu_indices(n, 1)`` order, i = 0..n.
-
-    Row i's pairs fill positions offsets[i] to offsets[i + 1].
-    """
-    i = np.arange(n + 1)
-    return i * n - i * (i + 1) // 2
-
-
 def _upper_rows(n: int):
     """Row tiles of the strict upper triangle of an n x n matrix.
 
@@ -237,7 +228,8 @@ def _upper_rows(n: int):
     any n x n M, in row-major order, and ``pairs`` is their slice of a
     vector over all pairs in ``np.triu_indices(n, 1)`` order.
     """
-    offsets = _pair_offsets(n)
+    i = np.arange(n + 1)
+    offsets = i * n - i * (i + 1) // 2  # row i's pairs start at offsets[i]
     cols = np.arange(n)
     for r0, r1 in _row_tiles(n):
         tri = cols[None, r0:] > np.arange(r0, r1)[:, None]

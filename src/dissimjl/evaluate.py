@@ -35,7 +35,8 @@ def relative_error_stats(D, Dhat) -> ErrorStats:
     counted.  Non-finite reconstructed entries push max and mean to
     infinity rather than being dropped.  The errors are computed in row
     tiles of the upper triangle into one whole vector, in
-    ``np.triu_indices(n, 1)`` order, which the mean and median then read.
+    ``np.triu_indices(n, 1)`` order.  The max and mean read it, and the
+    median partitions it in place: ``np.median``'s result without its copy.
     """
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
@@ -52,42 +53,74 @@ def relative_error_stats(D, Dhat) -> ErrorStats:
     if used == 0:
         return ErrorStats(0.0, 0.0, 0.0, excluded)
     rel = rel[:used]
-    return ErrorStats(
-        float(rel.max()),
-        float(rel.mean()),
-        float(np.median(rel)),
-        excluded,
-    )
+    top, mean = float(rel.max()), float(rel.mean())
+    lo, hi = (used - 1) // 2, used // 2  # the middle entry, or the two
+    rel.partition((lo, hi))
+    return ErrorStats(top, mean, float(rel[lo:hi + 1].mean()), excluded)
+
+
+def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
+    """Each pair's band on one route, in row tiles of the upper triangle.
+
+    Yields (block, pairs, tri, columns) per tile of ``_upper_rows``, where
+    columns maps names to arrays over the tile's pairs: "dissimilarity",
+    "reconstructed", the route's band and a "violated" flag.
+
+    - jl-pq (emb): the band around D_ij has half-width epsilon times the
+      Euclidean interval, epsilon * factor * |D_ij| wherever the factor is
+      finite.  Pairs with an infinite factor are "excluded", never
+      violated.  The intervals come from the Gram products of the two
+      signature parts; no n x n interval matrix is formed.
+    - jl-power (bound): the "residual" beyond the multiplicative band,
+      max(0, |Dhat_ij - D_ij| - epsilon |D_ij|), against the additive
+      slack "bound".
+    - jl: the band D_ij -/+ epsilon |D_ij|.
+    """
+    A = as_matrix(D)
+    Ah = np.asarray(Dhat, dtype=float)
+    if method == "jl-pq":
+        (Gp, sp), (Gq, sq) = _gram(emb.pos_coords), _gram(emb.neg_coords)
+    for block, pairs, tri in _upper_rows(A.shape[0]):
+        d, dh = A[block][tri], Ah[block][tri]
+        columns = {"dissimilarity": d, "reconstructed": dh}
+        if method == "jl-pq":
+            p = _symmetric_distances(Gp, sp, *block)[tri]
+            q = _symmetric_distances(Gq, sq, *block)[tri]
+            pqv, euv = p - q, p + q
+            safe = np.where(pqv != 0.0, pqv, 1.0)
+            factor = np.where(
+                pqv != 0.0,
+                np.abs(euv / safe),
+                np.where(euv == 0.0, 1.0, np.inf),
+            )
+            half = epsilon * euv
+            lower, upper = d - half, d + half
+            excluded = ~np.isfinite(factor)
+            violated = ((dh < lower) | (dh > upper)) & ~excluded
+            columns.update(factor=factor, band_lower=lower, band_upper=upper,
+                           violated=violated, excluded=excluded)
+        elif method == "jl-power":
+            residual = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
+            columns.update(residual=residual, bound=np.full(d.size, bound),
+                           violated=residual > bound)
+        else:
+            half = epsilon * np.abs(d)
+            columns.update(band_lower=d - half, band_upper=d + half,
+                           violated=np.abs(dh - d) > half)
+        yield block, pairs, tri, columns
 
 
 @dataclass(frozen=True)
 class PqBoundCheck:
-    """Per-pair band check for the signed projection route.
+    """Summary of the signed route's check against its factor-widened band.
 
-    Arrays run over the upper triangle in row-major order, the pairs of
-    ``np.triu_indices(n, 1)``.  They are filled in row tiles of the upper
-    triangle and stay whole.  The band around each D_ij has half-width
-    epsilon * euclid_interval, which equals epsilon * C_ij * |D_ij|
-    wherever the factor C_ij is finite.  Pairs with an infinite factor
-    are excluded from the rate and counted.
+    violation_rate is the share of usable pairs whose reconstruction
+    leaves the band; excluded_pairs counts the pairs with an infinite
+    distortion factor, which are not usable.
     """
 
-    factor: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    violated: np.ndarray
-    excluded: np.ndarray
-
-    @property
-    def excluded_pairs(self) -> int:
-        return int(self.excluded.sum())
-
-    @property
-    def violation_rate(self) -> float:
-        usable = int((~self.excluded).sum())
-        if usable == 0:
-            return 0.0
-        return float(self.violated.sum() / usable)
+    violation_rate: float
+    excluded_pairs: int
 
 
 def validate_pq_bound(
@@ -95,75 +128,49 @@ def validate_pq_bound(
 ) -> PqBoundCheck:
     """Check a reconstruction against the factor-widened band of D.
 
-    Each row tile of the upper triangle takes its signed and Euclidean
-    intervals from the Gram products of the two signature parts, so no
-    n x n interval matrix is formed.
+    The band pass is reduced to counts tile by tile.
     """
-    A = as_matrix(D)
-    Ah = np.asarray(Dhat, dtype=float)
-    n = A.shape[0]
-    (Gp, sp), (Gq, sq) = _gram(emb.pos_coords), _gram(emb.neg_coords)
-    npairs = n * (n - 1) // 2
-    factor, lower, upper = np.empty(npairs), np.empty(npairs), np.empty(npairs)
-    violated = np.empty(npairs, dtype=bool)
-    excluded = np.empty(npairs, dtype=bool)
-    for block, pairs, tri in _upper_rows(n):
-        p = _symmetric_distances(Gp, sp, *block)[tri]
-        q = _symmetric_distances(Gq, sq, *block)[tri]
-        pqv, euv = p - q, p + q
-        d, dh = A[block][tri], Ah[block][tri]
-        safe = np.where(pqv != 0.0, pqv, 1.0)
-        factor[pairs] = np.where(
-            pqv != 0.0,
-            np.abs(euv / safe),
-            np.where(euv == 0.0, 1.0, np.inf),
-        )
-        half = epsilon * euv
-        lower[pairs] = d - half
-        upper[pairs] = d + half
-        excluded[pairs] = ~np.isfinite(factor[pairs])
-        violated[pairs] = (
-            (dh < lower[pairs]) | (dh > upper[pairs])
-        ) & ~excluded[pairs]
-    return PqBoundCheck(factor, lower, upper, violated, excluded)
+    violated = excluded = total = 0
+    for *_, columns in _band_tiles("jl-pq", D, Dhat, epsilon, emb=emb):
+        violated += np.count_nonzero(columns["violated"])
+        excluded += np.count_nonzero(columns["excluded"])
+        total += columns["excluded"].size
+    usable = total - excluded
+    rate = float(violated / usable) if usable else 0.0
+    return PqBoundCheck(rate, int(excluded))
 
 
 @dataclass(frozen=True)
 class PowerResidualCheck:
-    """Residual beyond the multiplicative band, against the 4 eps r^2 slack.
+    """Summary of the power route's residuals beyond the multiplicative band.
 
-    residual_ij = max(0, |Dhat_ij - D_ij| - epsilon |D_ij|) over the
-    pairs of ``np.triu_indices(n, 1)``, in that order, filled in row
-    tiles of the upper triangle; the additive slack bound is shared by
-    all pairs.
+    max_residual is the largest residual (nan if any is nan), and
+    fraction_within the share of pairs whose residual is within bound,
+    the additive slack 4 epsilon r^2.  Without pairs they are 0 and 1.
     """
 
-    residuals: np.ndarray
+    max_residual: float
+    fraction_within: float
     bound: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.residuals.max()) if self.residuals.size else 0.0
-
-    @property
-    def fraction_within(self) -> float:
-        if self.residuals.size == 0:
-            return 1.0
-        return float(np.mean(self.residuals <= self.bound))
 
 
 def validate_power_residual(
     D, radius: float, Dhat, epsilon: float
 ) -> PowerResidualCheck:
-    """Check a power-route reconstruction against the additive slack."""
-    A = as_matrix(D)
-    Ah = np.asarray(Dhat, dtype=float)
-    n = A.shape[0]
-    resid = np.empty(n * (n - 1) // 2)
-    for block, pairs, tri in _upper_rows(n):
-        d, dh = A[block][tri], Ah[block][tri]
-        resid[pairs] = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
-    return PowerResidualCheck(resid, 4.0 * epsilon * radius**2)
+    """Check a power-route reconstruction against the additive slack.
+
+    The residual pass is reduced to a maximum and a count tile by tile.
+    """
+    bound = 4.0 * epsilon * radius**2
+    tops, within, total = [0.0], 0, 0
+    for *_, columns in _band_tiles("jl-power", D, Dhat, epsilon, bound=bound):
+        residual = columns["residual"]
+        tops.append(residual.max(initial=0.0))
+        within += np.count_nonzero(residual <= bound)
+        total += residual.size
+    return PowerResidualCheck(
+        float(np.max(tops)), float(within / total) if total else 1.0, bound
+    )
 
 
 @dataclass(frozen=True)

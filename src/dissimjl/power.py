@@ -6,8 +6,9 @@ Gram eigenvalue).  Points are then balls (center, r) and D is
 reproduced by the generalized power distance.  The shifted matrix E has
 Gram(E) = B + 2r^2 C (the constant-shift embedding of Roth et al.,
 IEEE TPAMI 2003), so the representation is built from the decomposition
-of B itself: E is never formed and never decomposed.  The same bilinear form doubles as
-a closed-form silhouette gap for isotropic Gaussian clusters.
+of B itself: E is never formed and never decomposed.  The same bilinear
+form doubles as a closed-form silhouette gap for isotropic Gaussian
+clusters.
 """
 
 from __future__ import annotations

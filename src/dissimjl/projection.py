@@ -6,9 +6,10 @@ matrix M, and coordinate rows X map to X @ M.T.  Projection maps a
 representation to its own type: signed embeddings project their
 positive and negative parts with independent maps into separate copies
 of R^m; power representations project their centers as the jl route
-projects plain rows and carry the radius through unchanged.  Each projected representation rebuilds its dissimilarities
-with its ``reconstruct()`` method and exposes its coordinate rows as
-``coords``; plain coordinate rows reconstruct as squared distances.
+projects plain rows and carry the radius through unchanged.  Each
+projected representation rebuilds its dissimilarities with its
+``reconstruct()`` method and exposes its coordinate rows as ``coords``;
+plain coordinate rows reconstruct as squared distances.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ The power oracles take the long way round that the library avoids:
 ``recover_centers`` runs a second eigendecomposition on it, where
 ``power_representation`` reads the centers off B's own eigenpairs.
 ``interval_matrices`` builds the whole signed and Euclidean interval
-matrices P - Q and P + Q that the tiled bound check never forms.
+matrices P - Q and P + Q that the tiled bound check never forms, and
+``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band
+arrays that the bound checks reduce tile by tile.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from dissimjl import (
     decompose,
     squared_distances,
 )
+from dissimjl.evaluate import _band_tiles
 
 
 def random_hollow(rng, n, scale=1.0):
@@ -156,3 +159,58 @@ def interval_matrices(emb):
     P = squared_distances(emb.pos_coords)
     Q = squared_distances(emb.neg_coords)
     return P - Q, P + Q
+
+
+def ref_squared_distances(X):
+    """Whole-matrix squared distances, clamped and averaged with the transpose."""
+    X = np.asarray(X, dtype=float)
+    sq = np.einsum("ij,ij->i", X, X)
+    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(D, 0.0, out=D)
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def ref_pq_bound(A, emb, Ah, epsilon):
+    """(factor, lower, upper, violated, excluded) over ``np.triu_indices`` pairs."""
+    P = ref_squared_distances(emb.pos_coords)
+    Q = ref_squared_distances(emb.neg_coords)
+    iu = np.triu_indices(A.shape[0], 1)
+    d, dh, pqv, euv = A[iu], Ah[iu], (P - Q)[iu], (P + Q)[iu]
+    safe = np.where(pqv != 0.0, pqv, 1.0)
+    factor = np.where(
+        pqv != 0.0, np.abs(euv / safe), np.where(euv == 0.0, 1.0, np.inf)
+    )
+    lower = d - epsilon * euv
+    upper = d + epsilon * euv
+    excluded = ~np.isfinite(factor)
+    violated = ((dh < lower) | (dh > upper)) & ~excluded
+    return factor, lower, upper, violated, excluded
+
+
+def ref_power_residual(A, Ah, epsilon):
+    """max(0, |Dhat - D| - epsilon |D|) over ``np.triu_indices`` pairs."""
+    iu = np.triu_indices(A.shape[0], 1)
+    d, dh = A[iu], Ah[iu]
+    return np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
+
+
+def ref_pq_summary(violated, excluded):
+    """(violation_rate, excluded_pairs) of whole band arrays."""
+    usable = int((~excluded).sum())
+    rate = float(violated.sum() / usable) if usable else 0.0
+    return rate, int(excluded.sum())
+
+
+def ref_power_summary(residuals, bound):
+    """(max_residual, fraction_within) of a whole residual array."""
+    if residuals.size == 0:
+        return 0.0, 1.0
+    return float(residuals.max()), float(np.mean(residuals <= bound))
+
+
+def band_columns(*args, **kwargs):
+    """The library's per-tile band columns, concatenated over all pairs."""
+    tiles = [columns for *_, columns in _band_tiles(*args, **kwargs)]
+    return {name: np.concatenate([t[name] for t in tiles]) for name in tiles[0]}

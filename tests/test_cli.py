@@ -23,11 +23,11 @@ from dissimjl import (
     squared_distances,
     target_dim,
     validate_matrix,
-    validate_power_residual,
-    validate_pq_bound,
 )
-from dissimjl import cli
+from dissimjl import cli, core
 from dissimjl.cli import main, read_matrix, write_matrix
+
+from conftest import ref_power_residual, ref_pq_bound
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 METHODS = ["jl", "jl-pq", "jl-power"]
@@ -83,20 +83,26 @@ def load_json(path):
         return json.load(fh)
 
 
-def reference_pair_csv(method, A, Dhat, pq_check, power_check, epsilon):
-    """Pair CSV through one Python loop per pair and per-value formatting."""
+def reference_pair_csv(method, A, Dhat, emb, radius, epsilon):
+    """Pair CSV from the whole-array oracles, one Python loop per pair and
+    per-value formatting."""
     lines = [TestValidate.HEADERS[method]]
     iu, ju = np.triu_indices(A.shape[0], 1)
+    if method == "jl-pq":
+        factor, lower, upper, violated, _ = ref_pq_bound(A, emb, Dhat, epsilon)
+    elif method == "jl-power":
+        residual = ref_power_residual(A, Dhat, epsilon)
+        bound = 4.0 * epsilon * radius**2
     for t, (i, j) in enumerate(zip(iu, ju)):
         d, dh = A[i, j], Dhat[i, j]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = dh / d
         if method == "jl-pq":
-            floats = [pq_check.factor[t], pq_check.lower[t], pq_check.upper[t]]
-            flag = pq_check.violated[t]
+            floats = [factor[t], lower[t], upper[t]]
+            flag = violated[t]
         elif method == "jl-power":
-            floats = [power_check.residuals[t], power_check.bound]
-            flag = power_check.residuals[t] > power_check.bound
+            floats = [residual[t], bound]
+            flag = residual[t] > bound
         else:
             half = epsilon * abs(d)
             floats = [d - half, d + half]
@@ -110,22 +116,16 @@ def reference_pair_csv(method, A, Dhat, pq_check, power_check, epsilon):
 
 
 def library_pair_inputs(path, method, identity_debug):
-    """The arrays `validate` formats, rebuilt through the library API."""
+    """What `validate` scores, rebuilt through the library API: the matrix,
+    the reconstruction, the embedding and the power radius."""
     D = validate_matrix(read_matrix(path))
     config = ProjectionConfig(
         epsilon=DEFAULT_EPSILON, dim_constant=DEFAULT_DIM_CONSTANT, seed=0
     )
     result = run_projection(D, method, config)
-    if not identity_debug:
-        return D.entries, result.reconstructed, result.pq_check, result.power_check
-    pq_check = power_check = None
-    if method == "jl-pq":
-        pq_check = validate_pq_bound(D, result.embedding, D.entries, DEFAULT_EPSILON)
-    elif method == "jl-power":
-        power_check = validate_power_residual(
-            D, result.representation.radius, D.entries, DEFAULT_EPSILON
-        )
-    return D.entries, D.entries, pq_check, power_check
+    Dhat = D.entries if identity_debug else result.reconstructed
+    radius = None if result.representation is None else result.representation.radius
+    return D.entries, Dhat, result.embedding, radius
 
 
 def validate_csv(path, tmp_path, *flags):
@@ -380,9 +380,29 @@ class TestPairCsv:
     ):
         runs = [["--method", method], ["--method", method, "--sample", "30"]]
         before = [validate_csv(zeros_csv, tmp_path, *flags) for flags in runs]
-        monkeypatch.setattr(cli, "_PAIR_BLOCK", 7)
+        monkeypatch.setattr(core, "_TILE_ENTRIES", 3 * 14)
         after = [validate_csv(zeros_csv, tmp_path, *flags) for flags in runs]
         assert after == before
+
+    @pytest.mark.parametrize("data,n", [("zeros_csv", 14), ("simplex_csv", 12)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_unsampled_csv_agrees_with_report(
+        self, method, data, n, request, tmp_path
+    ):
+        # zeros has infinite factors and power violations; simplex has pq ones
+        text = validate_csv(request.getfixturevalue(data), tmp_path, "--method", method)
+        report = load_json(str(tmp_path / "r.json"))
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert len(rows) == n * (n - 1) // 2
+        zero = sum(float(row[2]) == 0.0 for row in rows)
+        assert zero == report["stats"]["excluded"]
+        violated = sum(row[-1] == "1" for row in rows)
+        bounds = report["bounds"]
+        if method == "jl-pq":
+            usable = sum(row[header.index("factor")] != "inf" for row in rows)
+            assert violated / usable == bounds["pq_violation_rate"]
+        elif method == "jl-power":
+            assert (len(rows) - violated) / len(rows) == bounds["fraction_within"]
 
     def test_unsampled_stdout_matches_file(self, zeros_csv, tmp_path, capsys):
         expected = validate_csv(zeros_csv, tmp_path)
@@ -428,6 +448,16 @@ class TestKMeans:
 
     def test_k_beyond_n_is_data_error(self, blobs_csv):
         assert main(["kmeans", blobs_csv, "--k", "21"]) == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "0"], "--k must be >= 1"),
+        (["--k", "2", "--restarts", "0"], "--restarts must be >= 1"),
+    ])
+    def test_counts_checked_before_reading(self, flags, message, tmp_path, capsys):
+        assert main(["kmeans", str(tmp_path / "no.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "cannot read" not in err
 
     def test_deterministic(self, blobs_csv, tmp_path):
         reports = []
@@ -507,6 +537,27 @@ class TestExitCodes:
 
 def test_import_loads_no_scipy():
     probe = "import sys, dissimjl, dissimjl.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_scoring_loads_no_numpy_ma(simplex_csv, tmp_path):
+    # np.median reaches numpy.ma on its first call; the error stats do not
+    # use it, so project and validate never pay that import
+    sink = str(tmp_path / "out")
+    probe = (
+        "import sys; from dissimjl.cli import main\n"
+        "for m in ('jl', 'jl-pq', 'jl-power'):\n"
+        f"    assert main(['project', {simplex_csv!r}, '--method', m,"
+        f" '--out-report', {sink!r}, '--out-matrix', {sink!r}]) == 0\n"
+        f"    assert main(['validate', {simplex_csv!r}, '--method', m,"
+        f" '--out-report', {sink!r}, '--out-csv', {sink!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=subprocess_env(),

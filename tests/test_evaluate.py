@@ -21,6 +21,7 @@ from dissimjl import (
 )
 
 from conftest import (
+    band_columns,
     brute_force_best_2partition,
     coordinate_kmeans_cost,
     random_hollow,
@@ -89,28 +90,30 @@ class TestValidatePqBound:
     def test_exact_reconstruction_never_violates(self):
         D, emb = self.embedding()
         check = validate_pq_bound(D, emb, D.entries, epsilon=0.5)
-        assert not check.violated.any()
+        band = band_columns("jl-pq", D, D.entries, 0.5, emb=emb)
+        assert not band["violated"].any()
         assert check.violation_rate == 0.0
         assert check.excluded_pairs == 0
-        assert_allclose(np.sort(check.factor), [1.0, 1.5, 1.5], atol=1e-9)
+        assert_allclose(np.sort(band["factor"]), [1.0, 1.5, 1.5], atol=1e-9)
 
     def test_band_uses_factor_widened_width(self):
         D, emb = self.embedding()
         eps = 0.5
-        check = validate_pq_bound(D, emb, D.entries, epsilon=eps)
+        band = band_columns("jl-pq", D, D.entries, eps, emb=emb)
         d = D.entries[np.triu_indices(D.n, 1)]
-        half = check.upper - d
-        assert_allclose(half, eps * check.factor * np.abs(d), atol=1e-9)
-        assert_allclose(d - check.lower, half, atol=1e-12)
+        half = band["band_upper"] - d
+        assert_allclose(half, eps * band["factor"] * np.abs(d), atol=1e-9)
+        assert_allclose(d - band["band_lower"], half, atol=1e-12)
 
     def test_out_of_band_entry_is_flagged(self):
         D, emb = self.embedding()
         Dhat = THREE_POINT.copy()
         Dhat[0, 1] = Dhat[1, 0] = 4.0  # band at eps=0.5 is [0.25, 1.75]
         check = validate_pq_bound(D, emb, Dhat, epsilon=0.5)
-        assert check.violated.sum() == 1
+        violated = band_columns("jl-pq", D, Dhat, 0.5, emb=emb)["violated"]
+        assert violated.sum() == 1
         iu, ju = np.triu_indices(3, 1)
-        pair = (int(iu[check.violated][0]), int(ju[check.violated][0]))
+        pair = (int(iu[violated][0]), int(ju[violated][0]))
         assert pair == (0, 1)
         assert_allclose(check.violation_rate, 1.0 / 3.0, atol=1e-15)
 
@@ -122,8 +125,13 @@ class TestValidatePqBound:
         np.fill_diagonal(Dhat, 0.0)
         check = validate_pq_bound(D, emb, Dhat, epsilon=0.5)
         assert check.excluded_pairs == 3
-        assert not check.violated.any()
+        assert not band_columns("jl-pq", D, Dhat, 0.5, emb=emb)["violated"].any()
         assert check.violation_rate == 0.0
+
+    def test_single_point_matrix(self):
+        emb = embed_pq(decompose(center_gram(np.zeros((1, 1)))))
+        check = validate_pq_bound(np.zeros((1, 1)), emb, np.zeros((1, 1)), 0.5)
+        assert repr(check) == repr(type(check)(0.0, 0))
 
 
 class TestValidatePowerResidual:
@@ -138,14 +146,18 @@ class TestValidatePowerResidual:
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         Dhat = np.array([[0.0, 2.0], [2.0, 0.0]])
         check = validate_power_residual(D, radius=1.0, Dhat=Dhat, epsilon=0.5)
-        assert_allclose(check.residuals, [0.5], atol=1e-15)
+        band = band_columns("jl-power", D, Dhat, 0.5, bound=check.bound)
+        assert_allclose(band["residual"], [0.5], atol=1e-15)
+        assert_allclose(check.max_residual, 0.5, atol=1e-15)
         assert check.fraction_within == 1.0  # bound is 2.0
 
     def test_residual_beyond_slack_counts_against_fraction(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         Dhat = np.array([[0.0, 4.0], [4.0, 0.0]])
         check = validate_power_residual(D, radius=1.0, Dhat=Dhat, epsilon=0.5)
-        assert_allclose(check.residuals, [2.5], atol=1e-15)
+        band = band_columns("jl-power", D, Dhat, 0.5, bound=check.bound)
+        assert_allclose(band["residual"], [2.5], atol=1e-15)
+        assert band["violated"].tolist() == [True]
         assert check.fraction_within == 0.0
 
     def test_single_point_matrix(self):

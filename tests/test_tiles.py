@@ -1,9 +1,11 @@
 """Tiled O(n^2) passes against the whole-matrix formulas they replaced.
 
-Each reference below is the whole-matrix formula the library used before
-its passes ran in row tiles and square blocks.  The tile constants are
-patched small so every size in SIZES starts, ends or straddles a tile
-and a block edge, and every output must match its reference bit for bit.
+Each reference, below or in conftest, is the whole-matrix formula the
+library used before its passes ran in row tiles and square blocks.  The
+tile constants are patched small so every size in SIZES starts, ends or
+straddles a tile and a block edge, and every output must match its
+reference bit for bit: the per-tile band columns match the whole band
+arrays, and the bound checks' summaries the reductions of those arrays.
 """
 
 import warnings
@@ -26,7 +28,15 @@ from dissimjl import (
 )
 from dissimjl import core
 
-from conftest import random_hollow
+from conftest import (
+    band_columns,
+    random_hollow,
+    ref_power_residual,
+    ref_power_summary,
+    ref_pq_bound,
+    ref_pq_summary,
+    ref_squared_distances,
+)
 
 T = 5
 SIZES = (2, 3, T - 1, T, T + 1, 2 * T + 3)
@@ -67,16 +77,6 @@ def ref_center_gram(A):
     return -0.5 * (A - (row[:, None] + row[None, :]) + grand)
 
 
-def ref_squared_distances(X):
-    X = np.asarray(X, dtype=float)
-    sq = np.einsum("ij,ij->i", X, X)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(D, 0.0, out=D)
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return D
-
-
 def ref_error_stats(A, Ah):
     iu = np.triu_indices(A.shape[0], 1)
     d, dh = A[iu], Ah[iu]
@@ -87,28 +87,6 @@ def ref_error_stats(A, Ah):
     rel = np.abs(dh[mask] - d[mask]) / np.abs(d[mask])
     rel = np.where(np.isfinite(rel), rel, np.inf)
     return (float(rel.max()), float(rel.mean()), float(np.median(rel)), excluded)
-
-
-def ref_pq_bound(A, emb, Ah, epsilon):
-    P = ref_squared_distances(emb.pos_coords)
-    Q = ref_squared_distances(emb.neg_coords)
-    iu = np.triu_indices(A.shape[0], 1)
-    d, dh, pqv, euv = A[iu], Ah[iu], (P - Q)[iu], (P + Q)[iu]
-    safe = np.where(pqv != 0.0, pqv, 1.0)
-    factor = np.where(
-        pqv != 0.0, np.abs(euv / safe), np.where(euv == 0.0, 1.0, np.inf)
-    )
-    lower = d - epsilon * euv
-    upper = d + epsilon * euv
-    excluded = ~np.isfinite(factor)
-    violated = ((dh < lower) | (dh > upper)) & ~excluded
-    return factor, lower, upper, violated, excluded
-
-
-def ref_power_residual(A, Ah, epsilon):
-    iu = np.triu_indices(A.shape[0], 1)
-    d, dh = A[iu], Ah[iu]
-    return np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
 
 
 def same(a, b):
@@ -204,13 +182,21 @@ def test_scoring_passes_match_whole_matrix(tiles, n):
             ref = ref_error_stats(A, Ah)
             got = (stats.max_rel, stats.mean_rel, stats.median_rel, stats.excluded_pairs)
             assert repr(got) == repr(ref), name
+            ref = ref_pq_bound(A, emb, Ah, 0.5)
             check = validate_pq_bound(Dm, emb, Ah, 0.5)
-            arrays = (check.factor, check.lower, check.upper, check.violated,
-                      check.excluded)
-            for got_a, ref_a in zip(arrays, ref_pq_bound(A, emb, Ah, 0.5)):
-                assert same(got_a, ref_a), name
-            resid = validate_power_residual(Dm, 0.7, Ah, 0.5).residuals
-            assert same(resid, ref_power_residual(A, Ah, 0.5)), name
+            got = (check.violation_rate, check.excluded_pairs)
+            assert repr(got) == repr(ref_pq_summary(*ref[3:])), name
+            cols = band_columns("jl-pq", Dm, Ah, 0.5, emb=emb)
+            names = ("factor", "band_lower", "band_upper", "violated", "excluded")
+            for col, ref_a in zip(names, ref):
+                assert same(cols[col], ref_a), (name, col)
+            ref = ref_power_residual(A, Ah, 0.5)
+            check = validate_power_residual(Dm, 0.7, Ah, 0.5)
+            got = (check.max_residual, check.fraction_within)
+            assert repr(got) == repr(ref_power_summary(ref, check.bound)), name
+            cols = band_columns("jl-power", Dm, Ah, 0.5, bound=check.bound)
+            assert same(cols["residual"], ref), name
+            assert same(cols["violated"], ref > check.bound), name
 
 
 @pytest.mark.parametrize("n", SIZES)
