@@ -58,7 +58,7 @@ def validate_matrix(raw) -> DissimilarityMatrix:
     ----------
     raw : array_like
         Square matrix of finite values, symmetric with zero diagonal up
-        to a tolerance of ``1e-9 * max(1, |raw|_max)``.
+        to a tolerance of ``1e-9 * |raw|_max``.
 
     Returns
     -------
@@ -81,7 +81,7 @@ def validate_matrix(raw) -> DissimilarityMatrix:
     if not np.isfinite(top):
         i, j = np.argwhere(~np.isfinite(A))[0]
         raise DissimilarityError(f"non-finite entry at ({i}, {j}): {A[i, j]!r}")
-    tol = 1e-9 * max(1.0, top)
+    tol = 1e-9 * top
     sym = np.empty(A.shape)
     if _asymmetry(A, sym) > tol:
         gap = np.abs(A - A.T)
@@ -139,20 +139,21 @@ class GramDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def decompose(B, tau_rel: float = DEFAULT_TAU_REL) -> GramDecomposition:
+def decompose(B) -> GramDecomposition:
     """Eigendecompose a symmetric matrix and bucket its spectrum.
 
     Parameters
     ----------
     B : array_like
-        Symmetric matrix (checked within ``1e-8 * max(1, |B|_max)``),
-        typically the output of :func:`center_gram`.
-    tau_rel : float
-        Relative threshold; ``tau = tau_rel * max(1, |lambda|_max)``.
+        Symmetric matrix (checked within ``1e-8 * |B|_max``), typically
+        the output of :func:`center_gram`.
 
     Returns
     -------
     GramDecomposition
+        With ``tau = DEFAULT_TAU_REL * |lambda|_max``, relative to the
+        spectrum, so scaling B scales tau and keeps (p, q, zero_rank).
+        The zero matrix has tau 0 and every eigenvalue counted as zero.
 
     Raises
     ------
@@ -166,7 +167,7 @@ def decompose(B, tau_rel: float = DEFAULT_TAU_REL) -> GramDecomposition:
         raise DissimilarityError(f"expected a square matrix, got shape {B.shape}")
     if B.size == 0:
         raise DissimilarityError("matrix is empty")
-    if _asymmetry(B) > 1e-8 * max(1.0, _abs_max(B)):
+    if _asymmetry(B) > 1e-8 * _abs_max(B):
         raise DissimilarityError("matrix is not symmetric")
     try:
         lam, U = np.linalg.eigh(B)
@@ -175,7 +176,7 @@ def decompose(B, tau_rel: float = DEFAULT_TAU_REL) -> GramDecomposition:
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     U = U[:, order]
-    tau = tau_rel * max(1.0, float(np.abs(lam).max()))
+    tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
     p = int(np.sum(lam > tau))
     q = int(np.sum(lam < -tau))
     return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau)

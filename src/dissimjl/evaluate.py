@@ -12,10 +12,15 @@ from .core import (
     _symmetric_distances,
     _upper_rows,
     as_matrix,
+    center_gram,
+    decompose,
+    validate_matrix,
 )
+from .power import power_representation
 from .pqspace import PseudoEuclideanEmbedding
 
 DEFAULT_RESTARTS = 10
+_MAX_ITER = 100  # Lloyd steps per restart
 
 
 @dataclass(frozen=True)
@@ -175,17 +180,19 @@ def validate_power_residual(
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Clustering outcome scored by the relational cost."""
+    """Clustering outcome scored by the relational cost.
+
+    iterations counts the Lloyd steps of the winning restart; it reaches
+    the iteration cap only if that restart did not converge.
+    """
 
     assignment: np.ndarray
     cost: float
     iterations: int
-    restarts: int
-    seed: int
 
     @property
     def k(self) -> int:
-        return int(np.unique(self.assignment).size)
+        return int(np.count_nonzero(np.bincount(self.assignment)))
 
 
 def relational_cost(D, assignment) -> float:
@@ -193,70 +200,16 @@ def relational_cost(D, assignment) -> float:
 
     Coincides with the squared-Euclidean k-means objective when D holds
     squared Euclidean distances; meaningful (possibly negative) for any
-    symmetric hollow D.
+    symmetric hollow D.  assignment holds nonnegative integer labels.
     """
     A = as_matrix(D)
     labels = np.asarray(assignment)
     total = 0.0
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):
         members = np.flatnonzero(labels == c)
         block = A[np.ix_(members, members)]
         total += block.sum() / (2.0 * members.size)
     return float(total)
-
-
-def _best_of_restarts(A, k, seed, restarts, lloyd) -> KMeansResult:
-    """Lowest relational cost on A of lloyd(seed + t) -> (labels, iters)."""
-    n = A.shape[0]
-    if not 1 <= k <= n:
-        raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
-    if restarts < 1:
-        raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
-    best = None
-    for t in range(restarts):
-        labels, iters = lloyd(seed + t)
-        cost = relational_cost(A, labels)
-        if best is None or cost < best[1]:
-            best = (labels, cost, iters)
-    return KMeansResult(best[0], best[1], best[2], restarts, seed)
-
-
-def _one_hot(labels, k):
-    Z = np.zeros((labels.size, k))
-    Z[np.arange(labels.size), labels] = 1.0
-    return Z
-
-
-def _lloyd_relational(A, k, seed, max_iter):
-    """One relational Lloyd run; returns (labels, iterations)."""
-    rng = np.random.default_rng(seed)
-    n = A.shape[0]
-    perm = rng.permutation(n)
-    labels = np.empty(n, dtype=int)
-    labels[perm[:k]] = np.arange(k)
-    labels[perm[k:]] = rng.integers(0, k, size=n - k)
-    for it in range(1, max_iter + 1):
-        Z = _one_hot(labels, k)
-        sizes = Z.sum(axis=0)
-        S = A @ Z
-        within = np.diag(Z.T @ S)
-        # d(i, C) = mean_j D_ij - within / (2 |C|^2); reduces to the
-        # distance-to-centroid when D is squared Euclidean.
-        dist = S / sizes - within / (2.0 * sizes**2)
-        new_labels = np.argmin(dist, axis=1)
-        for c in range(k):
-            if not np.any(new_labels == c):
-                # steal the point that fits its current cluster worst
-                fit = dist[np.arange(n), new_labels]
-                candidates = np.flatnonzero(
-                    np.bincount(new_labels, minlength=k)[new_labels] > 1
-                )
-                mover = candidates[np.argmax(fit[candidates])]
-                new_labels[mover] = c
-        if np.array_equal(new_labels, labels):
-            return labels, it
-        labels = new_labels
-    return labels, max_iter
 
 
 def relational_kmeans(
@@ -264,27 +217,28 @@ def relational_kmeans(
     k: int,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = 100,
 ) -> KMeansResult:
-    """Lloyd iteration driven by dissimilarities alone.
+    """k-means on a symmetric hollow D, driven by dissimilarities alone.
 
-    Each restart t initializes its assignment from default_rng(seed + t)
-    with every cluster seeded nonempty; the restart with the lowest
-    final relational cost wins.
+    D is validated and clustered by :func:`kmeans_projected` on the
+    centers of its power representation.  Their squared distances are
+    D + 4r^2 off the diagonal, which moves every k-cluster relational
+    cost by the same 2r^2 (n - k) (Roth et al., IEEE TPAMI 2003), so
+    Euclidean Lloyd on the centers converges and descends on D's own
+    relational cost, indefinite or not.
     """
-    A = as_matrix(D)
-    return _best_of_restarts(
-        A, k, seed, restarts, lambda s: _lloyd_relational(A, k, s, max_iter)
-    )
+    Dm = validate_matrix(as_matrix(D))
+    centers = power_representation(decompose(center_gram(Dm))).centers
+    return kmeans_projected(Dm, centers, k, seed, restarts)
 
 
-def _lloyd_euclidean(X, k, seed, max_iter):
+def _lloyd_euclidean(X, k, seed):
     """One standard Lloyd run on coordinate rows; returns (labels, iters)."""
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     centers = X[rng.choice(n, size=k, replace=False)].copy()
     labels = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         d2 = (
             np.einsum("ij,ij->i", X, X)[:, None]
             - 2.0 * X @ centers.T
@@ -294,8 +248,12 @@ def _lloyd_euclidean(X, k, seed, max_iter):
         for c in range(k):
             members = new_labels == c
             if not members.any():
-                # reseed an empty center at the worst-served point
-                far = int(np.argmax(d2[np.arange(n), new_labels]))
+                # reseed an empty center at the worst-served point among
+                # those whose cluster keeps a member without it
+                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                candidates = np.flatnonzero(shared)
+                fit = d2[candidates, new_labels[candidates]]
+                far = candidates[np.argmax(fit)]
                 centers[c] = X[far]
                 new_labels[far] = c
                 members = new_labels == c
@@ -303,7 +261,7 @@ def _lloyd_euclidean(X, k, seed, max_iter):
         if labels is not None and np.array_equal(new_labels, labels):
             return labels, it
         labels = new_labels
-    return labels, max_iter
+    return labels, _MAX_ITER
 
 
 def kmeans_projected(
@@ -312,13 +270,14 @@ def kmeans_projected(
     k: int,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = 100,
 ) -> KMeansResult:
     """Standard Lloyd on coordinate rows, scored relationally on D.
 
-    The Euclidean objective drives the iterations; the reported cost
-    (and the best-of-restarts selection) uses the relational cost on
-    the original matrix, so results are comparable across embeddings.
+    Restart t starts from k distinct rows drawn by default_rng(seed + t)
+    and runs at most 100 Lloyd steps.  The Euclidean objective drives the
+    iterations; the reported cost (and the best-of-restarts selection)
+    uses the relational cost on the original matrix, so results are
+    comparable across embeddings.
     """
     A = as_matrix(D)
     X = np.asarray(coords, dtype=float)
@@ -327,6 +286,14 @@ def kmeans_projected(
         raise DissimilarityError(
             f"coordinate rows ({X.shape[0]}) do not match matrix size ({n})"
         )
-    return _best_of_restarts(
-        A, k, seed, restarts, lambda s: _lloyd_euclidean(X, k, s, max_iter)
-    )
+    if not 1 <= k <= n:
+        raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
+    if restarts < 1:
+        raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
+    best = None
+    for t in range(restarts):
+        labels, iters = _lloyd_euclidean(X, k, seed + t)
+        cost = relational_cost(A, labels)
+        if best is None or cost < best.cost:
+            best = KMeansResult(labels, cost, iters)
+    return best

@@ -145,7 +145,10 @@ def power_representation(
     # rotated columns take their Rayleigh quotients on B, all near 0
     mu[block] = (H * H) @ lam[block] + 2.0 * radius**2
     mu[block[0]] = 0.0
-    tol = DEFAULT_TAU_REL * max(1.0, float(np.abs(mu).max()))
+    # relative to B's spectrum too: when every mu is rounding noise (as
+    # when the radius cancels a lone nonzero eigenvalue), |mu|_max alone
+    # would scale the tolerance down to that noise
+    tol = DEFAULT_TAU_REL * max(float(np.abs(mu).max()), float(np.abs(lam).max()))
     if mu.min() < -10.0 * tol:
         raise DissimilarityError(
             f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "

@@ -18,7 +18,6 @@ arrays that the bound checks reduce tile by tile.
 import numpy as np
 
 from dissimjl import (
-    DEFAULT_TAU_REL,
     DissimilarityError,
     as_matrix,
     center_gram,
@@ -137,13 +136,13 @@ def euclideanize(D, radius):
     return E
 
 
-def recover_centers(E, tau_rel=DEFAULT_TAU_REL):
+def recover_centers(E):
     """Classical scaling of a Euclidean squared-distance matrix.
 
     Keeps the eigenvalues above tau; raises DissimilarityError if one
     lies below -10 tau, i.e. E is not Euclidean.
     """
-    dec = decompose(center_gram(E), tau_rel)
+    dec = decompose(center_gram(E))
     mu = dec.eigenvalues
     if mu.min() < -10.0 * dec.tau:
         raise DissimilarityError(

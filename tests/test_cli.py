@@ -546,8 +546,8 @@ def test_import_loads_no_scipy():
 
 
 def test_scoring_loads_no_numpy_ma(simplex_csv, tmp_path):
-    # np.median reaches numpy.ma on its first call; the error stats do not
-    # use it, so project and validate never pay that import
+    # np.median and np.unique reach numpy.ma on their first call; the error
+    # stats and the k-means cost use neither, so no command pays that import
     sink = str(tmp_path / "out")
     probe = (
         "import sys; from dissimjl.cli import main\n"
@@ -556,6 +556,8 @@ def test_scoring_loads_no_numpy_ma(simplex_csv, tmp_path):
         f" '--out-report', {sink!r}, '--out-matrix', {sink!r}]) == 0\n"
         f"    assert main(['validate', {simplex_csv!r}, '--method', m,"
         f" '--out-report', {sink!r}, '--out-csv', {sink!r}]) == 0\n"
+        f"    assert main(['kmeans', {simplex_csv!r}, '--method', m,"
+        f" '--k', '3', '--out-report', {sink!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)"
     )
     out = subprocess.run(

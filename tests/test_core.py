@@ -140,7 +140,7 @@ class TestDecompose:
     def test_all_zero_matrix(self):
         dec = decompose(np.zeros((4, 4)))
         assert (dec.p, dec.q, dec.zero_rank) == (0, 0, 4)
-        assert dec.tau == 1e-9
+        assert dec.tau == 0.0
 
     def test_counts_partition_n(self):
         dec = decompose(center_gram(random_hollow(np.random.default_rng(4), 33)))

@@ -11,6 +11,7 @@ from dissimjl import (
     decompose,
     embed_pq,
     kmeans_projected,
+    power_representation,
     relational_cost,
     relational_kmeans,
     relative_error_stats,
@@ -232,6 +233,26 @@ class TestRelationalKMeans:
         assert_allclose(result.cost, relational_cost(D, result.assignment),
                         atol=1e-12)
 
+    def test_converges_and_cost_shifts_by_constant(self):
+        # Lloyd runs on the power centers, whose squared distances are
+        # D + 4r^2 off the diagonal, so each k-cluster cost moves by the
+        # same 2r^2 (n - k) and the iteration converges on indefinite D
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(20, 81))
+            D = random_hollow(rng, n)
+            rep = power_representation(decompose(center_gram(D)))
+            result = relational_kmeans(D, 3, seed=int(rng.integers(100)),
+                                       restarts=3)
+            labels = result.assignment
+            assert result.iterations < 100
+            assert result.k == 3
+            assert_allclose(result.cost, relational_cost(D, labels), rtol=1e-9)
+            shift = 2.0 * rep.radius**2 * (n - 3)
+            assert_allclose(result.cost,
+                            coordinate_kmeans_cost(rep.centers, labels) - shift,
+                            rtol=1e-9)
+
     def test_validation(self):
         D = squared_distances(np.random.default_rng(9).standard_normal((5, 2)))
         with pytest.raises(DissimilarityError, match="k must lie"):
@@ -271,3 +292,12 @@ class TestKMeansProjected:
             kmeans_projected(D, X, 0)
         with pytest.raises(DissimilarityError, match="restarts"):
             kmeans_projected(D, X, 2, restarts=0)
+
+
+def test_coincident_points_fill_every_cluster():
+    # an empty cluster is reseeded from a cluster that keeps a member
+    D = np.zeros((6, 6))
+    for result in (relational_kmeans(D, 3, restarts=2),
+                   kmeans_projected(D, np.zeros((6, 0)), 3, restarts=2)):
+        assert np.bincount(result.assignment, minlength=3).tolist() == [4, 1, 1]
+        assert result.k == 3

@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import dissimjl
 from dissimjl import pipeline
 from dissimjl import (
     METHODS,
+    BallSpec,
     ProjectionConfig,
     SimplexSpec,
+    gen_balls,
     gen_simplex,
+    relational_kmeans,
     run_projection,
 )
 
@@ -68,3 +74,23 @@ class TestStagesTheBenchmarkReads:
         if method == "jl-pq":
             expected["validate_pq_bound"] = 1
         assert calls == expected
+
+
+@pytest.mark.parametrize("D", [
+    gen_simplex(SimplexSpec(50, seed=2)).entries,
+    gen_balls(BallSpec(50, seed=2)).entries,
+], ids=["simplex", "balls"])
+def test_scaling_the_input_scales_every_tolerance(D):
+    # reconstructions are not compared: simplex has degenerate eigenspaces,
+    # which the solver may rotate differently at another scale
+    base = run_projection(D, "jl-power")
+    ref = base.decomposition
+    cost = relational_kmeans(D, 3).cost
+    for c in (1e-12, 1e-6, 1e6, 1e12):
+        res = run_projection(c * D, "jl-power")
+        dec = res.decomposition
+        assert (dec.p, dec.q, dec.zero_rank) == (ref.p, ref.q, ref.zero_rank)
+        assert_allclose(dec.tau / c, ref.tau, rtol=1e-9)
+        assert_allclose(res.representation.radius / math.sqrt(c),
+                        base.representation.radius, rtol=1e-9)
+        assert_allclose(relational_kmeans(c * D, 3).cost / c, cost, rtol=1e-9)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -333,6 +333,9 @@ class TestSilhouette:
 
 
 @given(n=st.integers(2, 18), seed=st.integers(0, 2**32 - 1))
+# n=2 with the radius cancelling B's one nonzero eigenvalue: every Gram
+# eigenvalue of the shifted matrix is rounding noise
+@example(n=2, seed=536870911)
 @settings(max_examples=40, deadline=None)
 def test_representation_roundtrip_property(n, seed):
     D = random_hollow(np.random.default_rng(seed), n, scale=3.0)
