@@ -220,12 +220,11 @@ def cmd_kmeans(args) -> int:
         raise DissimilarityError(f"--restarts must be >= 1, got {args.restarts}")
     result = _run_from_args(args)
     D = result.matrix
+    embedding = result.embedding
+    if embedding is None:  # jl-power projects power centers instead
+        embedding = embed_pq(result.decomposition)
     original = kmeans_projected(
-        D,
-        embed_pq(result.decomposition).pos_coords,
-        args.k,
-        seed=args.seed,
-        restarts=args.restarts,
+        D, embedding.pos_coords, args.k, seed=args.seed, restarts=args.restarts
     )
     projected = kmeans_projected(
         D, result.coords, args.k, seed=args.seed, restarts=args.restarts

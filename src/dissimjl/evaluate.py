@@ -237,10 +237,11 @@ def _lloyd_euclidean(X, k, seed):
     rng = np.random.default_rng(seed)
     n = X.shape[0]
     centers = X[rng.choice(n, size=k, replace=False)].copy()
+    sq = np.einsum("ij,ij->i", X, X)[:, None]
     labels = None
     for it in range(1, _MAX_ITER + 1):
         d2 = (
-            np.einsum("ij,ij->i", X, X)[:, None]
+            sq
             - 2.0 * X @ centers.T
             + np.einsum("ij,ij->i", centers, centers)[None, :]
         )

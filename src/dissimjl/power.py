@@ -3,12 +3,13 @@
 Any symmetric hollow D becomes Euclidean after shifting every
 off-diagonal entry by 4r^2 with 2r^2 >= |e_n| (e_n the most negative
 Gram eigenvalue).  Points are then balls (center, r) and D is
-reproduced by the generalized power distance.  The shifted matrix E has
-Gram(E) = B + 2r^2 C (the constant-shift embedding of Roth et al.,
-IEEE TPAMI 2003), so the representation is built from the decomposition
-of B itself: E is never formed and never decomposed.  The same bilinear
-form doubles as a closed-form silhouette gap for isotropic Gaussian
-clusters.
+reproduced by the generalized power distance.  The centers are B's
+eigenvectors scaled by sqrt(lambda + 2r^2), so their Gram matrix is
+B + 2r^2 I.  It differs from Gram(E) = B + 2r^2 C (the constant-shift
+embedding of Roth et al., IEEE TPAMI 2003) only along the all-ones
+direction, which no center difference sees: E is never formed and never
+decomposed.  The same bilinear form doubles as a closed-form silhouette
+gap for isotropic Gaussian clusters.
 """
 
 from __future__ import annotations
@@ -115,12 +116,10 @@ def power_representation(
     larger one works and changes only the split between center geometry
     and radius.
 
-    The centers are the classical scaling of E, read off B's eigenpairs
-    instead of a second eigendecomposition: Gram(E) = B + 2r^2 C, whose
-    spectrum is lambda_k + 2r^2 on the complement of the all-ones
-    direction and 0 on it.  The ones direction is split off B's null
-    block by a Householder reflection, since the solver returns an
-    arbitrary basis of that block.
+    The centers are B's eigenvectors scaled by sqrt(lambda_k + 2r^2).
+    Their Gram B + 2r^2 I differs from Gram(E) = B + 2r^2 C by
+    2r^2 11^T / n, which no difference e_i - e_j sees; for r > 0 it adds
+    the all-ones direction to the span of E's classical scaling.
     """
     if radius is None:
         radius = power_radius(dec)
@@ -129,25 +128,9 @@ def power_representation(
             f"radius must be nonnegative and finite, got {radius}"
         )
     lam, U = dec.eigenvalues, dec.eigenvectors
-    coef = np.full(dec.n, 1.0 / math.sqrt(dec.n)) @ U
-    # B1 = 0, so the ones vector lies in the null block; the argmax keeps
-    # it there even if a caller's tau is too small to catch it
-    null = np.abs(lam) <= dec.tau
-    null[np.argmax(np.abs(coef))] = True
-    block = np.flatnonzero(null)
-    # reflect the block's coefficients of the ones vector onto its first
-    # column; the other columns then span the rest of the null space
-    a = coef[block]
-    v = a.copy()
-    v[0] += math.copysign(float(np.linalg.norm(a)), a[0])
-    H = np.eye(block.size) - (2.0 / float(v @ v)) * np.outer(v, v)
     mu = lam + 2.0 * radius**2
-    # rotated columns take their Rayleigh quotients on B, all near 0
-    mu[block] = (H * H) @ lam[block] + 2.0 * radius**2
-    mu[block[0]] = 0.0
-    # relative to B's spectrum too: when every mu is rounding noise (as
-    # when the radius cancels a lone nonzero eigenvalue), |mu|_max alone
-    # would scale the tolerance down to that noise
+    # relative to B's spectrum too, which moves the threshold only for a
+    # radius below the minimum: from it up, |mu|_max >= |lam|_max
     tol = DEFAULT_TAU_REL * max(float(np.abs(mu).max()), float(np.abs(lam).max()))
     if mu.min() < -10.0 * tol:
         raise DissimilarityError(
@@ -156,10 +139,6 @@ def power_representation(
         )
     keep = mu > tol
     centers = U[:, keep]
-    rotated = keep[block]
-    # column of centers that each kept eigenpair lands in
-    slot = np.cumsum(keep) - 1
-    centers[:, slot[block[rotated]]] = U[:, block] @ H[:, rotated]
     centers *= np.sqrt(mu[keep])
     return PowerRepresentation(centers, float(radius))
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dissimjl import (
+    DEFAULT_TAU_REL,
     BallSpec,
     DissimilarityError,
     GaussianCluster,
@@ -15,6 +16,7 @@ from dissimjl import (
     as_matrix,
     center_gram,
     decompose,
+    embed_pq,
     gen_balls,
     gen_simplex,
     graph_hops,
@@ -218,17 +220,22 @@ class TestMatchesTwoEighOracle:
         E = euclideanize(D, r_min if radius is None else radius)
         assert max_rel_offdiag(E, squared_distances(rep.centers)) <= 1e-6
 
+    @staticmethod
+    def oracle_dim(rep, E):
+        """Oracle dimension, plus the all-ones direction when r > 0."""
+        return recover_centers(E).shape[1] + (rep.radius > 0.0)
+
     def test_center_dimension_matches_oracle(self, case):
         D, dec, r_min, radius = case
         rep = power_representation(dec, radius)
-        oracle = recover_centers(euclideanize(D, rep.radius))
-        assert rep.dim == oracle.shape[1]
+        E = euclideanize(D, rep.radius)
+        assert rep.dim == self.oracle_dim(rep, E)
 
     def test_pipeline_uses_the_same_centers(self, case):
         D, _, r_min, radius = case
         res = run_projection(D, "jl-power", radius_override=radius)
         E = euclideanize(D, res.representation.radius)
-        assert res.representation.dim == recover_centers(E).shape[1]
+        assert res.representation.dim == self.oracle_dim(res.representation, E)
         assert max_rel_offdiag(
             E, squared_distances(res.representation.centers)
         ) <= 1e-6
@@ -252,11 +259,34 @@ class TestMatchesTwoEighOracle:
 
     def test_grid_null_block_holds_the_ones_direction(self):
         D = grid_hops(8)
-        dec = decompose(center_gram(D))
-        assert dec.zero_rank > 1
+        B = center_gram(D)
+        dec = decompose(B)
+        assert dec.zero_rank == 50
         rep = power_representation(dec, 1.5)
-        assert rep.dim == D.n - 1
-        assert_allclose(rep.centers.sum(axis=0), 0.0, atol=1e-9)
+        assert rep.dim == D.n
+        # Gram B + 2r^2 I: the whole null block, ones direction included,
+        # is kept at 2r^2
+        gram = B + 2.0 * 1.5**2 * np.eye(D.n)
+        err = np.abs(rep.centers @ rep.centers.T - gram).max()
+        assert err <= DEFAULT_TAU_REL * np.abs(gram).max()
+
+
+EUCLIDEAN_CASES = {
+    "grid": lambda: grid_hops(8),
+    "simplex-alpha-0": lambda: gen_simplex(SimplexSpec(60, alpha=0.0, seed=4)),
+    "points": lambda: squared_distances(
+        np.random.default_rng(16).standard_normal((30, 5))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EUCLIDEAN_CASES))
+def test_euclidean_input_centers_are_the_pq_coordinates(name):
+    """At r = 0 the power centers are embed_pq's coordinates, bit for bit."""
+    res = run_projection(EUCLIDEAN_CASES[name](), "jl-power")
+    emb = embed_pq(res.decomposition)
+    assert res.representation.radius == 0.0 and emb.q == 0
+    assert np.array_equal(res.representation.centers, emb.pos_coords)
 
 
 class TestSingleEigendecomposition:
