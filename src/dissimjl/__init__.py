@@ -49,7 +49,6 @@ from .power import (
     power_radius,
     power_representation,
     silhouette_gaussian,
-    silhouette_normalized,
 )
 from .projection import (
     DEFAULT_DIM_CONSTANT,
@@ -64,11 +63,8 @@ from .projection import (
 )
 from .pqspace import (
     PseudoEuclideanEmbedding,
-    distortion_factor,
     embed_pq,
-    euclid_interval,
     norm_ratio_sample,
-    pq_interval,
 )
 
 __version__ = "0.1.0"
@@ -96,9 +92,7 @@ __all__ = [
     "as_matrix",
     "center_gram",
     "decompose",
-    "distortion_factor",
     "embed_pq",
-    "euclid_interval",
     "gaussian_map",
     "gen_balls",
     "gen_simplex",
@@ -109,7 +103,6 @@ __all__ = [
     "power_distance",
     "power_radius",
     "power_representation",
-    "pq_interval",
     "project_classical",
     "project_power",
     "project_pq",
@@ -120,7 +113,6 @@ __all__ = [
     "report_dict",
     "run_projection",
     "silhouette_gaussian",
-    "silhouette_normalized",
     "squared_distances",
     "target_dim",
     "validate_matrix",

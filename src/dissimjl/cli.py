@@ -42,13 +42,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# pair CSV columns per route; those after ratio are evaluate._band_tiles columns
-_PAIR_HEADERS = {
-    "jl": "i,j,dissimilarity,reconstructed,ratio,band_lower,band_upper,violated",
-    "jl-pq": "i,j,dissimilarity,reconstructed,ratio,factor,band_lower,band_upper,violated",
-    "jl-power": "i,j,dissimilarity,reconstructed,ratio,residual,bound,violated",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures on exit code 1 (2 means bad data here)."""
@@ -161,12 +154,9 @@ def _pair_rows(result, picked):
     take their i and j from the tile and their values from its columns,
     and are formatted as one block with one row format.  So
     ``validate --sample N`` formats N rows, and the full table is never
-    held as text at once.
+    held as text at once.  The columns after ratio are the band pass's
+    route columns, named by its first tile.
     """
-    header = _PAIR_HEADERS[result.method]
-    names = header.split(",")
-    row = "%d,%d" + ",%.10g" * (len(names) - 3) + ",%d\n"
-    yield header + "\n"
     power_check = result.power_check
     tiles = _band_tiles(
         result.method,
@@ -176,7 +166,12 @@ def _pair_rows(result, picked):
         emb=result.embedding,
         bound=None if power_check is None else power_check.bound,
     )
+    route = None
     for block, pairs, tri, columns in tiles:
+        if route is None:
+            route = list(columns)[2:]  # after dissimilarity and reconstructed
+            yield ",".join(["i,j,dissimilarity,reconstructed,ratio", *route]) + "\n"
+            row = "%d,%d" + ",%.10g" * (len(route) + 2) + ",%d\n"
         lo, hi = np.searchsorted(picked, (pairs.start, pairs.stop))
         if lo == hi:
             continue
@@ -187,7 +182,7 @@ def _pair_rows(result, picked):
             ratio = dh / d
         table = np.column_stack(
             (i[at] + block[0].start, j[at] + block[1].start, d, dh, ratio)
-            + tuple(columns[name][at] for name in names[5:])
+            + tuple(columns[name][at] for name in route)
         )
         yield (row * at.size) % tuple(table.ravel().tolist())
 

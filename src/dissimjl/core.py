@@ -25,7 +25,7 @@ class DissimilarityError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge."""
+    """A numerical routine overflowed or failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,17 @@ def decompose(B) -> GramDecomposition:
     DissimilarityError
         If B is not square or not symmetric.
     NumericalError
-        If the eigensolver does not converge.
+        If B is not finite, or the eigensolver does not converge.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DissimilarityError(f"expected a square matrix, got shape {B.shape}")
     if B.size == 0:
         raise DissimilarityError("matrix is empty")
-    if _asymmetry(B) > 1e-8 * _abs_max(B):
+    top = _abs_max(B)
+    if not np.isfinite(top):
+        raise NumericalError("Gram matrix is not finite: centering overflowed")
+    if _asymmetry(B) > 1e-8 * top:
         raise DissimilarityError("matrix is not symmetric")
     try:
         lam, U = np.linalg.eigh(B)

@@ -69,11 +69,12 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
 
     Yields (block, pairs, tri, columns) per tile of ``_upper_rows``, where
     columns maps names to arrays over the tile's pairs: "dissimilarity",
-    "reconstructed", the route's band and a "violated" flag.
+    "reconstructed", then the route's pair CSV columns: its band and a
+    "violated" flag.
 
     - jl-pq (emb): the band around D_ij has half-width epsilon times the
       Euclidean interval, epsilon * factor * |D_ij| wherever the factor is
-      finite.  Pairs with an infinite factor are "excluded", never
+      finite.  Pairs with an infinite factor are excluded, never
       violated.  The intervals come from the Gram products of the two
       signature parts; no n x n interval matrix is formed.
     - jl-power (bound): the "residual" beyond the multiplicative band,
@@ -100,10 +101,9 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
             )
             half = epsilon * euv
             lower, upper = d - half, d + half
-            excluded = ~np.isfinite(factor)
-            violated = ((dh < lower) | (dh > upper)) & ~excluded
+            violated = ((dh < lower) | (dh > upper)) & np.isfinite(factor)
             columns.update(factor=factor, band_lower=lower, band_upper=upper,
-                           violated=violated, excluded=excluded)
+                           violated=violated)
         elif method == "jl-power":
             residual = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
             columns.update(residual=residual, bound=np.full(d.size, bound),
@@ -138,8 +138,8 @@ def validate_pq_bound(
     violated = excluded = total = 0
     for *_, columns in _band_tiles("jl-pq", D, Dhat, epsilon, emb=emb):
         violated += np.count_nonzero(columns["violated"])
-        excluded += np.count_nonzero(columns["excluded"])
-        total += columns["excluded"].size
+        excluded += np.count_nonzero(~np.isfinite(columns["factor"]))
+        total += columns["factor"].size
     usable = total - excluded
     rate = float(violated / usable) if usable else 0.0
     return PqBoundCheck(rate, int(excluded))

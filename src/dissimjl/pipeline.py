@@ -142,7 +142,6 @@ def report_dict(result: RunResult) -> dict:
         bounds["power_residual_max"] = result.power_check.max_residual
         bounds["bound_4er2"] = result.power_check.bound
         bounds["fraction_within"] = result.power_check.fraction_within
-    if result.representation is not None:
         bounds["radius"] = result.representation.radius
     config, stats = result.config, result.stats
     return {

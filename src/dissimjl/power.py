@@ -8,8 +8,8 @@ eigenvectors scaled by sqrt(lambda + 2r^2), so their Gram matrix is
 B + 2r^2 I.  It differs from Gram(E) = B + 2r^2 C (the constant-shift
 embedding of Roth et al., IEEE TPAMI 2003) only along the all-ones
 direction, which no center difference sees: E is never formed and never
-decomposed.  The same bilinear form doubles as a closed-form silhouette
-gap for isotropic Gaussian clusters.
+decomposed.  The same bilinear form doubles as the closed-form silhouette
+gap of two isotropic Gaussian clusters, :func:`silhouette_gaussian`.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class PowerRepresentation:
             raise DissimilarityError(
                 f"radius must be nonnegative and finite, got {self.radius}"
             )
-
-    @property
-    def n(self) -> int:
-        return self.centers.shape[0]
 
     @property
     def dim(self) -> int:
@@ -151,18 +147,3 @@ def silhouette_gaussian(a: GaussianCluster, b: GaussianCluster) -> float:
     """
     return power_distance(a.mean, a.sigma, b.mean, b.sigma)
 
-
-def silhouette_normalized(a: GaussianCluster, b: GaussianCluster) -> float:
-    """Normalized silhouette gap in [-1, 1].
-
-    (sep - spread) / (sep + spread) with sep = ||mean_a - mean_b||^2 and
-    spread = (sigma_a + sigma_b)^2; defined as -1 when both vanish
-    (identical point clusters).
-    """
-    dmu = np.asarray(a.mean, dtype=float) - np.asarray(b.mean, dtype=float)
-    sep = float(dmu @ dmu)
-    spread = (a.sigma + b.sigma) ** 2
-    denom = sep + spread
-    if denom == 0.0:
-        return -1.0
-    return (sep - spread) / denom

@@ -1,14 +1,14 @@
-"""Pseudo-Euclidean embedding with signature (p, q) and its interval geometry.
+"""Pseudo-Euclidean embedding with signature (p, q) and its norm ratio.
 
 Points live in R^(p+q) equipped with the indefinite form
 <u, v> = sum_1^p u_i v_i - sum_{p+1}^{p+q} u_i v_i.  The embedding built
 from a Gram decomposition reproduces any symmetric hollow matrix exactly
-as signed squared intervals.
+as signed squared intervals.  The per-pair distortion factor, Euclidean
+over signed interval, is a column of the jl-pq band pass in evaluate.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,39 +78,6 @@ def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
     pos_coords = U[:, pos] * np.sqrt(lam[pos])
     neg_coords = U[:, neg] * np.sqrt(-lam[neg])
     return PseudoEuclideanEmbedding(pos_coords, neg_coords)
-
-
-def pq_interval(emb: PseudoEuclideanEmbedding, i: int, j: int) -> float:
-    """Signed squared interval between points i and j."""
-    dp = emb.pos_coords[i] - emb.pos_coords[j]
-    dq = emb.neg_coords[i] - emb.neg_coords[j]
-    return float(dp @ dp - dq @ dq)
-
-
-def euclid_interval(emb: PseudoEuclideanEmbedding, i: int, j: int) -> float:
-    """Squared Euclidean interval (signs ignored) between points i and j."""
-    dp = emb.pos_coords[i] - emb.pos_coords[j]
-    dq = emb.neg_coords[i] - emb.neg_coords[j]
-    return float(dp @ dp + dq @ dq)
-
-
-def distortion_factor(emb: PseudoEuclideanEmbedding, i: int, j: int) -> float:
-    """Bound factor C_ij = |euclid / pq| for a pair, always >= 1.
-
-    Returns inf when the signed interval vanishes while the Euclidean
-    one does not (null-like separation); 1.0 when both vanish
-    (coincident points).
-
-    Raises:
-        DissimilarityError: if i == j; the factor is a pair quantity.
-    """
-    if i == j:
-        raise DissimilarityError("distortion factor is undefined for i == j")
-    pq = pq_interval(emb, i, j)
-    eu = euclid_interval(emb, i, j)
-    if pq == 0.0:
-        return 1.0 if eu == 0.0 else math.inf
-    return abs(eu / pq)
 
 
 def norm_ratio_sample(p: int, q: int, trials: int, seed: int = 0) -> np.ndarray:

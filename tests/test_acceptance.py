@@ -227,8 +227,9 @@ def test_criterion_7_norm_ratio_concentration():
                   f"{frac:.3f} (need >= 0.99); balanced-signature warning "
                   f"{'raised' if flagged else 'missing'}")
     # The ratio mean does sit at (p + q) / (p - q) = 2, but at q / p = 1/3
-    # the distribution is wide enough that roughly a quarter of its mass
-    # lies above 2.2; the 0.99 target needs a much smaller q / p.
+    # the distribution is wide enough that 22% of its mass lies above 2.2
+    # (0.782 of the samples lie below); the 0.99 target needs a much
+    # smaller q / p.
     assert ok, line
 
 

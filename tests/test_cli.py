@@ -16,8 +16,10 @@ import dissimjl
 from dissimjl import (
     DEFAULT_DIM_CONSTANT,
     DEFAULT_EPSILON,
+    BallSpec,
     ProjectionConfig,
     SimplexSpec,
+    gen_balls,
     gen_simplex,
     run_projection,
     squared_distances,
@@ -500,6 +502,14 @@ class TestExitCodes:
         bad.write_text("0,1\n2,0\n")
         assert main(["project", str(bad)]) == 2
         assert "asymmetric" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the centering overflow
+    @pytest.mark.parametrize("method", METHODS)
+    def test_centering_overflow_exits_three(self, method, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        write_matrix(str(huge), gen_balls(BallSpec(60, seed=1)).entries * 1e306)
+        assert main(["project", str(huge), "--method", method]) == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_epsilon_out_of_range(self, simplex_csv):
         assert main(["project", simplex_csv, "--epsilon", "1.5"]) == 2

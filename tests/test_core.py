@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from dissimjl import (
     DissimilarityError,
+    NumericalError,
     center_gram,
     decompose,
     squared_distances,
@@ -150,7 +151,14 @@ class TestDecompose:
         with pytest.raises(DissimilarityError, match="symmetric"):
             decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
-    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        B = np.zeros((3, 3))
+        B[0, 1] = B[1, 0] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            decompose(B)
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-12, 1e12))
     @settings(max_examples=40, deadline=None)
     def test_signature_stable_under_positive_scaling(self, seed, scale):
         D = random_hollow(np.random.default_rng(seed), 12)
@@ -161,10 +169,12 @@ class TestDecompose:
             scaled.q,
             scaled.zero_rank,
         )
+        # relative to the scaled spectrum, with no floor that would make
+        # the check vacuous below scale 1
         assert_allclose(
             scaled.eigenvalues,
             scale * base.eigenvalues,
-            atol=1e-9 * max(1.0, scale),
+            atol=1e-9 * scale * np.abs(base.eigenvalues).max(),
         )
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dissimjl
@@ -9,13 +11,22 @@ from dissimjl import pipeline
 from dissimjl import (
     METHODS,
     BallSpec,
+    NumericalError,
     ProjectionConfig,
     SimplexSpec,
+    as_matrix,
+    center_gram,
+    decompose,
+    embed_pq,
     gen_balls,
     gen_simplex,
+    power_representation,
     relational_kmeans,
     run_projection,
+    validate_matrix,
 )
+
+from conftest import interval_matrices, random_hollow
 
 
 def test_every_exported_name_resolves():
@@ -94,3 +105,39 @@ def test_scaling_the_input_scales_every_tolerance(D):
         assert_allclose(res.representation.radius / math.sqrt(c),
                         base.representation.radius, rtol=1e-9)
         assert_allclose(relational_kmeans(c * D, 3).cost / c, cost, rtol=1e-9)
+
+
+@given(kind=st.sampled_from(["hollow", "simplex", "balls"]),
+       n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_row_order_keeps_signature_and_exactness(kind, n, seed):
+    # sketches are a new draw under permutation (eigenvector order and
+    # signs), but the signature and both exact representations are not
+    if kind == "hollow":
+        D = random_hollow(np.random.default_rng(seed), n)
+    elif kind == "simplex":
+        D = as_matrix(gen_simplex(SimplexSpec(n, seed=seed)))
+    else:
+        D = as_matrix(gen_balls(BallSpec(n, seed=seed)))
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    P = D[np.ix_(perm, perm)]
+    base = decompose(center_gram(validate_matrix(D)))
+    dec = decompose(center_gram(validate_matrix(P)))
+    assert (dec.p, dec.q, dec.zero_rank) == (base.p, base.q, base.zero_rank)
+    # criteria 1-2's 1e-6, relative to max |D|
+    tol = 1e-6 * np.abs(D).max()
+    assert np.abs(interval_matrices(embed_pq(dec))[0] - P).max() <= tol
+    assert np.abs(power_representation(dec).reconstruct() - P).max() <= tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the centering overflow
+def test_centering_overflow_is_numerical_error():
+    # every entry is finite, so validation passes, but the row sums of the
+    # centering overflow and B fills with inf and nan
+    D = as_matrix(gen_balls(BallSpec(60, seed=1))) * 1e306
+    assert np.all(np.isfinite(D))
+    for method in METHODS:
+        with pytest.raises(NumericalError, match="not finite"):
+            run_projection(D, method)
+    with pytest.raises(NumericalError, match="not finite"):
+        relational_kmeans(D, 3)

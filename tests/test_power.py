@@ -25,7 +25,6 @@ from dissimjl import (
     power_representation,
     run_projection,
     silhouette_gaussian,
-    silhouette_normalized,
     squared_distances,
     validate_matrix,
 )
@@ -329,21 +328,6 @@ class TestSilhouette:
         near = silhouette_gaussian(GaussianCluster(np.zeros(2), 2.0),
                                    GaussianCluster(np.array([1.0, 0.0]), 2.0))
         assert far > 0.0 > near
-
-    def test_normalized_value_and_bounds(self):
-        a = GaussianCluster(np.zeros(2), 0.5)
-        b = GaussianCluster(np.array([2.0, 0.0]), 0.5)
-        assert_allclose(silhouette_normalized(a, b), 3.0 / 5.0, atol=1e-12)
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = GaussianCluster(rng.standard_normal(3), rng.uniform(0.0, 2.0))
-            b = GaussianCluster(rng.standard_normal(3), rng.uniform(0.0, 2.0))
-            s = silhouette_normalized(a, b)
-            assert -1.0 <= s <= 1.0
-
-    def test_normalized_degenerate_pair_is_minus_one(self):
-        a = GaussianCluster(np.zeros(3), 0.0)
-        assert silhouette_normalized(a, a) == -1.0
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(DissimilarityError, match="nonnegative"):

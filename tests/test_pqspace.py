@@ -11,16 +11,13 @@ from dissimjl import (
     PseudoEuclideanEmbedding,
     center_gram,
     decompose,
-    distortion_factor,
     embed_pq,
-    euclid_interval,
     norm_ratio_sample,
-    pq_interval,
     squared_distances,
     validate_matrix,
 )
 
-from conftest import interval_matrices, random_hollow
+from conftest import band_columns, interval_matrices, random_hollow
 
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 
@@ -29,13 +26,22 @@ def embed(D):
     return embed_pq(decompose(center_gram(validate_matrix(D))))
 
 
+def factors(emb):
+    """The jl-pq band pass's factor column over the pairs i < j, row-major.
+
+    D and Dhat are zero here; the factor reads only the embedding.
+    """
+    zero = np.zeros((emb.n, emb.n))
+    return band_columns("jl-pq", zero, zero, 0.5, emb=emb)["factor"]
+
+
 class TestEmbedPq:
     def test_two_point_single_positive_coordinate(self):
         emb = embed(np.array([[0.0, 2.0], [2.0, 0.0]]))
         assert (emb.p, emb.q) == (1, 0)
         assert_allclose(np.abs(emb.pos_coords).ravel(),
                         [1 / math.sqrt(2)] * 2, atol=1e-12)
-        assert_allclose(pq_interval(emb, 0, 1), 2.0, atol=1e-12)
+        assert_allclose(interval_matrices(emb)[0][0, 1], 2.0, atol=1e-12)
 
     def test_three_point_coordinates_up_to_sign(self):
         emb = embed(THREE_POINT)
@@ -48,11 +54,11 @@ class TestEmbedPq:
                         np.sort([2 / 6, 1 / 6, 1 / 6]), atol=1e-9)
 
     def test_three_point_intervals(self):
-        emb = embed(THREE_POINT)
-        assert_allclose(pq_interval(emb, 0, 1), 1.0, atol=1e-9)
-        assert_allclose(pq_interval(emb, 1, 2), 5.0, atol=1e-9)
-        assert_allclose(euclid_interval(emb, 0, 1), 1.5, atol=1e-9)
-        assert_allclose(euclid_interval(emb, 1, 2), 5.0, atol=1e-9)
+        pq, eu = interval_matrices(embed(THREE_POINT))
+        assert_allclose(pq[0, 1], 1.0, atol=1e-9)
+        assert_allclose(pq[1, 2], 5.0, atol=1e-9)
+        assert_allclose(eu[0, 1], 1.5, atol=1e-9)
+        assert_allclose(eu[1, 2], 5.0, atol=1e-9)
 
     def test_reproduces_random_hollow_matrices(self):
         rng = np.random.default_rng(17)
@@ -73,18 +79,18 @@ class TestEmbedPq:
     def test_all_zero_matrix_gives_empty_embedding(self):
         emb = embed(np.zeros((5, 5)))
         assert (emb.p, emb.q) == (0, 0)
-        assert pq_interval(emb, 0, 3) == 0.0
-        assert euclid_interval(emb, 0, 3) == 0.0
+        pq, eu = interval_matrices(emb)
+        assert not pq.any() and not eu.any()
 
 
 class TestIntervals:
     def test_matrix_forms_match_pairwise_ops(self):
+        # the signed intervals are the embedding's own reconstruction, the
+        # Euclidean ones the squared distances of its signs-discarded rows
         emb = embed(random_hollow(np.random.default_rng(2), 9))
         pq, eu = interval_matrices(emb)
-        for i in range(9):
-            for j in range(9):
-                assert_allclose(pq[i, j], pq_interval(emb, i, j), atol=1e-10)
-                assert_allclose(eu[i, j], euclid_interval(emb, i, j), atol=1e-10)
+        assert_allclose(pq, emb.reconstruct(), atol=1e-10)
+        assert_allclose(eu, squared_distances(emb.coords), atol=1e-10)
 
     def test_euclid_dominates_signed(self):
         pq, eu = interval_matrices(embed(random_hollow(np.random.default_rng(3), 20)))
@@ -92,39 +98,33 @@ class TestIntervals:
 
 
 class TestDistortionFactor:
+    """The factor column of the band pass the jl-pq bound check runs."""
+
     def test_at_least_one(self):
-        emb = embed(random_hollow(np.random.default_rng(5), 16))
-        for i in range(16):
-            for j in range(i + 1, 16):
-                assert distortion_factor(emb, i, j) >= 1.0 - 1e-12
+        factor = factors(embed(random_hollow(np.random.default_rng(5), 16)))
+        assert factor.size == 16 * 15 // 2
+        assert np.all(factor >= 1.0 - 1e-12)
 
     def test_three_point_values(self):
-        emb = embed(THREE_POINT)
-        assert_allclose(distortion_factor(emb, 0, 1), 1.5, atol=1e-9)
-        assert_allclose(distortion_factor(emb, 1, 2), 1.0, atol=1e-9)
+        # pairs (0, 1), (0, 2), (1, 2)
+        factor = factors(embed(THREE_POINT))
+        assert_allclose(factor[[0, 2]], [1.5, 1.0], atol=1e-9)
 
     def test_euclidean_input_factor_is_exactly_one(self):
         X = np.random.default_rng(8).standard_normal((10, 3))
         emb = embed(squared_distances(X))
         assert emb.q == 0
-        for i in range(10):
-            for j in range(i + 1, 10):
-                assert distortion_factor(emb, i, j) == 1.0
+        assert np.all(factors(emb) == 1.0)
 
     def test_null_separation_returns_infinity(self):
         coords = np.array([[0.0], [1.0]])
         emb = PseudoEuclideanEmbedding(coords, coords.copy())
-        assert pq_interval(emb, 0, 1) == 0.0
-        assert distortion_factor(emb, 0, 1) == math.inf
+        assert interval_matrices(emb)[0][0, 1] == 0.0
+        assert factors(emb)[0] == math.inf
 
     def test_coincident_points_give_one(self):
         emb = PseudoEuclideanEmbedding(np.zeros((3, 2)), np.zeros((3, 1)))
-        assert distortion_factor(emb, 0, 1) == 1.0
-
-    def test_same_index_rejected(self):
-        emb = embed(THREE_POINT)
-        with pytest.raises(DissimilarityError, match="i == j"):
-            distortion_factor(emb, 1, 1)
+        assert np.all(factors(emb) == 1.0)
 
 
 class TestNormRatioSample:

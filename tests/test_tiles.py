@@ -187,7 +187,7 @@ def test_scoring_passes_match_whole_matrix(tiles, n):
             got = (check.violation_rate, check.excluded_pairs)
             assert repr(got) == repr(ref_pq_summary(*ref[3:])), name
             cols = band_columns("jl-pq", Dm, Ah, 0.5, emb=emb)
-            names = ("factor", "band_lower", "band_upper", "violated", "excluded")
+            names = ("factor", "band_lower", "band_upper", "violated")
             for col, ref_a in zip(names, ref):
                 assert same(cols[col], ref_a), (name, col)
             ref = ref_power_residual(A, Ah, 0.5)
