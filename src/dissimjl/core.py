@@ -14,9 +14,10 @@ import numpy as np
 
 DEFAULT_TAU_REL = 1e-9
 
-# Elementwise O(n^2) passes run over row tiles of about 1 MB of doubles, and
-# reads of a transpose over square blocks, so each pass stays in cache.
-_TILE_ENTRIES = 2**17
+# Elementwise O(n^2) passes run over row tiles of about 512 KB of doubles,
+# and reads of a transpose over square blocks, so each pass stays in cache.
+# Row tiles nest in bands of _BLOCK rows, the unit of jl-pq's Gram products.
+_TILE_ENTRIES = 2**16
 _BLOCK = 256
 
 
@@ -105,15 +106,18 @@ def center_gram(D) -> np.ndarray:
     symmetric and satisfies B 1 = 0 up to rounding.
     """
     A = as_matrix(D)
-    row = A.mean(axis=1)
-    grand = row.mean()
     B = np.empty(A.shape)
-    for r0, r1 in _row_tiles(A.shape[0]):
-        tile = B[r0:r1]
-        # one symmetric mean term, so both triangles round identically
-        np.subtract(A[r0:r1], row[r0:r1, None] + row[None, :], out=tile)
-        tile += grand
-        tile *= -0.5
+    # finite entries whose sums overflow leave inf and nan in B, which
+    # decompose rejects as a NumericalError; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = A.mean(axis=1)
+        grand = row.mean()
+        for r0, r1 in _row_tiles(A.shape[0]):
+            tile = B[r0:r1]
+            # one symmetric mean term, so both triangles round identically
+            np.subtract(A[r0:r1], row[r0:r1, None] + row[None, :], out=tile)
+            tile += grand
+            tile *= -0.5
     return B
 
 
@@ -203,15 +207,17 @@ def squared_distances(X) -> np.ndarray:
     return D
 
 
-def _tiles(n: int, size: int):
-    """Consecutive index ranges (start, stop) of at most size covering range(n)."""
-    for start in range(0, n, size):
-        yield start, min(n, start + size)
+def _tiles(stop: int, size: int, start: int = 0):
+    """Consecutive index ranges of at most size covering range(start, stop)."""
+    for lo in range(start, stop, size):
+        yield lo, min(stop, lo + size)
 
 
-def _row_tiles(n: int):
-    """Row ranges of an n-column matrix, about _TILE_ENTRIES entries each."""
-    return _tiles(n, max(1, _TILE_ENTRIES // max(n, 1)))
+def _row_tiles(n: int, start: int = 0, stop: int | None = None):
+    """Row ranges of an n-column matrix, about _TILE_ENTRIES entries each,
+    from row start to row stop (the last row by default)."""
+    stop = n if stop is None else stop
+    return _tiles(stop, max(1, _TILE_ENTRIES // max(n, 1)), start)
 
 
 def _blocks(n: int):
@@ -230,14 +236,43 @@ def _upper_rows(n: int):
 
     Yields (block, pairs, tri): the tile's pairs are ``M[block][tri]`` for
     any n x n M, in row-major order, and ``pairs`` is their slice of a
-    vector over all pairs in ``np.triu_indices(n, 1)`` order.
+    vector over all pairs in ``np.triu_indices(n, 1)`` order.  The tiles
+    nest in bands of _BLOCK rows: a tile that would cross a band edge
+    ends there.
     """
     i = np.arange(n + 1)
     offsets = i * n - i * (i + 1) // 2  # row i's pairs start at offsets[i]
     cols = np.arange(n)
-    for r0, r1 in _row_tiles(n):
-        tri = cols[None, r0:] > np.arange(r0, r1)[:, None]
-        yield (slice(r0, r1), slice(r0, n)), slice(offsets[r0], offsets[r1]), tri
+    for b0, b1 in _tiles(n, _BLOCK):
+        for r0, r1 in _row_tiles(n, b0, b1):
+            tri = cols[None, r0:] > np.arange(r0, r1)[:, None]
+            yield (slice(r0, r1), slice(r0, n)), slice(offsets[r0], offsets[r1]), tri
+
+
+def _upper_distances(X):
+    """Squared distances between the rows of X, per tile of _upper_rows.
+
+    Yields one vector per tile, over the tile's pairs in order:
+    s_i + s_j - 2 G_ij clamped at zero, with s the squared row norms and
+    G the Gram product.  G comes from one product X[b0:b1] X[b0:]^T per
+    band of _BLOCK rows, so the products' shapes, and with them their
+    rounding, depend on n and _BLOCK only, never on the tile height.
+    Each tile turns its own rows of the band into distances in place, so
+    only the band is held: no n x n array is formed.
+    """
+    X = np.asarray(X, dtype=float)
+    sq = np.einsum("ij,ij->i", X, X)
+    for (rows, cols), _, tri in _upper_rows(X.shape[0]):
+        r0 = rows.start
+        b0 = r0 - r0 % _BLOCK
+        if r0 == b0:  # release the last band before forming the next
+            tile = band = None
+            band = X[b0:b0 + _BLOCK] @ X[b0:].T
+        tile = band[r0 - b0:rows.stop - b0, r0 - b0:]
+        tile *= -2.0  # exact, so tile + (s_i + s_j) rounds as s_i + s_j - 2 G_ij
+        tile += sq[rows, None] + sq[None, cols]
+        np.maximum(tile, 0.0, out=tile)
+        yield tile[tri]
 
 
 def _abs_max(A: np.ndarray) -> float:

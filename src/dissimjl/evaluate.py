@@ -8,8 +8,7 @@ import numpy as np
 
 from .core import (
     DissimilarityError,
-    _gram,
-    _symmetric_distances,
+    _upper_distances,
     _upper_rows,
     as_matrix,
     center_gram,
@@ -75,35 +74,26 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     - jl-pq (emb): the band around D_ij has half-width epsilon times the
       Euclidean interval, epsilon * factor * |D_ij| wherever the factor is
       finite.  Pairs with an infinite factor are excluded, never
-      violated.  The intervals come from the Gram products of the two
-      signature parts; no n x n interval matrix is formed.
+      violated.  The intervals come from ``_upper_distances`` of the two
+      signature parts: one band product of each per _BLOCK rows, and no
+      n x n array.
     - jl-power (bound): the "residual" beyond the multiplicative band,
       max(0, |Dhat_ij - D_ij| - epsilon |D_ij|), against the additive
       slack "bound".
     - jl: the band D_ij -/+ epsilon |D_ij|.
+
+    The pass keeps no reference to a tile it has yielded, so a consumer
+    that drops each tile holds one at a time.
     """
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
     if method == "jl-pq":
-        (Gp, sp), (Gq, sq) = _gram(emb.pos_coords), _gram(emb.neg_coords)
+        pos, neg = _upper_distances(emb.pos_coords), _upper_distances(emb.neg_coords)
     for block, pairs, tri in _upper_rows(A.shape[0]):
         d, dh = A[block][tri], Ah[block][tri]
         columns = {"dissimilarity": d, "reconstructed": dh}
         if method == "jl-pq":
-            p = _symmetric_distances(Gp, sp, *block)[tri]
-            q = _symmetric_distances(Gq, sq, *block)[tri]
-            pqv, euv = p - q, p + q
-            safe = np.where(pqv != 0.0, pqv, 1.0)
-            factor = np.where(
-                pqv != 0.0,
-                np.abs(euv / safe),
-                np.where(euv == 0.0, 1.0, np.inf),
-            )
-            half = epsilon * euv
-            lower, upper = d - half, d + half
-            violated = ((dh < lower) | (dh > upper)) & np.isfinite(factor)
-            columns.update(factor=factor, band_lower=lower, band_upper=upper,
-                           violated=violated)
+            columns.update(_pq_columns(d, dh, next(pos), next(neg), epsilon))
         elif method == "jl-power":
             residual = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
             columns.update(residual=residual, bound=np.full(d.size, bound),
@@ -113,6 +103,27 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
             columns.update(band_lower=d - half, band_upper=d + half,
                            violated=np.abs(dh - d) > half)
         yield block, pairs, tri, columns
+        del d, dh, columns  # hold no tile while forming the next
+
+
+def _pq_columns(d, dh, p, q, epsilon):
+    """jl-pq's band columns from a tile's P and Q, which it consumes.
+
+    Each temporary is freed or overwritten as soon as it is spent, so the
+    pass holds a few tile vectors beside its two band products.
+    """
+    euv = p + q
+    pqv = np.subtract(p, q, out=p)
+    del p, q
+    factor = np.where(euv == 0.0, 1.0, np.inf)  # where P - Q is zero
+    np.divide(euv, pqv, out=factor, where=pqv != 0.0)
+    np.abs(factor, out=factor)
+    del pqv
+    half = np.multiply(euv, epsilon, out=euv)
+    lower = d - half
+    upper = np.add(d, half, out=half)
+    violated = ((dh < lower) | (dh > upper)) & np.isfinite(factor)
+    return dict(factor=factor, band_lower=lower, band_upper=upper, violated=violated)
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,7 @@ def validate_pq_bound(
         violated += np.count_nonzero(columns["violated"])
         excluded += np.count_nonzero(~np.isfinite(columns["factor"]))
         total += columns["factor"].size
+        del columns  # free this tile before the pass forms the next
     usable = total - excluded
     rate = float(violated / usable) if usable else 0.0
     return PqBoundCheck(rate, int(excluded))
@@ -242,7 +254,7 @@ def _lloyd_euclidean(X, k, seed):
     for it in range(1, _MAX_ITER + 1):
         d2 = (
             sq
-            - 2.0 * X @ centers.T
+            - 2.0 * (X @ centers.T)  # exact doubling, no scaled copy of X
             + np.einsum("ij,ij->i", centers, centers)[None, :]
         )
         new_labels = np.argmin(d2, axis=1)

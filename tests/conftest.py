@@ -13,6 +13,12 @@ The power oracles take the long way round that the library avoids:
 matrices P - Q and P + Q that the tiled bound check never forms, and
 ``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band
 arrays that the bound checks reduce tile by tile.
+
+By default ``ref_pq_bound`` reads P and Q off whole Gram products.  The
+jl-pq band pass forms them from one product per band of rows instead,
+which can round apart in the last bits once n spans more than one band,
+so there the default is an accuracy oracle; tests/test_tiles.py passes
+it band products for a bitwise one.
 """
 
 import numpy as np
@@ -171,10 +177,13 @@ def ref_squared_distances(X):
     return D
 
 
-def ref_pq_bound(A, emb, Ah, epsilon):
-    """(factor, lower, upper, violated, excluded) over ``np.triu_indices`` pairs."""
-    P = ref_squared_distances(emb.pos_coords)
-    Q = ref_squared_distances(emb.neg_coords)
+def ref_pq_bound(A, emb, Ah, epsilon, distances=ref_squared_distances):
+    """(factor, lower, upper, violated, excluded) over ``np.triu_indices`` pairs.
+
+    P and Q are ``distances`` of the two signature parts.
+    """
+    P = distances(emb.pos_coords)
+    Q = distances(emb.neg_coords)
     iu = np.triu_indices(A.shape[0], 1)
     d, dh, pqv, euv = A[iu], Ah[iu], (P - Q)[iu], (P + Q)[iu]
     safe = np.where(pqv != 0.0, pqv, 1.0)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -503,12 +504,13 @@ class TestExitCodes:
         assert main(["project", str(bad)]) == 2
         assert "asymmetric" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the centering overflow
     @pytest.mark.parametrize("method", METHODS)
     def test_centering_overflow_exits_three(self, method, tmp_path, capsys):
         huge = tmp_path / "huge.csv"
         write_matrix(str(huge), gen_balls(BallSpec(60, seed=1)).entries * 1e306)
-        assert main(["project", str(huge), "--method", method]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the one error is the exit code
+            assert main(["project", str(huge), "--method", method]) == 3
         assert "not finite" in capsys.readouterr().err
 
     def test_epsilon_out_of_range(self, simplex_csv):

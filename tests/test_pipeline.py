@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,14 +131,15 @@ def test_row_order_keeps_signature_and_exactness(kind, n, seed):
     assert np.abs(power_representation(dec).reconstruct() - P).max() <= tol
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the centering overflow
 def test_centering_overflow_is_numerical_error():
     # every entry is finite, so validation passes, but the row sums of the
-    # centering overflow and B fills with inf and nan
+    # centering overflow and B fills with inf and nan; numpy must not warn
     D = as_matrix(gen_balls(BallSpec(60, seed=1))) * 1e306
     assert np.all(np.isfinite(D))
-    for method in METHODS:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in METHODS:
+            with pytest.raises(NumericalError, match="not finite"):
+                run_projection(D, method)
         with pytest.raises(NumericalError, match="not finite"):
-            run_projection(D, method)
-    with pytest.raises(NumericalError, match="not finite"):
-        relational_kmeans(D, 3)
+            relational_kmeans(D, 3)

@@ -6,8 +6,15 @@ tile constants are patched small so every size in SIZES starts, ends or
 straddles a tile and a block edge, and every output must match its
 reference bit for bit: the per-tile band columns match the whole band
 arrays, and the bound checks' summaries the reductions of those arrays.
+
+The one exception is jl-pq's P and Q, which come from one Gram product
+per band of _BLOCK rows rather than from whole ones.  Its columns match
+``band_distances`` below bit for bit, and the whole-matrix oracle within
+ULPS units of rounding, with flags that differ only on pairs within that
+bound of a tie.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +23,12 @@ import pytest
 from dissimjl import (
     BallSpec,
     DissimilarityError,
+    SimplexSpec,
     center_gram,
     decompose,
     embed_pq,
     gen_balls,
+    gen_simplex,
     relative_error_stats,
     squared_distances,
     validate_matrix,
@@ -40,6 +49,10 @@ from conftest import (
 
 T = 5
 SIZES = (2, 3, T - 1, T, T + 1, 2 * T + 3)
+PQ_COLUMNS = ("factor", "band_lower", "band_upper", "violated")
+# band and whole Gram products may round apart; measured up to 0.75 units
+# of eps (|x_i|^2 + |x_j|^2) on P and Q together
+ULPS = 4
 
 
 @pytest.fixture(params=[1, T - 1], ids=["rows1", f"rows{T - 1}"])
@@ -116,6 +129,48 @@ def noisy(A, seed):
     return Ah
 
 
+def band_distances(X):
+    """Squared distances from one product X[b0:b1] X[b0:]^T per band.
+
+    The bands have _BLOCK rows.  Only their upper part is filled: the
+    band pass reads the pairs i < j alone.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)
+    D = np.zeros((n, n))
+    for b0 in range(0, n, core._BLOCK):
+        b1 = min(n, b0 + core._BLOCK)
+        G = X[b0:b1] @ X[b0:].T
+        D[b0:b1, b0:] = np.maximum(sq[b0:b1, None] + sq[None, b0:] - 2.0 * G, 0.0)
+    return D
+
+
+def assert_pq_near_whole(A, emb, Ah, epsilon, cols):
+    """jl-pq's P, Q and flags against the whole-matrix oracle.
+
+    P and Q must lie within tol = ULPS eps (|x_i|^2 + |x_j|^2 + |D_ij|)
+    of it, with x_i point i's coordinates in both parts.  The exclusion
+    and violation flags must agree on every pair except where the
+    oracle's |P - Q| or |Dhat - band edge| is within tol.
+    """
+    iu = np.triu_indices(A.shape[0], 1)
+    P = ref_squared_distances(emb.pos_coords)[iu]
+    Q = ref_squared_distances(emb.neg_coords)[iu]
+    s = np.einsum("ij,ij->i", emb.coords, emb.coords)
+    tol = ULPS * np.finfo(float).eps * (s[iu[0]] + s[iu[1]] + np.abs(A[iu]))
+    p, q = (np.concatenate(list(core._upper_distances(X)))
+            for X in (emb.pos_coords, emb.neg_coords))
+    assert np.all(np.abs(p - P) + np.abs(q - Q) <= tol)
+    _, lower, upper, violated, excluded = ref_pq_bound(A, emb, Ah, epsilon)
+    dh = Ah[iu]
+    with np.errstate(invalid="ignore"):  # inf - inf on the noisy entries
+        tie = ((np.abs(P - Q) <= tol) | (np.abs(dh - lower) <= tol)
+               | (np.abs(dh - upper) <= tol))
+    assert np.array_equal(np.isinf(cols["factor"])[~tie], excluded[~tie])
+    assert np.array_equal(cols["violated"][~tie], violated[~tie])
+
+
 def test_inputs_cover_the_awkward_cases():
     n = 2 * T + 3
     data = inputs(n)
@@ -128,8 +183,9 @@ def test_inputs_cover_the_awkward_cases():
 def test_upper_rows_follow_triu_order(tiles, n):
     rows = tiles(n)
     I, J = np.indices((n, n))
-    got_i, got_j, slots = [], [], []
+    got_i, got_j, slots, spans = [], [], [], []
     for block, pairs, tri in core._upper_rows(n):
+        spans.append((block[0].start, block[0].stop))
         got_i.append(I[block][tri])
         got_j.append(J[block][tri])
         slots.append(np.arange(n * (n - 1) // 2)[pairs])
@@ -137,7 +193,10 @@ def test_upper_rows_follow_triu_order(tiles, n):
     assert np.array_equal(np.concatenate(got_i), iu)
     assert np.array_equal(np.concatenate(got_j), ju)
     assert np.array_equal(np.concatenate(slots), np.arange(iu.size))
-    assert len(slots) == -(-n // rows)
+    # tiles of the row count, each cut short at the edge of its T-row band
+    expected = [(r, min(r + rows, b + T, n))
+                for b in range(0, n, T) for r in range(b, min(b + T, n), rows)]
+    assert spans == expected
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -182,14 +241,14 @@ def test_scoring_passes_match_whole_matrix(tiles, n):
             ref = ref_error_stats(A, Ah)
             got = (stats.max_rel, stats.mean_rel, stats.median_rel, stats.excluded_pairs)
             assert repr(got) == repr(ref), name
-            ref = ref_pq_bound(A, emb, Ah, 0.5)
+            ref = ref_pq_bound(A, emb, Ah, 0.5, band_distances)
             check = validate_pq_bound(Dm, emb, Ah, 0.5)
             got = (check.violation_rate, check.excluded_pairs)
             assert repr(got) == repr(ref_pq_summary(*ref[3:])), name
             cols = band_columns("jl-pq", Dm, Ah, 0.5, emb=emb)
-            names = ("factor", "band_lower", "band_upper", "violated")
-            for col, ref_a in zip(names, ref):
+            for col, ref_a in zip(PQ_COLUMNS, ref):
                 assert same(cols[col], ref_a), (name, col)
+            assert_pq_near_whole(A, emb, Ah, 0.5, cols)
             ref = ref_power_residual(A, Ah, 0.5)
             check = validate_power_residual(Dm, 0.7, Ah, 0.5)
             got = (check.max_residual, check.fraction_within)
@@ -197,6 +256,42 @@ def test_scoring_passes_match_whole_matrix(tiles, n):
             cols = band_columns("jl-power", Dm, Ah, 0.5, bound=check.bound)
             assert same(cols["residual"], ref), name
             assert same(cols["violated"], ref > check.bound), name
+
+
+@pytest.mark.parametrize("kind", ["simplex", "balls"])
+def test_pq_band_pass_at_full_block_size(kind, monkeypatch):
+    # bands of the default 256 rows, the last one of 32: the products are
+    # real GEMMs, and on one BLAS thread the balls' exact-zero pairs put
+    # P - Q at the exclusion tie, where 74 factors turn finite or infinite
+    n = 800
+    Dm = gen_simplex(SimplexSpec(n)) if kind == "simplex" else gen_balls(BallSpec(n, seed=1))
+    A = Dm.entries
+    emb = embed_pq(decompose(center_gram(Dm)))
+    Ah = noisy(A, n)
+    ref = ref_pq_bound(A, emb, Ah, 0.5, band_distances)
+    for entries in (core._TILE_ENTRIES, 7 * n):  # tiles of 81 and 7 rows
+        monkeypatch.setattr(core, "_TILE_ENTRIES", entries)
+        cols = band_columns("jl-pq", Dm, Ah, 0.5, emb=emb)
+        for col, ref_a in zip(PQ_COLUMNS, ref):
+            assert same(cols[col], ref_a), (entries, col)
+        assert_pq_near_whole(A, emb, Ah, 0.5, cols)
+
+
+def test_pq_bound_pass_holds_no_square_array():
+    # two band products of 256 x n doubles (4 MiB at n = 1024) and a few
+    # tile vectors; the whole Gram products took 16 MiB
+    n = 1024
+    Dm = gen_balls(BallSpec(n, seed=1))
+    emb = embed_pq(decompose(center_gram(Dm)))
+    assert emb.q > 0
+    Dhat = emb.reconstruct()
+    tracemalloc.start()
+    try:
+        validate_pq_bound(Dm, emb, Dhat, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 @pytest.mark.parametrize("n", SIZES)
