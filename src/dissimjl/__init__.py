@@ -45,6 +45,7 @@ from .pipeline import METHODS, RunResult, report_dict, run_projection
 from .power import (
     GaussianCluster,
     PowerRepresentation,
+    decompose_power,
     power_distance,
     power_radius,
     power_representation,
@@ -92,6 +93,7 @@ __all__ = [
     "as_matrix",
     "center_gram",
     "decompose",
+    "decompose_power",
     "embed_pq",
     "gaussian_map",
     "gen_balls",

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .core import (
     DissimilarityError,
     NumericalError,
     as_matrix,
+    center_gram,
+    decompose,
     validate_matrix,
 )
 from .datagen import (
@@ -52,13 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """Load a headerless CSV matrix."""
+    """Load a headerless CSV matrix; a file with no values is a data error."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty or blank file: reported below, as an error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            A = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise DissimilarityError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DissimilarityError(f"cannot parse {path} as a CSV matrix: {exc}") from exc
+    if A.size == 0:
+        raise DissimilarityError(f"{path} holds no data")
+    return A
 
 
 def write_matrix(path: str | None, D) -> None:
@@ -126,11 +135,13 @@ def cmd_ingest_graph(args) -> int:
     return EXIT_OK
 
 
-def _run_from_args(args):
+def _run_from_args(args, D=None):
+    """run_projection on the command's matrix, read here unless given as D."""
     config = ProjectionConfig(
         epsilon=args.epsilon, dim_constant=args.const, seed=args.seed
     )
-    D = validate_matrix(read_matrix(args.matrix))
+    if D is None:
+        D = validate_matrix(read_matrix(args.matrix))
     # kmeans has no --radius-override
     radius = getattr(args, "radius_override", None)
     return run_projection(D, args.method, config, radius_override=radius)
@@ -213,17 +224,22 @@ def cmd_kmeans(args) -> int:
         raise DissimilarityError(f"--k must be >= 1, got {args.k}")
     if args.restarts < 1:
         raise DissimilarityError(f"--restarts must be >= 1, got {args.restarts}")
-    result = _run_from_args(args)
-    D = result.matrix
-    embedding = result.embedding
-    if embedding is None:  # jl-power projects power centers instead
-        embedding = embed_pq(result.decomposition)
-    original = kmeans_projected(
-        D, embedding.pos_coords, args.k, seed=args.seed, restarts=args.restarts
-    )
-    projected = kmeans_projected(
-        D, result.coords, args.k, seed=args.seed, restarts=args.restarts
-    )
+    D = validate_matrix(read_matrix(args.matrix))
+
+    def cluster(coords):
+        return kmeans_projected(D, coords, args.k, seed=args.seed,
+                                restarts=args.restarts)
+
+    # the baseline clusters the positive part of D's signed embedding;
+    # jl-power's run keeps no eigenvectors, so on that route the baseline
+    # is decomposed and clustered first, and its eigh buffers are gone
+    # before the run's centers and reconstruction exist
+    if args.method == "jl-power":
+        original = cluster(embed_pq(decompose(center_gram(D))).pos_coords)
+    result = _run_from_args(args, D)
+    if args.method != "jl-power":
+        original = cluster(result.embedding.pos_coords)
+    projected = cluster(result.coords)
     ratio = None
     if original.cost != 0.0:
         ratio = projected.cost / original.cost
@@ -321,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     for scored in (project, validate):
         scored.add_argument(
             "--radius-override", type=float, default=None,
-            help="replace the minimal power radius (jl-power only); values below "
+            help="replace the default power radius (jl-power only); values below "
             "the minimum make the shifted matrix non-Euclidean and fail",
         )
 

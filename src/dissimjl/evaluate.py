@@ -12,10 +12,9 @@ from .core import (
     _upper_rows,
     as_matrix,
     center_gram,
-    decompose,
     validate_matrix,
 )
-from .power import power_representation
+from .power import decompose_power
 from .pqspace import PseudoEuclideanEmbedding
 
 DEFAULT_RESTARTS = 10
@@ -240,8 +239,8 @@ def relational_kmeans(
     relational cost, indefinite or not.
     """
     Dm = validate_matrix(as_matrix(D))
-    centers = power_representation(decompose(center_gram(Dm))).centers
-    return kmeans_projected(Dm, centers, k, seed, restarts)
+    _, rep = decompose_power(center_gram(Dm))
+    return kmeans_projected(Dm, rep.centers, k, seed, restarts)
 
 
 def _lloyd_euclidean(X, k, seed):

@@ -22,7 +22,7 @@ from .evaluate import (
     validate_power_residual,
     validate_pq_bound,
 )
-from .power import PowerRepresentation, power_representation
+from .power import PowerRepresentation, decompose_power
 from .projection import (
     ProjectionConfig,
     project_classical,
@@ -91,9 +91,11 @@ def run_projection(
     method is one of "jl" (classical projection of the signs-discarded
     embedding), "jl-pq" (independent projections of the signature
     parts), or "jl-power" (projection of power-representation centers).
-    radius_override replaces the minimal radius on the power route;
-    values below it leave the shifted matrix non-Euclidean, which is a
-    data error.
+    radius_override replaces the default radius on the power route,
+    which sits just above the minimum (see ``decompose_power``); values
+    below the minimum leave the shifted matrix non-Euclidean, which is a
+    data error.  On that route the result's decomposition holds no
+    eigenvectors, unless the radius is 0 or at the minimum.
     """
     if method not in METHODS:
         raise DissimilarityError(
@@ -102,18 +104,18 @@ def run_projection(
     if config is None:
         config = ProjectionConfig()
     Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
-    dec = decompose(center_gram(Dm))
     embedding = None
     representation = None
-    if method == "jl":
-        embedding = embed_pq(dec)
-        projected = project_classical(embedding.coords, config)
-    elif method == "jl-pq":
-        embedding = embed_pq(dec)
-        projected = project_pq(embedding, config)
-    else:
-        representation = power_representation(dec, radius_override)
+    if method == "jl-power":
+        dec, representation = decompose_power(center_gram(Dm), radius_override)
         projected = project_power(representation, config)
+    else:
+        dec = decompose(center_gram(Dm))
+        embedding = embed_pq(dec)
+        if method == "jl":
+            projected = project_classical(embedding.coords, config)
+        else:
+            projected = project_pq(embedding, config)
     unscored = RunResult(
         method=method,
         config=config,

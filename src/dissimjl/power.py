@@ -3,13 +3,16 @@
 Any symmetric hollow D becomes Euclidean after shifting every
 off-diagonal entry by 4r^2 with 2r^2 >= |e_n| (e_n the most negative
 Gram eigenvalue).  Points are then balls (center, r) and D is
-reproduced by the generalized power distance.  The centers are B's
-eigenvectors scaled by sqrt(lambda + 2r^2), so their Gram matrix is
-B + 2r^2 I.  It differs from Gram(E) = B + 2r^2 C (the constant-shift
-embedding of Roth et al., IEEE TPAMI 2003) only along the all-ones
-direction, which no center difference sees: E is never formed and never
-decomposed.  The same bilinear form doubles as the closed-form silhouette
-gap of two isotropic Gaussian clusters, :func:`silhouette_gaussian`.
+reproduced by the generalized power distance.  Any centers whose Gram
+matrix is B + 2r^2 I do: it differs from Gram(E) = B + 2r^2 C (the
+constant-shift embedding of Roth et al., IEEE TPAMI 2003) only along
+the all-ones direction, which no center difference sees, so E is never
+formed and never decomposed.  :func:`decompose_power` takes the centers
+from one Cholesky factorization of B + 2r^2 I, and needs only B's
+eigenvalues to choose r; :func:`power_representation` reads them off
+B's eigenvectors, which a radius that leaves a direction at zero needs.
+The same bilinear form doubles as the closed-form silhouette gap of two
+isotropic Gaussian clusters, :func:`silhouette_gaussian`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .core import (
     DEFAULT_TAU_REL,
     DissimilarityError,
     GramDecomposition,
+    NumericalError,
+    decompose,
     squared_distances,
 )
 
@@ -101,29 +106,18 @@ def power_radius(dec: GramDecomposition) -> float:
     return math.sqrt(-e_n / 2.0)
 
 
-def power_representation(
-    dec: GramDecomposition, radius: float | None = None
-) -> PowerRepresentation:
-    """Centers plus common radius reproducing the matrix behind dec.
+def _shifted_spectrum(dec: GramDecomposition, radius: float):
+    """(mu, tol): the Gram eigenvalues mu = lambda + 2r^2 of the centers and
+    the tolerance at or below which a direction carries no center length.
 
-    The matrix D behind dec comes back as power distances.  The radius
-    defaults to :func:`power_radius`; an explicit smaller value leaves
-    the shifted matrix E = D + 4r^2 (J - I) non-Euclidean and raises, a
-    larger one works and changes only the split between center geometry
-    and radius.
-
-    The centers are B's eigenvectors scaled by sqrt(lambda_k + 2r^2).
-    Their Gram B + 2r^2 I differs from Gram(E) = B + 2r^2 C by
-    2r^2 11^T / n, which no difference e_i - e_j sees; for r > 0 it adds
-    the all-ones direction to the span of E's classical scaling.
+    Raises DissimilarityError for a radius that is negative, not finite, or
+    below the minimum: some mu clearly negative.
     """
-    if radius is None:
-        radius = power_radius(dec)
     if not (math.isfinite(radius) and radius >= 0.0):
         raise DissimilarityError(
             f"radius must be nonnegative and finite, got {radius}"
         )
-    lam, U = dec.eigenvalues, dec.eigenvectors
+    lam = dec.eigenvalues
     mu = lam + 2.0 * radius**2
     # relative to B's spectrum too, which moves the threshold only for a
     # radius below the minimum: from it up, |mu|_max >= |lam|_max
@@ -133,10 +127,78 @@ def power_representation(
             f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "
             f"below {-10.0 * tol:.6g}"
         )
+    return mu, tol
+
+
+def power_representation(
+    dec: GramDecomposition, radius: float | None = None
+) -> PowerRepresentation:
+    """Centers plus common radius reproducing the matrix behind dec.
+
+    The matrix D behind dec comes back as power distances.  The radius
+    defaults to :func:`power_radius`; an explicit smaller value leaves
+    the shifted matrix E = D + 4r^2 (J - I) non-Euclidean and raises, a
+    larger one works and changes only the split between center geometry
+    and radius.  dec must hold eigenvectors.
+
+    The centers are B's eigenvectors scaled by sqrt(lambda_k + 2r^2),
+    dropping the directions where that is within the tolerance of zero.
+    Their Gram B + 2r^2 I differs from Gram(E) = B + 2r^2 C by
+    2r^2 11^T / n, which no difference e_i - e_j sees; for r > 0 it adds
+    the all-ones direction to the span of E's classical scaling.
+    """
+    if dec.eigenvectors is None:
+        raise DissimilarityError("the decomposition holds no eigenvectors")
+    if radius is None:
+        radius = power_radius(dec)
+    mu, tol = _shifted_spectrum(dec, radius)
     keep = mu > tol
-    centers = U[:, keep]
+    centers = dec.eigenvectors[:, keep]
     centers *= np.sqrt(mu[keep])
     return PowerRepresentation(centers, float(radius))
+
+
+def decompose_power(
+    B, radius: float | None = None
+) -> tuple[GramDecomposition, PowerRepresentation]:
+    """B's decomposition and the power representation of the matrix behind it.
+
+    B is the centered Gram matrix (the output of
+    :func:`~dissimjl.core.center_gram`) and is overwritten.  Only B's
+    eigenvalues are computed; they give the signature, tau and the
+    radius.  The radius defaults to r^2 = -e_n / 2 + m, just above the
+    minimum: the margin m = 1e-9 (e_1 - e_n) is the tolerance at which
+    :func:`power_representation` drops a direction at the minimal radius,
+    and B + 2r^2 I has smallest eigenvalue 2m, about twice the tolerance
+    at the new radius.  The centers are the Cholesky factor L of
+    B + 2r^2 I, formed from B with its diagonal shifted in place: L L^T
+    is the centers' Gram, so they reproduce D as power distances, in n
+    dimensions.  The returned decomposition holds no eigenvectors.
+
+    A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
+    on Euclidean input, or an explicit radius at the minimum) has no
+    Cholesky factor.  Then B is decomposed again with its eigenvectors,
+    and the results are those of :func:`~dissimjl.core.decompose` and
+    :func:`power_representation`.
+    """
+    B = np.asarray(B, dtype=float)
+    dec = decompose(B, vectors=False)
+    r = radius
+    if r is None:
+        r = power_radius(dec)
+        if r > 0.0:
+            lam = dec.eigenvalues
+            r = math.sqrt(r**2 + DEFAULT_TAU_REL * float(lam[0] - lam[-1]))
+    mu, tol = _shifted_spectrum(dec, r)
+    if mu.min() <= tol:
+        dec = decompose(B)
+        return dec, power_representation(dec, radius)
+    B.flat[:: B.shape[0] + 1] += 2.0 * r**2
+    try:
+        centers = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    return dec, PowerRepresentation(centers, float(r))
 
 
 def silhouette_gaussian(a: GaussianCluster, b: GaussianCluster) -> float:

@@ -73,10 +73,14 @@ def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
         dissimilarity matrix behind ``dec``.
     """
     lam, U = dec.eigenvalues, dec.eigenvectors
+    if U is None:
+        raise DissimilarityError("the decomposition holds no eigenvectors")
     pos = lam > dec.tau
     neg = lam < -dec.tau
-    pos_coords = U[:, pos] * np.sqrt(lam[pos])
-    neg_coords = U[:, neg] * np.sqrt(-lam[neg])
+    pos_coords = U[:, pos]  # fancy indexing copies, so scale in place
+    pos_coords *= np.sqrt(lam[pos])
+    neg_coords = U[:, neg]
+    neg_coords *= np.sqrt(-lam[neg])
     return PseudoEuclideanEmbedding(pos_coords, neg_coords)
 
 

@@ -8,7 +8,8 @@ independent derivations instead of the code with itself.
 The power oracles take the long way round that the library avoids:
 ``euclideanize`` forms the shifted matrix E = D + 4r^2 (J - I) and
 ``recover_centers`` runs a second eigendecomposition on it, where
-``power_representation`` reads the centers off B's own eigenpairs.
+``power_representation`` reads the centers off B's own eigenpairs and
+``decompose_power`` factors B + 2r^2 I.
 ``interval_matrices`` builds the whole signed and Euclidean interval
 matrices P - Q and P + Q that the tiled bound check never forms, and
 ``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band
@@ -28,6 +29,7 @@ from dissimjl import (
     as_matrix,
     center_gram,
     decompose,
+    graph_hops,
     squared_distances,
 )
 from dissimjl.evaluate import _band_tiles
@@ -39,6 +41,17 @@ def random_hollow(rng, n, scale=1.0):
     A = 0.5 * (A + A.T)
     np.fill_diagonal(A, 0.0)
     return A
+
+
+def grid_hops(k):
+    """Hop counts of a k x k grid: Euclidean, with a null block of rank >> 1."""
+    edges = []
+    for v in range(k * k):
+        if (v + 1) % k:
+            edges.append((v, v + 1))
+        if v + k < k * k:
+            edges.append((v, v + k))
+    return graph_hops(edges)
 
 
 def dense_gram_oracle(D):

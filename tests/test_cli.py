@@ -439,6 +439,17 @@ class TestKMeans:
                      "--out-report", str(path)]) == 0
         assert load_json(str(path))["method"] == method
 
+    def test_baseline_is_the_same_on_every_route(self, simplex_csv, tmp_path):
+        # the baseline clusters D's signed embedding; jl-power's run holds no
+        # eigenvectors, so its command decomposes D for it on its own
+        costs = set()
+        for method in METHODS:
+            path = tmp_path / f"{method}.json"
+            assert main(["kmeans", simplex_csv, "--k", "3", "--method", method,
+                         "--out-report", str(path)]) == 0
+            costs.add(load_json(str(path))["original_cost"])
+        assert len(costs) == 1
+
     def test_single_cluster(self, blobs_csv, tmp_path):
         path = tmp_path / "km.json"
         assert main(["kmeans", blobs_csv, "--k", "1",
@@ -492,6 +503,20 @@ class TestExitCodes:
         bad.write_text("1,frog\n2,3\n")
         assert main(["project", str(bad)]) == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("command", ["project", "validate", "kmeans"])
+    def test_matrix_file_without_data(self, command, text, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        argv = [command, str(empty), "--method", "jl"]
+        if command == "kmeans":
+            argv += ["--k", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's no-data warning included
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {empty} holds no data\n"
 
     def test_nonsquare_matrix(self, tmp_path):
         bad = tmp_path / "rect.csv"

@@ -5,15 +5,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dissimjl import (
+    BallSpec,
     DissimilarityError,
     NumericalError,
+    SimplexSpec,
     center_gram,
     decompose,
+    gen_balls,
+    gen_simplex,
     squared_distances,
     validate_matrix,
 )
 
-from conftest import dense_gram_oracle, pairwise_sq_oracle, random_hollow
+from conftest import dense_gram_oracle, grid_hops, pairwise_sq_oracle, random_hollow
 
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 
@@ -176,6 +180,41 @@ class TestDecompose:
             scale * base.eigenvalues,
             atol=1e-9 * scale * np.abs(base.eigenvalues).max(),
         )
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+# Gram matrices whose eigh spectrum has no exact tie, and two that do: the
+# alpha = 0 simplex (32 tied neighbours in eigh's output at n = 50) and zero
+ORDER_CASES = {
+    "simplex": (lambda: center_gram(gen_simplex(SimplexSpec(120, seed=3))), False),
+    "balls": (lambda: center_gram(gen_balls(BallSpec(120, seed=3))), False),
+    "grid": (lambda: center_gram(grid_hops(8)), False),
+    "simplex-alpha-0": (
+        lambda: center_gram(gen_simplex(SimplexSpec(50, alpha=0.0, seed=0))), True
+    ),
+    "zero": (lambda: np.zeros((6, 6)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_descending_order_is_the_stable_sort_bitwise(name):
+    # tied eigenvalues keep their vectors in the solver's order, so a
+    # reversal would differ from the stable sort exactly on the tied inputs
+    make, tied = ORDER_CASES[name]
+    B = make()
+    lam, U = np.linalg.eigh(B)
+    assert bool(np.any(lam[:-1] == lam[1:])) == tied
+    order = np.argsort(-lam, kind="stable")
+    dec = decompose(B)
+    assert bits(dec.eigenvalues) == bits(lam[order])
+    assert bits(dec.eigenvectors) == bits(U[:, order])
+    alone = np.linalg.eigvalsh(B)
+    assert bits(decompose(B, vectors=False).eigenvalues) == bits(
+        alone[np.argsort(-alone, kind="stable")]
+    )
 
 
 class TestSquaredDistances:

@@ -16,10 +16,10 @@ from dissimjl import (
     as_matrix,
     center_gram,
     decompose,
+    decompose_power,
     embed_pq,
     gen_balls,
     gen_simplex,
-    graph_hops,
     power_distance,
     power_radius,
     power_representation,
@@ -30,7 +30,13 @@ from dissimjl import (
 )
 from dissimjl.cli import main, write_matrix
 
-from conftest import euclideanize, mc_silhouette, random_hollow, recover_centers
+from conftest import (
+    euclideanize,
+    grid_hops,
+    mc_silhouette,
+    random_hollow,
+    recover_centers,
+)
 
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 
@@ -166,17 +172,6 @@ class TestPowerRepresentation:
             power_representation(decomposed(THREE_POINT), radius)
 
 
-def grid_hops(k):
-    """Hop counts of a k x k grid: Euclidean, with a null block of rank >> 1."""
-    edges = []
-    for v in range(k * k):
-        if (v + 1) % k:
-            edges.append((v, v + 1))
-        if v + k < k * k:
-            edges.append((v, v + k))
-    return graph_hops(edges)
-
-
 def max_rel_offdiag(E, Ehat):
     iu = np.triu_indices(E.shape[0], 1)
     e, eh = E[iu], Ehat[iu]
@@ -288,28 +283,132 @@ def test_euclidean_input_centers_are_the_pq_coordinates(name):
     assert np.array_equal(res.representation.centers, emb.pos_coords)
 
 
+SPECTRUM_CASES = {
+    "simplex": lambda: gen_simplex(SimplexSpec(120, seed=3)),
+    "balls": lambda: gen_balls(BallSpec(120, seed=3)),
+    "random": lambda: random_hollow(np.random.default_rng(12), 40),
+    "grid": lambda: grid_hops(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
+def test_eigenvalues_alone_give_the_same_signature(name):
+    B = center_gram(validate_matrix(as_matrix(SPECTRUM_CASES[name]())))
+    full, alone = decompose(B), decompose(B, vectors=False)
+    assert alone.eigenvectors is None
+    assert (alone.p, alone.q, alone.zero_rank) == (full.p, full.q, full.zero_rank)
+    assert_allclose(alone.tau, full.tau, rtol=1e-12)
+    assert_allclose(alone.eigenvalues, full.eigenvalues,
+                    atol=1e-12 * np.abs(full.eigenvalues).max())
+
+
+class TestCholeskyCenters:
+    """decompose_power on non-Euclidean input: eigenvalues, then one Cholesky."""
+
+    @pytest.mark.parametrize("name", ["simplex", "balls", "random"])
+    def test_centers_reproduce_d_just_above_the_minimal_radius(self, name):
+        D = validate_matrix(as_matrix(SPECTRUM_CASES[name]()))
+        B = center_gram(D)
+        full = decompose(B)
+        dec, rep = decompose_power(B)
+        assert dec.eigenvectors is None and rep.dim == D.n
+        assert np.abs(rep.reconstruct() - D.entries).max() <= (
+            1e-12 * np.abs(D.entries).max())
+        # r^2 = -e_n / 2 + m with the margin m = 1e-9 (e_1 - e_n)
+        lam = full.eigenvalues
+        r_min = power_radius(full)
+        assert rep.radius >= r_min
+        margin = DEFAULT_TAU_REL * (lam[0] - lam[-1])
+        assert_allclose(rep.radius**2 - r_min**2, margin, rtol=1e-6)
+        # so the radius grows by about 1e-9 (1 + e_1 / |e_n|) relative: below
+        # 1e-8 while e_1 < 9 |e_n| (6.3 on balls here, 10.5 on balls n=120
+        # seed 0, whose gap is 1.15e-8)
+        gap = rep.radius / r_min - 1.0
+        assert gap <= 1.01e-9 * (1.0 - lam[0] / lam[-1])
+        assert gap <= 1e-8
+
+    def test_centers_are_the_cholesky_factor(self):
+        D = validate_matrix(random_hollow(np.random.default_rng(17), 25))
+        B = center_gram(D)
+        dec, rep = decompose_power(B.copy(), radius=3.0)
+        assert rep.radius == 3.0
+        assert np.array_equal(rep.centers, np.tril(rep.centers))
+        gram = B + 2.0 * 3.0**2 * np.eye(D.n)
+        assert_allclose(rep.centers @ rep.centers.T, gram,
+                        atol=1e-12 * np.abs(gram).max())
+
+    def test_gram_matrix_is_shifted_in_place(self):
+        B = center_gram(random_hollow(np.random.default_rng(18), 12))
+        before = B.copy()
+        _, rep = decompose_power(B)
+        off = ~np.eye(12, dtype=bool)
+        assert np.array_equal(B[off], before[off])
+        assert np.array_equal(np.diag(B), np.diag(before) + 2.0 * rep.radius**2)
+
+    def test_override_at_the_minimal_radius_takes_eigh(self):
+        D = validate_matrix(random_hollow(np.random.default_rng(19), 30))
+        full = decompose(center_gram(D))
+        r_min = power_radius(full)
+        dec, rep = decompose_power(center_gram(D), r_min)
+        # the direction of e_n has no length left, so it is dropped
+        assert dec.eigenvectors is not None
+        assert rep.radius == r_min and rep.dim == D.n - 1
+        assert np.array_equal(rep.centers, power_representation(full, r_min).centers)
+        assert np.abs(rep.reconstruct() - D.entries).max() <= (
+            1e-12 * np.abs(D.entries).max())
+        res = run_projection(D, "jl-power", radius_override=r_min)
+        assert res.representation.radius == r_min
+        assert res.decomposition.eigenvectors is not None
+
+    def test_vectorless_decomposition_has_no_eigenvector_route(self):
+        dec = decompose(center_gram(THREE_POINT), vectors=False)
+        with pytest.raises(DissimilarityError, match="no eigenvectors"):
+            power_representation(dec)
+        with pytest.raises(DissimilarityError, match="no eigenvectors"):
+            embed_pq(dec)
+
+
 class TestSingleEigendecomposition:
+    """LAPACK calls of one jl-power run: eigenvalues plus one Cholesky factor,
+    or eigh after the eigenvalues where the radius leaves a direction at 0."""
+
     @pytest.fixture()
-    def eigh_calls(self, monkeypatch):
-        calls = []
-        real = np.linalg.eigh
+    def solver_calls(self, monkeypatch):
+        calls = dict.fromkeys(("eigh", "eigvalsh", "cholesky"), 0)
+        for name in calls:
+            def counting(*args, _real=getattr(np.linalg, name), _name=name,
+                         **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         return calls
 
-    @pytest.mark.parametrize("radius_override", [None, 5.0])
-    def test_run_projection_calls_eigh_once(self, eigh_calls, radius_override):
-        D = random_hollow(np.random.default_rng(14), 30)
-        run_projection(D, "jl-power", radius_override=radius_override)
-        assert len(eigh_calls) == 1
+    # (input, radius override, (eigh, eigvalsh, cholesky) calls); "minimum"
+    # overrides with power_radius, at which B + 2r^2 I is singular
+    CASES = {
+        "default": ("hollow", None, (0, 1, 1)),
+        "override": ("hollow", 5.0, (0, 1, 1)),
+        "euclidean": ("grid", None, (1, 1, 0)),
+        "override-at-minimum": ("hollow", "minimum", (1, 1, 0)),
+    }
 
-    def test_power_representation_calls_eigh_once(self, eigh_calls):
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_projection_solver_calls(self, solver_calls, case):
+        kind, radius, expected = self.CASES[case]
+        if kind == "grid":
+            D = grid_hops(8)
+        else:
+            D = validate_matrix(random_hollow(np.random.default_rng(14), 30))
+        if radius == "minimum":
+            radius = power_radius(decompose(center_gram(D), vectors=False))
+            solver_calls.update(dict.fromkeys(solver_calls, 0))
+        run_projection(D, "jl-power", radius_override=radius)
+        assert tuple(solver_calls.values()) == expected
+
+    def test_power_representation_calls_eigh_once(self, solver_calls):
         power_representation(decomposed(random_hollow(np.random.default_rng(15), 30)))
-        assert len(eigh_calls) == 1
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
 
 
 class TestSilhouette:
