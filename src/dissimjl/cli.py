@@ -231,8 +231,8 @@ def cmd_kmeans(args) -> int:
                                 restarts=args.restarts)
 
     # the baseline clusters the positive part of D's signed embedding;
-    # jl-power's run keeps no eigenvectors, so on that route the baseline
-    # is decomposed and clustered first, and its eigh buffers are gone
+    # jl-power's run builds none, so on that route the baseline is
+    # decomposed and clustered first, and its eigh buffers are gone
     # before the run's centers and reconstruction exist
     if args.method == "jl-power":
         original = cluster(embed_pq(decompose(center_gram(D))).pos_coords)

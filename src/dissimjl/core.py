@@ -16,7 +16,7 @@ DEFAULT_TAU_REL = 1e-9
 
 # Elementwise O(n^2) passes run over row tiles of about 512 KB of doubles,
 # and reads of a transpose over square blocks, so each pass stays in cache.
-# Row tiles nest in bands of _BLOCK rows, the unit of jl-pq's Gram products.
+# Row tiles nest in bands of _BLOCK rows, the unit of every Gram product.
 _TILE_ENTRIES = 2**16
 _BLOCK = 256
 
@@ -57,7 +57,7 @@ def validate_matrix(raw) -> DissimilarityMatrix:
 
     Parameters
     ----------
-    raw : array_like
+    raw : array_like or DissimilarityMatrix
         Square matrix of finite values, symmetric with zero diagonal up
         to a tolerance of ``1e-9 * |raw|_max``.
 
@@ -73,7 +73,7 @@ def validate_matrix(raw) -> DissimilarityMatrix:
         On wrong shape, non-finite entries, asymmetry, or a nonzero
         diagonal, naming the first offending index.
     """
-    A = np.asarray(raw, dtype=float)
+    A = as_matrix(raw)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DissimilarityError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
@@ -205,17 +205,10 @@ def squared_distances(X) -> np.ndarray:
 
     Returns a symmetric hollow matrix; tiny negative values from
     cancellation are clamped to zero.  A zero-column input (no
-    coordinates) gives the all-zero matrix.  After the one Gram product
-    X X^T, the distances are formed, clamped and averaged with their
-    transpose block by block, in place in the Gram buffer.
+    coordinates) gives the all-zero matrix.  The distances come from
+    one Gram product per band of _BLOCK rows (see :func:`_pair_matrix`).
     """
-    D, sq = _gram(X)
-    for rows, cols in _blocks(D.shape[0]):
-        block = _symmetric_distances(D, sq, rows, cols)
-        D[rows, cols] = block
-        D[cols, rows] = block.T
-    np.fill_diagonal(D, 0.0)
-    return D
+    return _pair_matrix(X)
 
 
 def _tiles(stop: int, size: int, start: int = 0):
@@ -286,6 +279,32 @@ def _upper_distances(X):
         yield tile[tri]
 
 
+def _pair_matrix(pos, neg=None, shift: float = 0.0) -> np.ndarray:
+    """n x n matrix of P - Q - shift off the diagonal, zero on it.
+
+    P and Q are the squared distances between the rows of pos and of neg
+    (no neg: Q = 0), taken tile by tile from :func:`_upper_distances`.
+    Q's tiles are staged in the upper triangle first, so one band product
+    is held at a time.  Each pair's value is then formed once and written
+    to (i, j) and (j, i): the result is exactly symmetric, and it is the
+    only n x n array formed.
+    """
+    pos = np.asarray(pos, dtype=float)
+    n = pos.shape[0]
+    out = np.empty((n, n))
+    if neg is not None:
+        for q, ((rows, cols), _, tri) in zip(_upper_distances(neg), _upper_rows(n)):
+            out[rows, cols][tri] = q
+    for d, ((rows, cols), _, tri) in zip(_upper_distances(pos), _upper_rows(n)):
+        if neg is not None:
+            d -= out[rows, cols][tri]
+        d -= shift
+        out[rows, cols][tri] = d
+        out[cols, rows].T[tri] = d
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def _abs_max(A: np.ndarray) -> float:
     """max |A|, nan if A holds a nan."""
     return float(np.max([np.abs(A[r0:r1]).max() for r0, r1 in _row_tiles(A.shape[0])]))
@@ -306,25 +325,3 @@ def _asymmetry(A: np.ndarray, out: np.ndarray | None = None) -> float:
             out[rows, cols] = avg
             out[cols, rows] = avg.T
     return float(np.max(gaps))
-
-
-def _gram(X):
-    """(X X^T, squared row norms) for the rows of X."""
-    X = np.asarray(X, dtype=float)
-    return X @ X.T, np.einsum("ij,ij->i", X, X)
-
-
-def _distances(G, sq, rows, cols) -> np.ndarray:
-    """sq_i + sq_j - 2 G_ij on one block of a Gram matrix, clamped at zero."""
-    D = sq[rows, None] + sq[None, cols]
-    D -= 2.0 * G[rows, cols]
-    return np.maximum(D, 0.0, out=D)
-
-
-def _symmetric_distances(G, sq, rows, cols) -> np.ndarray:
-    """Clamped squared distances on the block (rows, cols), averaged with the
-    transposed block (cols, rows), so the two triangles agree exactly."""
-    D = _distances(G, sq, rows, cols)
-    D += _distances(G, sq, cols, rows).T
-    D *= 0.5
-    return D

@@ -238,7 +238,7 @@ def relational_kmeans(
     Euclidean Lloyd on the centers converges and descends on D's own
     relational cost, indefinite or not.
     """
-    Dm = validate_matrix(as_matrix(D))
+    Dm = validate_matrix(D)
     _, rep = decompose_power(center_gram(Dm))
     return kmeans_projected(Dm, rep.centers, k, seed, restarts)
 

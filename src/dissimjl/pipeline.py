@@ -94,8 +94,8 @@ def run_projection(
     radius_override replaces the default radius on the power route,
     which sits just above the minimum (see ``decompose_power``); values
     below the minimum leave the shifted matrix non-Euclidean, which is a
-    data error.  On that route the result's decomposition holds no
-    eigenvectors, unless the radius is 0 or at the minimum.
+    data error.  The result's decomposition keeps the spectrum only: its
+    eigenvectors are dropped once the representation is built.
     """
     if method not in METHODS:
         raise DissimilarityError(
@@ -108,14 +108,17 @@ def run_projection(
     representation = None
     if method == "jl-power":
         dec, representation = decompose_power(center_gram(Dm), radius_override)
-        projected = project_power(representation, config)
     else:
         dec = decompose(center_gram(Dm))
         embedding = embed_pq(dec)
-        if method == "jl":
-            projected = project_classical(embedding.coords, config)
-        else:
-            projected = project_pq(embedding, config)
+    # the representation copied all the run reads of the eigenvectors
+    dec = replace(dec, eigenvectors=None)
+    if method == "jl-power":
+        projected = project_power(representation, config)
+    elif method == "jl":
+        projected = project_classical(embedding.coords, config)
+    else:
+        projected = project_pq(embedding, config)
     unscored = RunResult(
         method=method,
         config=config,

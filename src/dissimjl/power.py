@@ -11,8 +11,9 @@ formed and never decomposed.  :func:`decompose_power` takes the centers
 from one Cholesky factorization of B + 2r^2 I, and needs only B's
 eigenvalues to choose r; :func:`power_representation` reads them off
 B's eigenvectors, which a radius that leaves a direction at zero needs.
-The same bilinear form doubles as the closed-form silhouette gap of two
-isotropic Gaussian clusters, :func:`silhouette_gaussian`.
+``projection.reconstruct`` forms the power distances of projected
+centers.  The same bilinear form doubles as the closed-form silhouette
+gap of two isotropic Gaussian clusters, :func:`silhouette_gaussian`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     GramDecomposition,
     NumericalError,
     decompose,
-    squared_distances,
 )
 
 
@@ -52,13 +52,6 @@ class PowerRepresentation:
     @property
     def coords(self) -> np.ndarray:
         return self.centers
-
-    def reconstruct(self) -> np.ndarray:
-        """Power distances: squared center distances minus 4 r^2 off the diagonal."""
-        D = squared_distances(self.centers)
-        D -= 4.0 * self.radius**2
-        np.fill_diagonal(D, 0.0)
-        return D
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Points live in R^(p+q) equipped with the indefinite form
 <u, v> = sum_1^p u_i v_i - sum_{p+1}^{p+q} u_i v_i.  The embedding built
 from a Gram decomposition reproduces any symmetric hollow matrix exactly
-as signed squared intervals.  The per-pair distortion factor, Euclidean
-over signed interval, is a column of the jl-pq band pass in evaluate.
+as signed squared intervals, which ``projection.reconstruct`` forms as
+P - Q for a projected embedding.  The per-pair distortion factor,
+Euclidean over signed interval, is a column of the jl-pq band pass in
+evaluate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DissimilarityError, GramDecomposition, squared_distances
+from .core import DissimilarityError, GramDecomposition
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,6 @@ class PseudoEuclideanEmbedding:
         measured against.
         """
         return np.hstack([self.pos_coords, self.neg_coords])
-
-    def reconstruct(self) -> np.ndarray:
-        """Signed squared intervals P - Q, symmetric with a zero diagonal."""
-        D = squared_distances(self.pos_coords)
-        D -= squared_distances(self.neg_coords)
-        np.fill_diagonal(D, 0.0)
-        return D
 
 
 def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:

@@ -7,9 +7,12 @@ representation to its own type: signed embeddings project their
 positive and negative parts with independent maps into separate copies
 of R^m; power representations project their centers as the jl route
 projects plain rows and carry the radius through unchanged.  Each
-projected representation rebuilds its dissimilarities with its
-``reconstruct()`` method and exposes its coordinate rows as ``coords``;
-plain coordinate rows reconstruct as squared distances.
+projected representation exposes its coordinate rows as ``coords``.
+:func:`reconstruct` rebuilds the dissimilarities of any projection as
+P - Q - 4r^2 from one band pass of Gram products, the pass
+``squared_distances`` runs: P holds the squared distances of the plain
+rows, the positive part or the centers, Q those of the negative part,
+and r is the power radius (Q and r are zero where there is none).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DissimilarityError, squared_distances
+from .core import DissimilarityError, _pair_matrix
 from .power import PowerRepresentation
 from .pqspace import PseudoEuclideanEmbedding
 
@@ -108,9 +111,13 @@ def reconstruct(projected) -> np.ndarray:
     """Dissimilarity matrix induced by a projection, symmetric and hollow.
 
     Plain coordinate rows (the jl route) give squared Euclidean
-    distances; a representation gives its own ``reconstruct()``.
+    distances, a signed embedding its signed squared intervals P - Q, and
+    a power representation its power distances: squared center distances
+    minus 4 r^2.  Every route forms them in one band pass.
     """
     # perfbench/run.py times this stage by name on the jl and jl-pq routes
-    if isinstance(projected, np.ndarray):
-        return squared_distances(projected)
-    return projected.reconstruct()
+    if isinstance(projected, PseudoEuclideanEmbedding):
+        return _pair_matrix(projected.pos_coords, projected.neg_coords)
+    if isinstance(projected, PowerRepresentation):
+        return _pair_matrix(projected.centers, shift=4.0 * projected.radius**2)
+    return _pair_matrix(projected)

@@ -220,15 +220,24 @@ class TestProject:
             "power_residual_max", "bound_4er2", "fraction_within", "radius"
         }
 
-    def test_out_matrix_matches_library_run(self, simplex_csv, tmp_path):
+    @pytest.mark.parametrize("block", [core._BLOCK, 5], ids=["bands256", "bands5"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_out_matrix_matches_library_run(
+        self, method, block, simplex_csv, tmp_path, monkeypatch
+    ):
+        # bands of 5 rows put band edges inside the 12 x 12 reconstruction
+        monkeypatch.setattr(core, "_BLOCK", block)
         out = tmp_path / "rec.csv"
-        assert main(["project", simplex_csv, "--method", "jl-pq",
+        assert main(["project", simplex_csv, "--method", method,
                      "--seed", "5", "--out-matrix", str(out),
                      "--out-report", str(tmp_path / "r.json")]) == 0
         result = run_projection(
-            read_matrix(simplex_csv), "jl-pq", ProjectionConfig(seed=5)
+            read_matrix(simplex_csv), method, ProjectionConfig(seed=5)
         )
-        assert np.array_equal(read_matrix(str(out)), result.reconstructed)
+        written = read_matrix(str(out))
+        assert np.array_equal(written, result.reconstructed)
+        assert np.array_equal(written, written.T)
+        assert not np.diag(written).any()
 
     def test_deterministic_across_runs(self, simplex_csv, tmp_path):
         paths = [tmp_path / "r1.json", tmp_path / "r2.json"]

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from dissimjl import (
     BallSpec,
     DissimilarityError,
+    DissimilarityMatrix,
     NumericalError,
     SimplexSpec,
     center_gram,
@@ -63,6 +64,15 @@ class TestValidateMatrix:
         small = np.array([[0.0, 1.0], [1.0 + 1e-5, 0.0]])
         with pytest.raises(DissimilarityError):
             validate_matrix(small)
+
+    def test_accepts_a_validated_matrix(self):
+        # gen_simplex returns a DissimilarityMatrix, not an array
+        D = gen_simplex(SimplexSpec(12, seed=2))
+        out = validate_matrix(D)
+        assert np.array_equal(out.entries, D.entries)
+        broken = DissimilarityMatrix(np.zeros((2, 3)))
+        with pytest.raises(DissimilarityError, match="square"):
+            validate_matrix(broken)
 
 
 class TestCenterGram:

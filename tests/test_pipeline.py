@@ -22,6 +22,7 @@ from dissimjl import (
     gen_balls,
     gen_simplex,
     power_representation,
+    reconstruct,
     relational_kmeans,
     run_projection,
     validate_matrix,
@@ -128,7 +129,7 @@ def test_row_order_keeps_signature_and_exactness(kind, n, seed):
     # criteria 1-2's 1e-6, relative to max |D|
     tol = 1e-6 * np.abs(D).max()
     assert np.abs(interval_matrices(embed_pq(dec))[0] - P).max() <= tol
-    assert np.abs(power_representation(dec).reconstruct() - P).max() <= tol
+    assert np.abs(reconstruct(power_representation(dec)) - P).max() <= tol
 
 
 def test_centering_overflow_is_numerical_error():

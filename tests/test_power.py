@@ -23,6 +23,7 @@ from dissimjl import (
     power_distance,
     power_radius,
     power_representation,
+    reconstruct,
     run_projection,
     silhouette_gaussian,
     squared_distances,
@@ -277,8 +278,9 @@ EUCLIDEAN_CASES = {
 @pytest.mark.parametrize("name", sorted(EUCLIDEAN_CASES))
 def test_euclidean_input_centers_are_the_pq_coordinates(name):
     """At r = 0 the power centers are embed_pq's coordinates, bit for bit."""
-    res = run_projection(EUCLIDEAN_CASES[name](), "jl-power")
-    emb = embed_pq(res.decomposition)
+    D = validate_matrix(EUCLIDEAN_CASES[name]())
+    res = run_projection(D, "jl-power")
+    emb = embed_pq(decompose(center_gram(D)))
     assert res.representation.radius == 0.0 and emb.q == 0
     assert np.array_equal(res.representation.centers, emb.pos_coords)
 
@@ -312,7 +314,7 @@ class TestCholeskyCenters:
         full = decompose(B)
         dec, rep = decompose_power(B)
         assert dec.eigenvectors is None and rep.dim == D.n
-        assert np.abs(rep.reconstruct() - D.entries).max() <= (
+        assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
         # r^2 = -e_n / 2 + m with the margin m = 1e-9 (e_1 - e_n)
         lam = full.eigenvalues
@@ -354,11 +356,14 @@ class TestCholeskyCenters:
         assert dec.eigenvectors is not None
         assert rep.radius == r_min and rep.dim == D.n - 1
         assert np.array_equal(rep.centers, power_representation(full, r_min).centers)
-        assert np.abs(rep.reconstruct() - D.entries).max() <= (
+        assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
         res = run_projection(D, "jl-power", radius_override=r_min)
         assert res.representation.radius == r_min
-        assert res.decomposition.eigenvectors is not None
+        # the run keeps the spectrum only; its centers are eigh's
+        assert res.decomposition.eigenvectors is None
+        assert np.array_equal(res.representation.centers,
+                              power_representation(full, r_min).centers)
 
     def test_vectorless_decomposition_has_no_eigenvector_route(self):
         dec = decompose(center_gram(THREE_POINT), vectors=False)

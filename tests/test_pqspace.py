@@ -13,6 +13,7 @@ from dissimjl import (
     decompose,
     embed_pq,
     norm_ratio_sample,
+    reconstruct,
     squared_distances,
     validate_matrix,
 )
@@ -89,7 +90,7 @@ class TestIntervals:
         # Euclidean ones the squared distances of its signs-discarded rows
         emb = embed(random_hollow(np.random.default_rng(2), 9))
         pq, eu = interval_matrices(emb)
-        assert_allclose(pq, emb.reconstruct(), atol=1e-10)
+        assert_allclose(pq, reconstruct(emb), atol=1e-10)
         assert_allclose(eu, squared_distances(emb.coords), atol=1e-10)
 
     def test_euclid_dominates_signed(self):

@@ -210,7 +210,7 @@ class TestReconstruct:
     def test_projected_pq_is_signed_difference(self):
         rng = np.random.default_rng(11)
         pos, neg = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
-        D = PseudoEuclideanEmbedding(pos, neg).reconstruct()
+        D = reconstruct(PseudoEuclideanEmbedding(pos, neg))
         expected = pairwise_sq_oracle(pos) - pairwise_sq_oracle(neg)
         np.fill_diagonal(expected, 0.0)
         assert_allclose(D, expected, atol=1e-10)
@@ -219,7 +219,7 @@ class TestReconstruct:
 
     def test_projected_power_subtracts_radius_term(self):
         centers = np.random.default_rng(12).standard_normal((6, 3))
-        D = PowerRepresentation(centers, 1.5).reconstruct()
+        D = reconstruct(PowerRepresentation(centers, 1.5))
         expected = pairwise_sq_oracle(centers) - 9.0
         np.fill_diagonal(expected, 0.0)
         assert_allclose(D, expected, atol=1e-10)
@@ -233,18 +233,9 @@ class TestReconstruct:
         emb = embed_pq(dec)
         cfg = ProjectionConfig(seed=5)
         via_classical = squared_distances(project_classical(emb.pos_coords, cfg))
-        via_pq = project_pq(emb, cfg).reconstruct()
+        via_pq = reconstruct(project_pq(emb, cfg))
         assert np.array_equal(via_classical, via_pq)
         rep = power_representation(dec)
         assert rep.radius == 0.0
-        via_power = project_power(rep, cfg).reconstruct()
+        via_power = reconstruct(project_power(rep, cfg))
         assert_allclose(via_power, via_classical, atol=1e-10)
-
-    def test_function_defers_to_representation(self):
-        rng = np.random.default_rng(14)
-        emb = PseudoEuclideanEmbedding(
-            rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
-        )
-        rep = PowerRepresentation(rng.standard_normal((5, 4)), 0.75)
-        assert np.array_equal(reconstruct(emb), emb.reconstruct())
-        assert np.array_equal(reconstruct(rep), rep.reconstruct())

@@ -7,11 +7,12 @@ straddles a tile and a block edge, and every output must match its
 reference bit for bit: the per-tile band columns match the whole band
 arrays, and the bound checks' summaries the reductions of those arrays.
 
-The one exception is jl-pq's P and Q, which come from one Gram product
-per band of _BLOCK rows rather than from whole ones.  Its columns match
-``band_distances`` below bit for bit, and the whole-matrix oracle within
-ULPS units of rounding, with flags that differ only on pairs within that
-bound of a tie.
+The one exception is squared distances, which come from one Gram
+product per band of _BLOCK rows rather than from a whole one: jl-pq's P
+and Q, ``squared_distances`` and every route's reconstruction.  They
+match ``band_distances`` below bit for bit, and the whole-matrix oracle
+within ULPS units of rounding; jl-pq's flags differ from it only on
+pairs within that bound of a tie.
 """
 
 import tracemalloc
@@ -23,13 +24,17 @@ import pytest
 from dissimjl import (
     BallSpec,
     DissimilarityError,
+    ProjectionConfig,
     SimplexSpec,
     center_gram,
     decompose,
     embed_pq,
     gen_balls,
     gen_simplex,
+    project_pq,
+    reconstruct,
     relative_error_stats,
+    run_projection,
     squared_distances,
     validate_matrix,
     validate_power_residual,
@@ -146,6 +151,21 @@ def band_distances(X):
     return D
 
 
+def mirrored(V):
+    """V's strict upper triangle, copied to both triangles; zero diagonal."""
+    iu = np.triu_indices(V.shape[0], 1)
+    out = np.zeros(V.shape)
+    out[iu] = out.T[iu] = V[iu]
+    return out
+
+
+def assert_near_whole_distances(D, X):
+    """D within ULPS eps (|x_i|^2 + |x_j|^2) of the whole-matrix oracle."""
+    s = np.einsum("ij,ij->i", X, X)
+    tol = ULPS * np.finfo(float).eps * (s[:, None] + s[None, :])
+    assert np.all(np.abs(D - ref_squared_distances(X)) <= tol)
+
+
 def assert_pq_near_whole(A, emb, Ah, epsilon, cols):
     """jl-pq's P, Q and flags against the whole-matrix oracle.
 
@@ -214,19 +234,41 @@ def test_squared_distances_match_whole_matrix(tiles, n):
     X = np.random.default_rng(n).standard_normal((n, 7))
     strided = (np.hstack([X, X])[:, ::2], np.vstack([X, X])[::2])
     for Y in (X, np.asfortranarray(X), *strided, X[:, :0]):
-        assert same(squared_distances(Y), ref_squared_distances(Y))
+        D = squared_distances(Y)
+        assert same(D, mirrored(band_distances(Y)))
+        assert_near_whole_distances(D, Y)
 
 
 def test_squared_distances_average_an_inexact_gram(tiles):
     # numpy multiplies this column-strided X by its transpose through a
-    # general product, which need not round (i, j) and (j, i) alike
+    # general product, which need not round (i, j) and (j, i) alike; each
+    # pair is formed once, from its upper entry, and mirrored
     n = 150
     tiles(n)
     X = np.random.default_rng(0).standard_normal((n, 40))
     Y = np.hstack([X, X])[:, ::2]
     D = squared_distances(Y)
-    assert same(D, ref_squared_distances(Y))
+    assert same(D, mirrored(band_distances(Y)))
+    assert_near_whole_distances(D, Y)
     assert np.array_equal(D, D.T)
+
+
+@pytest.mark.parametrize("method", ["jl", "jl-pq", "jl-power"])
+@pytest.mark.parametrize("n", SIZES)
+def test_reconstruct_matches_band_oracle(tiles, method, n):
+    # P - Q - 4r^2 from band products, whatever the tile height
+    tiles(n)
+    for name, raw in inputs(n).items():
+        res = run_projection(raw, method)
+        x = res.projected
+        if method == "jl":
+            ref = band_distances(x)
+        elif method == "jl-pq":
+            ref = band_distances(x.pos_coords) - band_distances(x.neg_coords)
+        else:
+            ref = band_distances(x.centers) - 4.0 * x.radius**2
+        assert same(res.reconstructed, mirrored(ref)), name
+        assert same(reconstruct(x), res.reconstructed), name
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -284,7 +326,7 @@ def test_pq_bound_pass_holds_no_square_array():
     Dm = gen_balls(BallSpec(n, seed=1))
     emb = embed_pq(decompose(center_gram(Dm)))
     assert emb.q > 0
-    Dhat = emb.reconstruct()
+    Dhat = reconstruct(emb)
     tracemalloc.start()
     try:
         validate_pq_bound(Dm, emb, Dhat, 0.5)
@@ -292,6 +334,23 @@ def test_pq_bound_pass_holds_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def test_pq_reconstruct_holds_one_square_array():
+    # D-hat, one band product of 256 x n doubles (a quarter of D-hat at
+    # n = 1024) and a few tile vectors: 1.41 D-hat, where a whole Q took
+    # 2.26
+    n = 1024
+    emb = embed_pq(decompose(center_gram(gen_balls(BallSpec(n, seed=1)))))
+    projected = project_pq(emb, ProjectionConfig())
+    assert projected.p > 0 and projected.q > 0
+    tracemalloc.start()
+    try:
+        reconstruct(projected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 @pytest.mark.parametrize("n", SIZES)
