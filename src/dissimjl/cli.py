@@ -35,9 +35,14 @@ from .datagen import (
     graph_hops,
     parse_edge_list,
 )
-from .evaluate import DEFAULT_RESTARTS, _band_tiles, kmeans_projected
-from .pipeline import METHODS, _scored, report_dict, run_projection
-from .projection import DEFAULT_DIM_CONSTANT, DEFAULT_EPSILON, ProjectionConfig
+from .evaluate import DEFAULT_RESTARTS, kmeans_projected
+from .pipeline import METHODS, _project, _scored_pass, report_dict, run_projection
+from .projection import (
+    DEFAULT_DIM_CONSTANT,
+    DEFAULT_EPSILON,
+    ProjectionConfig,
+    reconstruct,
+)
 from .pqspace import embed_pq
 
 EXIT_OK = 0
@@ -135,8 +140,9 @@ def cmd_ingest_graph(args) -> int:
     return EXIT_OK
 
 
-def _run_from_args(args, D=None):
-    """run_projection on the command's matrix, read here unless given as D."""
+def _run_from_args(args, run, D=None):
+    """run (run_projection, or _project unscored) on the command's matrix,
+    read here unless given as D."""
     config = ProjectionConfig(
         epsilon=args.epsilon, dim_constant=args.const, seed=args.seed
     )
@@ -144,57 +150,52 @@ def _run_from_args(args, D=None):
         D = validate_matrix(read_matrix(args.matrix))
     # kmeans has no --radius-override
     radius = getattr(args, "radius_override", None)
-    return run_projection(D, args.method, config, radius_override=radius)
+    return run(D, args.method, config, radius_override=radius)
 
 
 def cmd_project(args) -> int:
     started = time.monotonic()
-    result = _run_from_args(args)
+    result = _run_from_args(args, run_projection)
     if args.out_matrix:
         write_matrix(args.out_matrix, result.reconstructed)
     _write_report(args, "project", started, report_dict(result))
     return EXIT_OK
 
 
-def _pair_rows(result, picked):
+def _pair_rows(tiles, picked):
     """Per-pair plot records as CSV text: the header line, then row blocks.
 
-    Rows exist only for the ``picked`` positions of the upper triangle
-    (row-major, i < j, sorted).  evaluate's band pass for the run's route
-    walks the upper triangle in row tiles; each tile's picked positions
-    take their i and j from the tile and their values from its columns,
-    and are formatted as one block with one row format.  So
-    ``validate --sample N`` formats N rows, and the full table is never
-    held as text at once.  The columns after ratio are the band pass's
-    route columns, named by its first tile.
+    tiles is the run's band pass (evaluate's ``_band_tiles``), which
+    walks the upper triangle in row tiles; it is read to the end.  Rows
+    exist only for the ``picked`` positions of the upper triangle
+    (row-major, i < j, sorted).  Each tile's picked positions take their
+    i and j from the tile's rows and their values from its columns, and
+    are formatted as one block with one row format.  So ``validate
+    --sample N`` formats N rows, and the full table is never held as text
+    at once.  Each tile is dropped before the pass forms the next, so the
+    pass and its readers hold one tile at a time.  The columns after
+    ratio are the band pass's route columns, named by its first tile.
     """
-    power_check = result.power_check
-    tiles = _band_tiles(
-        result.method,
-        result.matrix,
-        result.reconstructed,
-        result.config.epsilon,
-        emb=result.embedding,
-        bound=None if power_check is None else power_check.bound,
-    )
     route = None
-    for block, pairs, tri, columns in tiles:
+    for (rows, cols), pairs, _, columns in tiles:
         if route is None:
             route = list(columns)[2:]  # after dissimilarity and reconstructed
             yield ",".join(["i,j,dissimilarity,reconstructed,ratio", *route]) + "\n"
             row = "%d,%d" + ",%.10g" * (len(route) + 2) + ",%d\n"
         lo, hi = np.searchsorted(picked, (pairs.start, pairs.stop))
-        if lo == hi:
+        at = picked[lo:hi]
+        d, dh, *values = [column[at - pairs.start] for column in columns.values()]
+        del columns  # hold no tile while the pass forms the next
+        if at.size == 0:
             continue
-        at = picked[lo:hi] - pairs.start
-        i, j = np.nonzero(tri)
-        d, dh = columns["dissimilarity"][at], columns["reconstructed"][at]
+        # row r's pairs (r, r + 1), ... start at position r n - r (r + 1) / 2
+        r = np.arange(rows.start, rows.stop)
+        starts = r * cols.stop - r * (r + 1) // 2
+        i = r[np.searchsorted(starts, at, side="right") - 1]
+        j = at - starts[i - rows.start] + i + 1
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = dh / d
-        table = np.column_stack(
-            (i[at] + block[0].start, j[at] + block[1].start, d, dh, ratio)
-            + tuple(columns[name][at] for name in route)
-        )
+        table = np.column_stack((i, j, d, dh, ratio, *values))
         yield (row * at.size) % tuple(table.ravel().tolist())
 
 
@@ -202,18 +203,25 @@ def cmd_validate(args) -> int:
     started = time.monotonic()
     if args.sample is not None and args.sample < 1:
         raise DissimilarityError(f"--sample must be >= 1, got {args.sample}")
-    result = _run_from_args(args)
+    result = _run_from_args(args, _project)
     if args.identity_debug:
         # bypass the projection: score the matrix against itself so the
         # whole reporting path can be checked for spurious violations
-        result = _scored(result, result.matrix.entries)
+        Dhat = result.matrix.entries
+    else:
+        Dhat = reconstruct(result.projected)
     n = result.matrix.n
     npairs = n * (n - 1) // 2
     picked = np.arange(npairs)
     if args.sample is not None and args.sample < npairs:
         rng = np.random.default_rng(args.seed)
         picked = np.sort(rng.choice(npairs, size=args.sample, replace=False))
-    _write_text(args.out_csv, _pair_rows(result, picked))
+
+    def write_rows(tiles):
+        _write_text(args.out_csv, _pair_rows(tiles, picked))
+
+    # one band pass scores the run and writes its pair rows
+    result = _scored_pass(result, Dhat, write_rows)
     _write_report(args, "validate", started, report_dict(result))
     return EXIT_OK
 
@@ -233,10 +241,11 @@ def cmd_kmeans(args) -> int:
     # the baseline clusters the positive part of D's signed embedding;
     # jl-power's run builds none, so on that route the baseline is
     # decomposed and clustered first, and its eigh buffers are gone
-    # before the run's centers and reconstruction exist
+    # before the run's centers exist.  The report reads no reconstruction,
+    # stats or check, so the run is not scored.
     if args.method == "jl-power":
         original = cluster(embed_pq(decompose(center_gram(D))).pos_coords)
-    result = _run_from_args(args, D)
+    result = _run_from_args(args, _project, D)
     if args.method != "jl-power":
         original = cluster(result.embedding.pos_coords)
     projected = cluster(result.coords)
@@ -252,6 +261,8 @@ def cmd_kmeans(args) -> int:
         "original_cost": original.cost,
         "projected_cost": projected.cost,
         "cost_ratio": ratio,
+        "original_iterations": original.iterations,
+        "projected_iterations": projected.iterations,
     })
     return EXIT_OK
 

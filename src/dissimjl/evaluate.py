@@ -82,7 +82,10 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     - jl: the band D_ij -/+ epsilon |D_ij|.
 
     The pass keeps no reference to a tile it has yielded, so a consumer
-    that drops each tile holds one at a time.
+    that drops each tile before asking for the next holds one at a time.
+    One pass can feed several consumers that way: ``validate`` folds each
+    tile into the route's check (:func:`_tally`) and writes its sampled
+    pair rows from it before the next tile is formed.
     """
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
@@ -97,10 +100,12 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
             residual = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
             columns.update(residual=residual, bound=np.full(d.size, bound),
                            violated=residual > bound)
+            del residual
         else:
             half = epsilon * np.abs(d)
             columns.update(band_lower=d - half, band_upper=d + half,
                            violated=np.abs(dh - d) > half)
+            del half
         yield block, pairs, tri, columns
         del d, dh, columns  # hold no tile while forming the next
 
@@ -138,24 +143,6 @@ class PqBoundCheck:
     excluded_pairs: int
 
 
-def validate_pq_bound(
-    D, emb: PseudoEuclideanEmbedding, Dhat, epsilon: float
-) -> PqBoundCheck:
-    """Check a reconstruction against the factor-widened band of D.
-
-    The band pass is reduced to counts tile by tile.
-    """
-    violated = excluded = total = 0
-    for *_, columns in _band_tiles("jl-pq", D, Dhat, epsilon, emb=emb):
-        violated += np.count_nonzero(columns["violated"])
-        excluded += np.count_nonzero(~np.isfinite(columns["factor"]))
-        total += columns["factor"].size
-        del columns  # free this tile before the pass forms the next
-    usable = total - excluded
-    rate = float(violated / usable) if usable else 0.0
-    return PqBoundCheck(rate, int(excluded))
-
-
 @dataclass(frozen=True)
 class PowerResidualCheck:
     """Summary of the power route's residuals beyond the multiplicative band.
@@ -170,6 +157,81 @@ class PowerResidualCheck:
     bound: float
 
 
+def _slack(epsilon: float, radius: float) -> float:
+    """The power route's additive slack 4 epsilon r^2."""
+    return 4.0 * epsilon * radius**2
+
+
+def _tally(method, columns) -> tuple:
+    """One band tile's share of the route's check, as plain numbers.
+
+    jl-pq: (violated, excluded, pairs); jl-power: (largest residual,
+    pairs within the bound, pairs); jl, which has no check: ().  No array
+    of the tile outlives the call.
+    """
+    if method == "jl-pq":
+        factor = columns["factor"]
+        return (np.count_nonzero(columns["violated"]),
+                np.count_nonzero(~np.isfinite(factor)), factor.size)
+    if method == "jl-power":
+        residual = columns["residual"]
+        return (residual.max(initial=0.0),
+                np.count_nonzero(residual <= columns["bound"]), residual.size)
+    return ()
+
+
+def _check(method, tallies, bound=None):
+    """The route's check summary, folded over its band tiles' tallies.
+
+    A ``PqBoundCheck`` on jl-pq, a ``PowerResidualCheck`` against the
+    slack bound on jl-power, and None on jl.  tallies may be a generator:
+    it is read once, in order.
+    """
+    if method == "jl-pq":
+        violated = excluded = total = 0
+        for tile_violated, tile_excluded, pairs in tallies:
+            violated += tile_violated
+            excluded += tile_excluded
+            total += pairs
+        usable = total - excluded
+        rate = float(violated / usable) if usable else 0.0
+        return PqBoundCheck(rate, int(excluded))
+    if method == "jl-power":
+        tops, within, total = [0.0], 0, 0
+        for top, tile_within, pairs in tallies:
+            tops.append(top)
+            within += tile_within
+            total += pairs
+        return PowerResidualCheck(
+            float(np.max(tops)), float(within / total) if total else 1.0, bound
+        )
+    return None
+
+
+def _fold(method, tiles, bound=None):
+    """The route's check summary, folded over the tiles of one band pass.
+
+    Each tile is dropped before the pass forms the next.
+    """
+
+    def tallies():
+        for *_, columns in tiles:
+            yield _tally(method, columns)
+            del columns  # free this tile before the pass forms the next
+
+    return _check(method, tallies(), bound)
+
+
+def validate_pq_bound(
+    D, emb: PseudoEuclideanEmbedding, Dhat, epsilon: float
+) -> PqBoundCheck:
+    """Check a reconstruction against the factor-widened band of D.
+
+    The band pass is reduced to counts tile by tile.
+    """
+    return _fold("jl-pq", _band_tiles("jl-pq", D, Dhat, epsilon, emb=emb))
+
+
 def validate_power_residual(
     D, radius: float, Dhat, epsilon: float
 ) -> PowerResidualCheck:
@@ -177,16 +239,9 @@ def validate_power_residual(
 
     The residual pass is reduced to a maximum and a count tile by tile.
     """
-    bound = 4.0 * epsilon * radius**2
-    tops, within, total = [0.0], 0, 0
-    for *_, columns in _band_tiles("jl-power", D, Dhat, epsilon, bound=bound):
-        residual = columns["residual"]
-        tops.append(residual.max(initial=0.0))
-        within += np.count_nonzero(residual <= bound)
-        total += residual.size
-    return PowerResidualCheck(
-        float(np.max(tops)), float(within / total) if total else 1.0, bound
-    )
+    bound = _slack(epsilon, radius)
+    tiles = _band_tiles("jl-power", D, Dhat, epsilon, bound=bound)
+    return _fold("jl-power", tiles, bound)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ from .evaluate import (
     ErrorStats,
     PowerResidualCheck,
     PqBoundCheck,
+    _band_tiles,
+    _check,
+    _slack,
+    _tally,
     relative_error_stats,
     validate_power_residual,
     validate_pq_bound,
@@ -38,7 +42,11 @@ METHODS = ("jl", "jl-pq", "jl-power")
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a projection run produced."""
+    """Everything a projection run produced.
+
+    A run that is not scored (``_project``) has no reconstructed, stats
+    or checks: they are None.
+    """
 
     method: str
     config: ProjectionConfig
@@ -46,8 +54,8 @@ class RunResult:
     decomposition: GramDecomposition
     out_dim: int
     projected: object
-    reconstructed: np.ndarray
-    stats: ErrorStats
+    reconstructed: np.ndarray | None
+    stats: ErrorStats | None
     embedding: PseudoEuclideanEmbedding | None = None
     representation: PowerRepresentation | None = None
     pq_check: PqBoundCheck | None = None
@@ -61,41 +69,68 @@ class RunResult:
         return self.projected.coords
 
 
-def _scored(result: RunResult, Dhat) -> RunResult:
-    """result with reconstruction Dhat, its stats and bound check redone."""
-    D, epsilon = result.matrix, result.config.epsilon
-    pq_check = power_check = None
-    if result.method == "jl-pq":
-        pq_check = validate_pq_bound(D, result.embedding, Dhat, epsilon)
-    elif result.method == "jl-power":
-        power_check = validate_power_residual(
-            D, result.representation.radius, Dhat, epsilon
-        )
+def _with_scores(result: RunResult, Dhat, stats, check) -> RunResult:
+    """result with reconstruction Dhat, its stats and the route's check."""
     return replace(
         result,
         reconstructed=Dhat,
-        stats=relative_error_stats(D, Dhat),
-        pq_check=pq_check,
-        power_check=power_check,
+        stats=stats,
+        pq_check=check if result.method == "jl-pq" else None,
+        power_check=check if result.method == "jl-power" else None,
     )
 
 
-def run_projection(
+def _scored(result: RunResult, Dhat) -> RunResult:
+    """result with reconstruction Dhat, its stats and bound check redone."""
+    D, epsilon = result.matrix, result.config.epsilon
+    check = None
+    if result.method == "jl-pq":
+        check = validate_pq_bound(D, result.embedding, Dhat, epsilon)
+    elif result.method == "jl-power":
+        check = validate_power_residual(
+            D, result.representation.radius, Dhat, epsilon
+        )
+    return _with_scores(result, Dhat, relative_error_stats(D, Dhat), check)
+
+
+def _scored_pass(result: RunResult, Dhat, consume) -> RunResult:
+    """result scored on Dhat as by ``_scored``, from a band pass consume reads.
+
+    consume is given the route's band tiles (see ``_band_tiles``) and must
+    read them to the end, dropping each tile before it asks for the next.
+    Every tile is tallied for the route's check on its way through, so a
+    reader of the pass's pair columns and the check share one pass, which
+    holds one tile at a time.
+    """
+    D, epsilon, method = result.matrix, result.config.epsilon, result.method
+    bound = None
+    if method == "jl-power":
+        bound = _slack(epsilon, result.representation.radius)
+    tallies = []
+
+    def tallied():
+        for tile in _band_tiles(
+            method, D, Dhat, epsilon, emb=result.embedding, bound=bound
+        ):
+            tallies.append(_tally(method, tile[-1]))
+            yield tile
+            del tile  # hold no tile while the pass forms the next
+
+    consume(tallied())
+    stats = relative_error_stats(D, Dhat)
+    return _with_scores(result, Dhat, stats, _check(method, tallies, bound))
+
+
+def _project(
     D,
     method: str,
     config: ProjectionConfig | None = None,
     radius_override: float | None = None,
 ) -> RunResult:
-    """Validate, embed, project, reconstruct, and score one matrix.
+    """Validate, decompose, represent and project one matrix, unscored.
 
-    method is one of "jl" (classical projection of the signs-discarded
-    embedding), "jl-pq" (independent projections of the signature
-    parts), or "jl-power" (projection of power-representation centers).
-    radius_override replaces the default radius on the power route,
-    which sits just above the minimum (see ``decompose_power``); values
-    below the minimum leave the shifted matrix non-Euclidean, which is a
-    data error.  The result's decomposition keeps the spectrum only: its
-    eigenvectors are dropped once the representation is built.
+    The arguments are those of :func:`run_projection`; the result has no
+    reconstruction, stats or check.  ``kmeans`` reads no more than this.
     """
     if method not in METHODS:
         raise DissimilarityError(
@@ -119,7 +154,7 @@ def run_projection(
         projected = project_classical(embedding.coords, config)
     else:
         projected = project_pq(embedding, config)
-    unscored = RunResult(
+    return RunResult(
         method=method,
         config=config,
         matrix=Dm,
@@ -131,7 +166,32 @@ def run_projection(
         embedding=embedding,
         representation=representation,
     )
-    return _scored(unscored, reconstruct(projected))
+
+
+def run_projection(
+    D,
+    method: str,
+    config: ProjectionConfig | None = None,
+    radius_override: float | None = None,
+) -> RunResult:
+    """Validate, embed, project, reconstruct, and score one matrix.
+
+    method is one of "jl" (classical projection of the signs-discarded
+    embedding), "jl-pq" (independent projections of the signature
+    parts), or "jl-power" (projection of power-representation centers).
+    radius_override replaces the default radius on the power route,
+    which sits just above the minimum (see ``decompose_power``); values
+    below the minimum leave the shifted matrix non-Euclidean, which is a
+    data error.  The result's decomposition keeps the spectrum only: its
+    eigenvectors are dropped once the representation is built.
+
+    This is ``_project`` followed by ``_scored`` on the reconstruction.
+    The command line runs the parts it reports: ``validate`` scores in
+    the one band pass that also writes its pair rows
+    (``_scored_pass``), and ``kmeans`` scores nothing.
+    """
+    result = _project(D, method, config, radius_override)
+    return _scored(result, reconstruct(result.projected))
 
 
 def report_dict(result: RunResult) -> dict:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +21,18 @@ from dissimjl import (
     BallSpec,
     ProjectionConfig,
     SimplexSpec,
+    center_gram,
+    decompose,
+    embed_pq,
     gen_balls,
     gen_simplex,
+    kmeans_projected,
     run_projection,
     squared_distances,
     target_dim,
     validate_matrix,
 )
-from dissimjl import cli, core
+from dissimjl import cli, core, evaluate, projection
 from dissimjl.cli import main, read_matrix, write_matrix
 
 from conftest import ref_power_residual, ref_pq_bound
@@ -79,6 +84,27 @@ def zeros_csv(tmp_path):
     assert main(["gen", "ball", "--n", "14", "--dim", "2", "--rmin", "0.8",
                  "--rmax", "1.6", "--seed", "2", "--out", str(path)]) == 0
     return str(path)
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Rebind fn to replacement in every dissimjl module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "dissimjl" or name.startswith("dissimjl."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def count_calls(monkeypatch, *fns):
+    """Count the calls of each fn, by name, through every binding of it."""
+    counts = {fn.__name__: 0 for fn in fns}
+    for fn in fns:
+        def counting(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, fn, counting)
+    return counts
 
 
 def load_json(path):
@@ -424,6 +450,60 @@ class TestPairCsv:
         assert capsys.readouterr().out == expected
 
 
+class TestValidateOnePass:
+    """validate scores the run and writes its pair rows from one band pass,
+    holding one tile of it at a time."""
+
+    @pytest.fixture()
+    def balls_csv(self, tmp_path):
+        path = tmp_path / "balls.csv"
+        write_matrix(str(path), gen_balls(BallSpec(300, seed=4)))
+        return str(path)
+
+    @pytest.mark.parametrize("identity_debug", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_tile_is_alive_when_the_next_is_formed(
+        self, method, identity_debug, balls_csv, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(core, "_BLOCK", 64)
+        monkeypatch.setattr(core, "_TILE_ENTRIES", 4 * 300)
+        yielded = []  # weakrefs to each band tile's column arrays
+        alive_at_next = []
+        band_tiles, upper_rows = evaluate._band_tiles, core._upper_rows
+
+        def watched_tiles(*args, **kwargs):
+            for tile in band_tiles(*args, **kwargs):
+                yielded.append([weakref.ref(a) for a in tile[-1].values()])
+                yield tile
+                del tile
+
+        def checked_rows(*args, **kwargs):
+            for rows in upper_rows(*args, **kwargs):
+                alive_at_next.append(
+                    sum(ref() is not None for refs in yielded for ref in refs)
+                )
+                yield rows
+
+        patch_everywhere(monkeypatch, band_tiles, watched_tiles)
+        patch_everywhere(monkeypatch, upper_rows, checked_rows)
+        flags = ["--method", method] + ["--identity-debug"] * identity_debug
+        validate_csv(balls_csv, tmp_path, *flags, "--sample", "500")
+        assert len(yielded) > 50
+        assert not any(alive_at_next)
+
+    @pytest.mark.parametrize("identity_debug", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_band_pass_and_one_stats_pass(
+        self, method, identity_debug, simplex_csv, tmp_path, monkeypatch
+    ):
+        counts = count_calls(monkeypatch, evaluate._band_tiles,
+                             evaluate.relative_error_stats, projection.reconstruct)
+        flags = ["--method", method] + ["--identity-debug"] * identity_debug
+        validate_csv(simplex_csv, tmp_path, *flags)
+        assert counts == {"_band_tiles": 1, "relative_error_stats": 1,
+                          "reconstruct": 0 if identity_debug else 1}
+
+
 class TestKMeans:
     def test_report_fields(self, blobs_csv, tmp_path):
         path = tmp_path / "km.json"
@@ -440,6 +520,39 @@ class TestKMeans:
             report["projected_cost"] / report["original_cost"],
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_report_holds_iteration_counts(
+        self, method, blobs_csv, tmp_path, monkeypatch
+    ):
+        D = validate_matrix(read_matrix(blobs_csv))
+        run = run_projection(D, method, ProjectionConfig())
+        baseline = embed_pq(decompose(center_gram(D))).pos_coords
+        path = tmp_path / "km.json"
+        argv = ["kmeans", blobs_csv, "--k", "3", "--method", method,
+                "--out-report", str(path)]
+        assert main(argv) == 0
+        report = load_json(str(path))
+        original = kmeans_projected(D, baseline, 3)
+        projected = kmeans_projected(D, run.coords, 3)
+        assert report["original_iterations"] == original.iterations
+        assert report["projected_iterations"] == projected.iterations
+        # a restart stopped at the step cap shows as the cap itself
+        monkeypatch.setattr(evaluate, "_MAX_ITER", 1)
+        assert main(argv) == 0
+        report = load_json(str(path))
+        assert report["original_iterations"] == report["projected_iterations"] == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_runs_no_scoring(self, method, blobs_csv, tmp_path, monkeypatch):
+        counts = count_calls(
+            monkeypatch, projection.reconstruct, evaluate.relative_error_stats,
+            evaluate._band_tiles, evaluate.validate_pq_bound,
+            evaluate.validate_power_residual,
+        )
+        assert main(["kmeans", blobs_csv, "--k", "2", "--method", method,
+                     "--out-report", str(tmp_path / "km.json")]) == 0
+        assert not any(counts.values())
 
     @pytest.mark.parametrize("method", ["jl", "jl-pq", "jl-power"])
     def test_all_methods_run(self, method, blobs_csv, tmp_path):
