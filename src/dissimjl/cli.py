@@ -10,6 +10,7 @@ records are CSV for external plotting.  Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -36,7 +37,7 @@ from .datagen import (
     parse_edge_list,
 )
 from .evaluate import DEFAULT_RESTARTS, kmeans_projected
-from .pipeline import METHODS, _project, _scored_pass, report_dict, run_projection
+from .pipeline import METHODS, _project, _scored, report_dict, run_projection
 from .projection import (
     DEFAULT_DIM_CONSTANT,
     DEFAULT_EPSILON,
@@ -81,14 +82,11 @@ def write_matrix(path: str | None, D) -> None:
     np.savetxt(target, as_matrix(D), delimiter=",", fmt="%.17g")
 
 
-def _write_text(path: str | None, text) -> None:
-    """Write a string, or an iterable of string chunks, to path or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _stream(path: str | None):
+    """A text stream to write to: path, or stdout (left open) for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _manifest(command: str, inputs: list[str], args, started: float) -> dict:
@@ -109,7 +107,8 @@ def _manifest(command: str, inputs: list[str], args, started: float) -> dict:
 def _write_report(args, command: str, started: float, body: dict) -> None:
     """Write the JSON report: the run manifest, then the body's keys."""
     report = {"manifest": _manifest(command, [args.matrix], args, started), **body}
-    _write_text(args.out_report, json.dumps(report, indent=2) + "\n")
+    with _stream(args.out_report) as out:
+        out.write(json.dumps(report, indent=2) + "\n")
 
 
 def cmd_gen_simplex(args) -> int:
@@ -162,41 +161,42 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _pair_rows(tiles, picked):
-    """Per-pair plot records as CSV text: the header line, then row blocks.
+def _pair_rows(tiles, picked, out):
+    """Write per-pair plot records of a band pass to out as CSV, and yield
+    each tile of the pass on once its rows are written.
 
-    tiles is the run's band pass (evaluate's ``_band_tiles``), which
-    walks the upper triangle in row tiles; it is read to the end.  Rows
+    tiles is the run's band pass (evaluate's ``_band_tiles``).  Rows
     exist only for the ``picked`` positions of the upper triangle
     (row-major, i < j, sorted).  Each tile's picked positions take their
     i and j from the tile's rows and their values from its columns, and
     are formatted as one block with one row format.  So ``validate
     --sample N`` formats N rows, and the full table is never held as text
-    at once.  Each tile is dropped before the pass forms the next, so the
-    pass and its readers hold one tile at a time.  The columns after
-    ratio are the band pass's route columns, named by its first tile.
+    at once.  No tile is held while the pass forms the next.  The header
+    comes with the first tile: the columns after ratio are the pass's
+    route columns.
     """
-    route = None
-    for (rows, cols), pairs, _, columns in tiles:
-        if route is None:
+    row = None
+    for tile in tiles:
+        (rows, cols), pairs, _, columns = tile
+        if row is None:
             route = list(columns)[2:]  # after dissimilarity and reconstructed
-            yield ",".join(["i,j,dissimilarity,reconstructed,ratio", *route]) + "\n"
+            out.write(",".join(["i,j,dissimilarity,reconstructed,ratio", *route]) + "\n")
             row = "%d,%d" + ",%.10g" * (len(route) + 2) + ",%d\n"
         lo, hi = np.searchsorted(picked, (pairs.start, pairs.stop))
         at = picked[lo:hi]
-        d, dh, *values = [column[at - pairs.start] for column in columns.values()]
-        del columns  # hold no tile while the pass forms the next
-        if at.size == 0:
-            continue
-        # row r's pairs (r, r + 1), ... start at position r n - r (r + 1) / 2
-        r = np.arange(rows.start, rows.stop)
-        starts = r * cols.stop - r * (r + 1) // 2
-        i = r[np.searchsorted(starts, at, side="right") - 1]
-        j = at - starts[i - rows.start] + i + 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = dh / d
-        table = np.column_stack((i, j, d, dh, ratio, *values))
-        yield (row * at.size) % tuple(table.ravel().tolist())
+        if at.size:
+            d, dh, *values = [column[at - pairs.start] for column in columns.values()]
+            # row r's pairs (r, r + 1), ... start at position r n - r (r + 1) / 2
+            r = np.arange(rows.start, rows.stop)
+            starts = r * cols.stop - r * (r + 1) // 2
+            i = r[np.searchsorted(starts, at, side="right") - 1]
+            j = at - starts[i - rows.start] + i + 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = dh / d
+            table = np.column_stack((i, j, d, dh, ratio, *values))
+            out.write((row * at.size) % tuple(table.ravel().tolist()))
+        yield tile
+        del tile, columns, _  # hold no tile while the pass forms the next
 
 
 def cmd_validate(args) -> int:
@@ -216,12 +216,9 @@ def cmd_validate(args) -> int:
     if args.sample is not None and args.sample < npairs:
         rng = np.random.default_rng(args.seed)
         picked = np.sort(rng.choice(npairs, size=args.sample, replace=False))
-
-    def write_rows(tiles):
-        _write_text(args.out_csv, _pair_rows(tiles, picked))
-
-    # one band pass scores the run and writes its pair rows
-    result = _scored_pass(result, Dhat, write_rows)
+    # one band pass writes the pair rows and scores the run
+    with _stream(args.out_csv) as out:
+        result = _scored(result, Dhat, lambda tiles: _pair_rows(tiles, picked, out))
     _write_report(args, "validate", started, report_dict(result))
     return EXIT_OK
 

@@ -83,9 +83,10 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
 
     The pass keeps no reference to a tile it has yielded, so a consumer
     that drops each tile before asking for the next holds one at a time.
-    One pass can feed several consumers that way: ``validate`` folds each
-    tile into the route's check (:func:`_tally`) and writes its sampled
-    pair rows from it before the next tile is formed.
+    The route's check is one such consumer, a fold over the pass
+    (:func:`_pq_check`, :func:`_power_check`); ``validate`` puts its pair
+    row writer between the pass and the fold, which writes each tile's
+    sampled rows and passes the tile on.
     """
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
@@ -162,64 +163,30 @@ def _slack(epsilon: float, radius: float) -> float:
     return 4.0 * epsilon * radius**2
 
 
-def _tally(method, columns) -> tuple:
-    """One band tile's share of the route's check, as plain numbers.
-
-    jl-pq: (violated, excluded, pairs); jl-power: (largest residual,
-    pairs within the bound, pairs); jl, which has no check: ().  No array
-    of the tile outlives the call.
-    """
-    if method == "jl-pq":
+def _pq_check(tiles) -> PqBoundCheck:
+    """jl-pq's check summary, folded over its band pass one tile at a time."""
+    violated = excluded = total = 0
+    for *_, columns in tiles:
         factor = columns["factor"]
-        return (np.count_nonzero(columns["violated"]),
-                np.count_nonzero(~np.isfinite(factor)), factor.size)
-    if method == "jl-power":
+        violated += np.count_nonzero(columns["violated"])
+        excluded += np.count_nonzero(~np.isfinite(factor))
+        total += factor.size
+        del columns, factor  # hold no tile while the pass forms the next
+    usable = total - excluded
+    return PqBoundCheck(float(violated / usable) if usable else 0.0, int(excluded))
+
+
+def _power_check(tiles, bound: float) -> PowerResidualCheck:
+    """jl-power's check summary against the slack bound, folded over its
+    band pass one tile at a time; a nan residual makes the maximum nan."""
+    top, within, total = 0.0, 0, 0
+    for *_, columns in tiles:
         residual = columns["residual"]
-        return (residual.max(initial=0.0),
-                np.count_nonzero(residual <= columns["bound"]), residual.size)
-    return ()
-
-
-def _check(method, tallies, bound=None):
-    """The route's check summary, folded over its band tiles' tallies.
-
-    A ``PqBoundCheck`` on jl-pq, a ``PowerResidualCheck`` against the
-    slack bound on jl-power, and None on jl.  tallies may be a generator:
-    it is read once, in order.
-    """
-    if method == "jl-pq":
-        violated = excluded = total = 0
-        for tile_violated, tile_excluded, pairs in tallies:
-            violated += tile_violated
-            excluded += tile_excluded
-            total += pairs
-        usable = total - excluded
-        rate = float(violated / usable) if usable else 0.0
-        return PqBoundCheck(rate, int(excluded))
-    if method == "jl-power":
-        tops, within, total = [0.0], 0, 0
-        for top, tile_within, pairs in tallies:
-            tops.append(top)
-            within += tile_within
-            total += pairs
-        return PowerResidualCheck(
-            float(np.max(tops)), float(within / total) if total else 1.0, bound
-        )
-    return None
-
-
-def _fold(method, tiles, bound=None):
-    """The route's check summary, folded over the tiles of one band pass.
-
-    Each tile is dropped before the pass forms the next.
-    """
-
-    def tallies():
-        for *_, columns in tiles:
-            yield _tally(method, columns)
-            del columns  # free this tile before the pass forms the next
-
-    return _check(method, tallies(), bound)
+        top = np.maximum(top, residual.max(initial=0.0))
+        within += np.count_nonzero(residual <= bound)
+        total += residual.size
+        del columns, residual  # hold no tile while the pass forms the next
+    return PowerResidualCheck(float(top), float(within / total) if total else 1.0, bound)
 
 
 def validate_pq_bound(
@@ -229,7 +196,7 @@ def validate_pq_bound(
 
     The band pass is reduced to counts tile by tile.
     """
-    return _fold("jl-pq", _band_tiles("jl-pq", D, Dhat, epsilon, emb=emb))
+    return _pq_check(_band_tiles("jl-pq", D, Dhat, epsilon, emb=emb))
 
 
 def validate_power_residual(
@@ -240,8 +207,7 @@ def validate_power_residual(
     The residual pass is reduced to a maximum and a count tile by tile.
     """
     bound = _slack(epsilon, radius)
-    tiles = _band_tiles("jl-power", D, Dhat, epsilon, bound=bound)
-    return _fold("jl-power", tiles, bound)
+    return _power_check(_band_tiles("jl-power", D, Dhat, epsilon, bound=bound), bound)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,9 +20,9 @@ from .evaluate import (
     PowerResidualCheck,
     PqBoundCheck,
     _band_tiles,
-    _check,
+    _power_check,
+    _pq_check,
     _slack,
-    _tally,
     relative_error_stats,
     validate_power_residual,
     validate_pq_bound,
@@ -69,56 +70,36 @@ class RunResult:
         return self.projected.coords
 
 
-def _with_scores(result: RunResult, Dhat, stats, check) -> RunResult:
-    """result with reconstruction Dhat, its stats and the route's check."""
-    return replace(
-        result,
-        reconstructed=Dhat,
-        stats=stats,
-        pq_check=check if result.method == "jl-pq" else None,
-        power_check=check if result.method == "jl-power" else None,
-    )
+def _scored(result: RunResult, Dhat, through=None) -> RunResult:
+    """result with reconstruction Dhat, its stats and bound check redone.
 
-
-def _scored(result: RunResult, Dhat) -> RunResult:
-    """result with reconstruction Dhat, its stats and bound check redone."""
-    D, epsilon = result.matrix, result.config.epsilon
-    check = None
-    if result.method == "jl-pq":
-        check = validate_pq_bound(D, result.embedding, Dhat, epsilon)
-    elif result.method == "jl-power":
-        check = validate_power_residual(
-            D, result.representation.radius, Dhat, epsilon
-        )
-    return _with_scores(result, Dhat, relative_error_stats(D, Dhat), check)
-
-
-def _scored_pass(result: RunResult, Dhat, consume) -> RunResult:
-    """result scored on Dhat as by ``_scored``, from a band pass consume reads.
-
-    consume is given the route's band tiles (see ``_band_tiles``) and must
-    read them to the end, dropping each tile before it asks for the next.
-    Every tile is tallied for the route's check on its way through, so a
-    reader of the pass's pair columns and the check share one pass, which
-    holds one tile at a time.
+    The check is the route's fold over one band pass (``_band_tiles``),
+    as ``validate_pq_bound`` and ``validate_power_residual`` run it.
+    through, if given, is a generator that reads the pass and yields each
+    tile on, dropping it before it asks for the next; the fold then reads
+    through's tiles, so through and the check share one pass that holds
+    one tile at a time.  On jl, which has no check, the pass is read for
+    through alone.
     """
     D, epsilon, method = result.matrix, result.config.epsilon, result.method
-    bound = None
-    if method == "jl-power":
-        bound = _slack(epsilon, result.representation.radius)
-    tallies = []
-
-    def tallied():
-        for tile in _band_tiles(
-            method, D, Dhat, epsilon, emb=result.embedding, bound=bound
-        ):
-            tallies.append(_tally(method, tile[-1]))
-            yield tile
-            del tile  # hold no tile while the pass forms the next
-
-    consume(tallied())
+    pq, power = method == "jl-pq", method == "jl-power"
+    check = None
+    if through is not None:
+        bound = _slack(epsilon, result.representation.radius) if power else None
+        tiles = through(_band_tiles(method, D, Dhat, epsilon, result.embedding, bound))
+        if pq:
+            check = _pq_check(tiles)
+        elif power:
+            check = _power_check(tiles, bound)
+        else:
+            deque(tiles, maxlen=0)  # reads the pass and keeps no tile
+    elif pq:
+        check = validate_pq_bound(D, result.embedding, Dhat, epsilon)
+    elif power:
+        check = validate_power_residual(D, result.representation.radius, Dhat, epsilon)
     stats = relative_error_stats(D, Dhat)
-    return _with_scores(result, Dhat, stats, _check(method, tallies, bound))
+    return replace(result, reconstructed=Dhat, stats=stats,
+                   pq_check=check if pq else None, power_check=check if power else None)
 
 
 def _project(
@@ -186,9 +167,9 @@ def run_projection(
     eigenvectors are dropped once the representation is built.
 
     This is ``_project`` followed by ``_scored`` on the reconstruction.
-    The command line runs the parts it reports: ``validate`` scores in
-    the one band pass that also writes its pair rows
-    (``_scored_pass``), and ``kmeans`` scores nothing.
+    The command line runs the parts it reports: ``validate`` scores
+    through its pair row writer, so one band pass writes the rows and
+    folds into the check, and ``kmeans`` scores nothing.
     """
     result = _project(D, method, config, radius_override)
     return _scored(result, reconstruct(result.projected))

@@ -27,6 +27,7 @@ from dissimjl import (
     gen_balls,
     gen_simplex,
     kmeans_projected,
+    report_dict,
     run_projection,
     squared_distances,
     target_dim,
@@ -502,6 +503,36 @@ class TestValidateOnePass:
         validate_csv(simplex_csv, tmp_path, *flags)
         assert counts == {"_band_tiles": 1, "relative_error_stats": 1,
                           "reconstruct": 0 if identity_debug else 1}
+
+
+class TestValidateMatchesLibrary:
+    """validate folds its checks over the band tiles its pair row writer
+    passes on, the library through validate_pq_bound and
+    validate_power_residual; both entry points give one report."""
+
+    @pytest.mark.parametrize("kind", ["balls", "simplex"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stats_and_bounds_match_run_projection(
+        self, method, kind, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(core, "_BLOCK", 32)
+        monkeypatch.setattr(core, "_TILE_ENTRIES", 4 * 150)
+        if kind == "balls":
+            source = gen_balls(BallSpec(150, seed=1))
+        else:
+            source = gen_simplex(SimplexSpec(150, seed=0))
+        path = str(tmp_path / f"{kind}.csv")
+        write_matrix(path, source)
+        library = run_projection(validate_matrix(read_matrix(path)), method)
+        if kind == "balls":
+            # pairs with D == 0 and, on jl-pq, pairs with infinite factors
+            assert library.stats.excluded_pairs > 0
+            assert method != "jl-pq" or library.pq_check.excluded_pairs > 0
+        validate_csv(path, tmp_path, "--method", method, "--sample", "200")
+        report = load_json(str(tmp_path / "r.json"))
+        expected = json.loads(json.dumps(report_dict(library)))
+        assert report["stats"] == expected["stats"]
+        assert report["bounds"] == expected["bounds"]
 
 
 class TestKMeans:
