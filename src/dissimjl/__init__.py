@@ -2,11 +2,12 @@
 
 Any symmetric hollow matrix embeds exactly, either as signed squared
 intervals in a pseudo-Euclidean space of signature (p, q) or as power
-distances between Euclidean centers sharing a common radius.  Both
-representations survive Gaussian random projection with quantified
-distortion; this package implements the embeddings, the projections,
-the bound checks, and a relational k-means to measure downstream
-effects.
+distances between Euclidean centers sharing a common radius.  Both are
+one representation (pos, neg, radius) whose pair values are
+P - Q - 4r^2, and it survives Gaussian random projection with
+quantified distortion; this package implements the embeddings, the
+projection, the bound checks, and a relational k-means to measure
+downstream effects.
 """
 
 from .core import (
@@ -44,7 +45,6 @@ from .evaluate import (
 from .pipeline import METHODS, RunResult, report_dict, run_projection
 from .power import (
     GaussianCluster,
-    PowerRepresentation,
     decompose_power,
     power_distance,
     power_radius,
@@ -56,9 +56,8 @@ from .projection import (
     DEFAULT_EPSILON,
     ProjectionConfig,
     gaussian_map,
+    project,
     project_classical,
-    project_pq,
-    project_power,
     reconstruct,
     target_dim,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "GramDecomposition",
     "KMeansResult",
     "NumericalError",
-    "PowerRepresentation",
     "PowerResidualCheck",
     "PqBoundCheck",
     "ProjectionConfig",
@@ -105,9 +103,8 @@ __all__ = [
     "power_distance",
     "power_radius",
     "power_representation",
+    "project",
     "project_classical",
-    "project_power",
-    "project_pq",
     "reconstruct",
     "relational_cost",
     "relational_kmeans",

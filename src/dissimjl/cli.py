@@ -230,6 +230,8 @@ def cmd_kmeans(args) -> int:
     if args.restarts < 1:
         raise DissimilarityError(f"--restarts must be >= 1, got {args.restarts}")
     D = validate_matrix(read_matrix(args.matrix))
+    if args.k > D.n:  # before any eigendecomposition
+        raise DissimilarityError(f"k must lie in [1, {D.n}], got {args.k}")
 
     def cluster(coords):
         return kmeans_projected(D, coords, args.k, seed=args.seed,

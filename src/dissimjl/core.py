@@ -186,10 +186,9 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         lam, U = np.linalg.eigh(B) if vectors else (np.linalg.eigvalsh(B), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    # a copy, not reversed views: without the n x n copy of U, the next
-    # run's n x n arrays stopped fitting the freed heap space, and the
-    # sketch benchmark's peak RSS rose by one n x n array (glibc heap
-    # layout at n = 2000)
+    # a stable argsort and an n x n copy of U, not reversed views: a
+    # reversal that keeps the order of tied eigenvalues costs about nine
+    # lines, and saves no peak RSS, which sits in eigh's workspace
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     if U is not None:

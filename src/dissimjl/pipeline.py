@@ -27,12 +27,11 @@ from .evaluate import (
     validate_power_residual,
     validate_pq_bound,
 )
-from .power import PowerRepresentation, decompose_power
+from .power import decompose_power
 from .projection import (
     ProjectionConfig,
+    project,
     project_classical,
-    project_pq,
-    project_power,
     reconstruct,
     target_dim,
 )
@@ -46,7 +45,8 @@ class RunResult:
     """Everything a projection run produced.
 
     A run that is not scored (``_project``) has no reconstructed, stats
-    or checks: they are None.
+    or checks: they are None.  The unprojected representation is
+    ``embedding`` on jl and jl-pq, ``representation`` on jl-power.
     """
 
     method: str
@@ -58,7 +58,7 @@ class RunResult:
     reconstructed: np.ndarray | None
     stats: ErrorStats | None
     embedding: PseudoEuclideanEmbedding | None = None
-    representation: PowerRepresentation | None = None
+    representation: PseudoEuclideanEmbedding | None = None
     pq_check: PqBoundCheck | None = None
     power_check: PowerResidualCheck | None = None
 
@@ -120,21 +120,15 @@ def _project(
     if config is None:
         config = ProjectionConfig()
     Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
-    embedding = None
-    representation = None
-    if method == "jl-power":
-        dec, representation = decompose_power(center_gram(Dm), radius_override)
+    power = method == "jl-power"
+    if power:
+        dec, rep = decompose_power(center_gram(Dm), radius_override)
     else:
         dec = decompose(center_gram(Dm))
-        embedding = embed_pq(dec)
+        rep = embed_pq(dec)
     # the representation copied all the run reads of the eigenvectors
     dec = replace(dec, eigenvectors=None)
-    if method == "jl-power":
-        projected = project_power(representation, config)
-    elif method == "jl":
-        projected = project_classical(embedding.coords, config)
-    else:
-        projected = project_pq(embedding, config)
+    projected = project_classical(rep.coords, config) if method == "jl" else project(rep, config)
     return RunResult(
         method=method,
         config=config,
@@ -144,8 +138,8 @@ def _project(
         projected=projected,
         reconstructed=None,
         stats=None,
-        embedding=embedding,
-        representation=representation,
+        embedding=None if power else rep,
+        representation=rep if power else None,
     )
 
 

@@ -1,4 +1,4 @@
-"""Power-distance representation: Euclidean centers sharing a common radius.
+"""Power representation: Euclidean centers sharing a common radius.
 
 Any symmetric hollow D becomes Euclidean after shifting every
 off-diagonal entry by 4r^2 with 2r^2 >= |e_n| (e_n the most negative
@@ -11,9 +11,10 @@ formed and never decomposed.  :func:`decompose_power` takes the centers
 from one Cholesky factorization of B + 2r^2 I, and needs only B's
 eigenvalues to choose r; :func:`power_representation` reads them off
 B's eigenvectors, which a radius that leaves a direction at zero needs.
-``projection.reconstruct`` forms the power distances of projected
-centers.  The same bilinear form doubles as the closed-form silhouette
-gap of two isotropic Gaussian clusters, :func:`silhouette_gaussian`.
+Both return a ``PseudoEuclideanEmbedding`` (centers, an empty negative
+part, r), the type ``projection.project`` maps.  The same bilinear form
+doubles as the closed-form silhouette gap of two isotropic Gaussian
+clusters, :func:`silhouette_gaussian`.
 """
 
 from __future__ import annotations
@@ -30,28 +31,7 @@ from .core import (
     NumericalError,
     decompose,
 )
-
-
-@dataclass(frozen=True)
-class PowerRepresentation:
-    """Ball centers (rows) with one shared nonnegative radius."""
-
-    centers: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise DissimilarityError(
-                f"radius must be nonnegative and finite, got {self.radius}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.centers
+from .pqspace import PseudoEuclideanEmbedding
 
 
 @dataclass(frozen=True)
@@ -125,7 +105,7 @@ def _shifted_spectrum(dec: GramDecomposition, radius: float):
 
 def power_representation(
     dec: GramDecomposition, radius: float | None = None
-) -> PowerRepresentation:
+) -> PseudoEuclideanEmbedding:
     """Centers plus common radius reproducing the matrix behind dec.
 
     The matrix D behind dec comes back as power distances.  The radius
@@ -148,12 +128,13 @@ def power_representation(
     keep = mu > tol
     centers = dec.eigenvectors[:, keep]
     centers *= np.sqrt(mu[keep])
-    return PowerRepresentation(centers, float(radius))
+    # the empty negative part is a view of the centers: it allocates no buffer
+    return PseudoEuclideanEmbedding(centers, centers[:, :0], float(radius))
 
 
 def decompose_power(
     B, radius: float | None = None
-) -> tuple[GramDecomposition, PowerRepresentation]:
+) -> tuple[GramDecomposition, PseudoEuclideanEmbedding]:
     """B's decomposition and the power representation of the matrix behind it.
 
     B is the centered Gram matrix (the output of
@@ -191,7 +172,7 @@ def decompose_power(
         centers = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    return dec, PowerRepresentation(centers, float(r))
+    return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], float(r))
 
 
 def silhouette_gaussian(a: GaussianCluster, b: GaussianCluster) -> float:

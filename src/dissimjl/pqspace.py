@@ -1,16 +1,18 @@
-"""Pseudo-Euclidean embedding with signature (p, q) and its norm ratio.
+"""One representation (pos, neg, radius) for both of the paper's constructions.
 
-Points live in R^(p+q) equipped with the indefinite form
-<u, v> = sum_1^p u_i v_i - sum_{p+1}^{p+q} u_i v_i.  The embedding built
-from a Gram decomposition reproduces any symmetric hollow matrix exactly
-as signed squared intervals, which ``projection.reconstruct`` forms as
-P - Q for a projected embedding.  The per-pair distortion factor,
-Euclidean over signed interval, is a column of the jl-pq band pass in
-evaluate.
+Points live in R^(p+q) with the indefinite form
+<u, v> = sum_1^p u_i v_i - sum_{p+1}^{p+q} u_i v_i, each with a ball of
+one common radius r, and a pair's value is P - Q - 4r^2.  The embedding
+of a Gram decomposition (:func:`embed_pq`, r = 0) reproduces any
+symmetric hollow matrix as signed squared intervals P - Q; the power
+representation (``power``, q = 0) reproduces it as power distances
+P - 4r^2.  The per-pair distortion factor, Euclidean over signed
+interval, is a column of the jl-pq band pass in evaluate.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,15 +23,23 @@ from .core import DissimilarityError, GramDecomposition
 
 @dataclass(frozen=True)
 class PseudoEuclideanEmbedding:
-    """Point coordinates split into positive and negative signature parts.
+    """Point coordinates split into positive and negative signature parts,
+    and one common nonnegative radius.
 
-    Row i of each block holds point i.  The signed squared interval
-    between two points is ||dx_pos||^2 - ||dx_neg||^2 and may be
-    negative; the Euclidean interval is the same expression with a plus.
+    Row i of each block holds point i.  A pair's value is
+    ||dx_pos||^2 - ||dx_neg||^2 - 4 radius^2 and may be negative; the
+    Euclidean interval is the first two terms with a plus.
     """
 
     pos_coords: np.ndarray
     neg_coords: np.ndarray
+    radius: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise DissimilarityError(
+                f"radius must be nonnegative and finite, got {self.radius}"
+            )
 
     @property
     def n(self) -> int:
@@ -42,6 +52,11 @@ class PseudoEuclideanEmbedding:
     @property
     def q(self) -> int:
         return self.neg_coords.shape[1]
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The power route's name for the positive part: the ball centers."""
+        return self.pos_coords
 
     @property
     def coords(self) -> np.ndarray:
@@ -64,8 +79,8 @@ def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
         dec: decomposition of the centered Gram matrix.
 
     Returns:
-        PseudoEuclideanEmbedding whose signed intervals reproduce the
-        dissimilarity matrix behind ``dec``.
+        PseudoEuclideanEmbedding with radius 0 whose signed intervals
+        reproduce the dissimilarity matrix behind ``dec``.
     """
     lam, U = dec.eigenvalues, dec.eigenvectors
     if U is None:

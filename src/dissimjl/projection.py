@@ -1,18 +1,15 @@
-"""Gaussian random projection with signed and power-shifted variants.
+"""Gaussian random projection of plain rows and of (pos, neg, radius).
 
 The target dimension follows the usual JL budget
 m = ceil(c * log2(n) / eps^2).  A Gaussian map is a plain (m, d)
-matrix M, and coordinate rows X map to X @ M.T.  Projection maps a
-representation to its own type: signed embeddings project their
-positive and negative parts with independent maps into separate copies
-of R^m; power representations project their centers as the jl route
-projects plain rows and carry the radius through unchanged.  Each
-projected representation exposes its coordinate rows as ``coords``.
-:func:`reconstruct` rebuilds the dissimilarities of any projection as
-P - Q - 4r^2 from one band pass of Gram products, the pass
-``squared_distances`` runs: P holds the squared distances of the plain
-rows, the positive part or the centers, Q those of the negative part,
-and r is the power radius (Q and r are zero where there is none).
+matrix M, and coordinate rows X map to X @ M.T.  :func:`project` maps a
+``PseudoEuclideanEmbedding``, signed embedding or power representation,
+to the same type: each part through its own map into a copy of R^m,
+the radius unchanged.  :func:`reconstruct` rebuilds the dissimilarities
+of any projection as P - Q - 4r^2 from one band pass of Gram products,
+the pass ``squared_distances`` runs: P holds the squared distances of
+the plain rows or the positive part, Q those of the negative part, and
+r is the radius (Q and r are zero where there is none).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DissimilarityError, _pair_matrix
-from .power import PowerRepresentation
 from .pqspace import PseudoEuclideanEmbedding
 
 DEFAULT_EPSILON = 0.5
@@ -79,45 +75,33 @@ def project_classical(coords, config: ProjectionConfig) -> np.ndarray:
     return X @ gaussian_map(m, X.shape[1], config.seed).T
 
 
-def project_pq(
-    emb: PseudoEuclideanEmbedding, config: ProjectionConfig
+def project(
+    rep: PseudoEuclideanEmbedding, config: ProjectionConfig
 ) -> PseudoEuclideanEmbedding:
-    """Project both signature parts with independent maps.
+    """Project both parts with independent maps; the radius is not touched.
 
     The positive part uses the configured seed, the negative part
     seed + 1; each lands in its own copy of the target dimension so the
-    signed interval form survives.  An empty part stays empty.
+    signed form survives.  An empty part stays empty.
     """
-    m = target_dim(emb.n, config)
-    if emb.p > 0:
-        pos = emb.pos_coords @ gaussian_map(m, emb.p, config.seed).T
-    else:
-        pos = np.zeros((emb.n, 0))
-    if emb.q > 0:
-        neg = emb.neg_coords @ gaussian_map(m, emb.q, config.seed + 1).T
-    else:
-        neg = np.zeros((emb.n, 0))
-    return PseudoEuclideanEmbedding(pos, neg)
-
-
-def project_power(
-    rep: PowerRepresentation, config: ProjectionConfig
-) -> PowerRepresentation:
-    """Project the centers; the common radius is not touched."""
-    return PowerRepresentation(project_classical(rep.centers, config), rep.radius)
+    m = target_dim(rep.n, config)
+    pos, neg = (
+        X @ gaussian_map(m, X.shape[1], seed).T if X.shape[1] else np.zeros((rep.n, 0))
+        for X, seed in ((rep.pos_coords, config.seed), (rep.neg_coords, config.seed + 1))
+    )
+    return PseudoEuclideanEmbedding(pos, neg, rep.radius)
 
 
 def reconstruct(projected) -> np.ndarray:
     """Dissimilarity matrix induced by a projection, symmetric and hollow.
 
     Plain coordinate rows (the jl route) give squared Euclidean
-    distances, a signed embedding its signed squared intervals P - Q, and
-    a power representation its power distances: squared center distances
-    minus 4 r^2.  Every route forms them in one band pass.
+    distances, and a ``PseudoEuclideanEmbedding`` its pair values
+    P - Q - 4r^2: signed squared intervals, or power distances of its
+    centers.  Every route forms them in one band pass.
     """
     # perfbench/run.py times this stage by name on the jl and jl-pq routes
     if isinstance(projected, PseudoEuclideanEmbedding):
-        return _pair_matrix(projected.pos_coords, projected.neg_coords)
-    if isinstance(projected, PowerRepresentation):
-        return _pair_matrix(projected.centers, shift=4.0 * projected.radius**2)
+        neg = projected.neg_coords if projected.q else None
+        return _pair_matrix(projected.pos_coords, neg, 4.0 * projected.radius**2)
     return _pair_matrix(projected)

@@ -9,6 +9,7 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dissimjl import (
@@ -19,6 +20,7 @@ from dissimjl import (
     gen_balls,
     gen_simplex,
     run_projection,
+    squared_distances,
 )
 from dissimjl.cli import main, write_matrix
 
@@ -35,7 +37,9 @@ def workload(monkeypatch):
 @pytest.mark.parametrize("D", [
     gen_simplex(SimplexSpec(300, seed=5)).entries,
     gen_balls(BallSpec(300, seed=5)).entries,
-], ids=["simplex", "balls"])
+    # p = 0: the signed embedding has no positive part
+    -squared_distances(np.random.default_rng(5).standard_normal((300, 10))),
+], ids=["simplex", "balls", "negated-points"])
 def test_library_results_pass_benchmark_checks(workload, D, method):
     res = run_projection(D, method, ProjectionConfig(seed=7))
     assert workload.check_library(D, res, method, 7) == []

@@ -616,6 +616,26 @@ class TestKMeans:
     def test_k_beyond_n_is_data_error(self, blobs_csv):
         assert main(["kmeans", blobs_csv, "--k", "21"]) == 2
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_k_beyond_n_rejected_before_any_decomposition(
+        self, method, blobs_csv, monkeypatch, capsys
+    ):
+        calls = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (cli, dissimjl.pipeline, dissimjl.power):
+            monkeypatch.setattr(module, "decompose", counting(core.decompose))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        assert main(["kmeans", blobs_csv, "--k", "21", "--method", method]) == 2
+        assert capsys.readouterr().err == "error: k must lie in [1, 20], got 21\n"
+        assert calls == []
+
     @pytest.mark.parametrize("flags,message", [
         (["--k", "0"], "--k must be >= 1"),
         (["--k", "2", "--restarts", "0"], "--restarts must be >= 1"),

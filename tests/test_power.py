@@ -11,7 +11,7 @@ from dissimjl import (
     BallSpec,
     DissimilarityError,
     GaussianCluster,
-    PowerRepresentation,
+    PseudoEuclideanEmbedding,
     SimplexSpec,
     as_matrix,
     center_gram,
@@ -46,7 +46,7 @@ def decomposed(D):
     return decompose(center_gram(validate_matrix(D)))
 
 
-def power_matrix(rep: PowerRepresentation) -> np.ndarray:
+def power_matrix(rep: PseudoEuclideanEmbedding) -> np.ndarray:
     out = squared_distances(rep.centers) - 4.0 * rep.radius**2
     np.fill_diagonal(out, 0.0)
     return out
@@ -145,6 +145,7 @@ class TestPowerRepresentation:
     def test_matrix_roundtrip(self):
         D = random_hollow(np.random.default_rng(5), 20)
         rep = power_representation(decomposed(D))
+        assert rep.q == 0 and rep.centers is rep.pos_coords
         assert_allclose(power_matrix(rep), D, atol=1e-7)
 
     def test_larger_radius_also_reproduces(self):
@@ -161,14 +162,17 @@ class TestPowerRepresentation:
         with pytest.raises(DissimilarityError, match="not Euclidean"):
             power_representation(dec, radius=0.5 * r)
 
+    # the one representation type checks its radius, with or without a
+    # negative part
     def test_negative_radius_rejected_in_dataclass(self):
-        with pytest.raises(DissimilarityError, match="nonnegative"):
-            PowerRepresentation(np.zeros((2, 1)), -1.0)
+        for q in (0, 1):
+            with pytest.raises(DissimilarityError, match="nonnegative"):
+                PseudoEuclideanEmbedding(np.zeros((2, 1)), np.zeros((2, q)), -1.0)
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_nonfinite_radius_rejected(self, radius):
         with pytest.raises(DissimilarityError, match="nonnegative and finite"):
-            PowerRepresentation(np.zeros((2, 1)), radius)
+            PseudoEuclideanEmbedding(np.zeros((2, 1)), np.zeros((2, 0)), radius)
         with pytest.raises(DissimilarityError, match="nonnegative and finite"):
             power_representation(decomposed(THREE_POINT), radius)
 
@@ -224,13 +228,13 @@ class TestMatchesTwoEighOracle:
         D, dec, r_min, radius = case
         rep = power_representation(dec, radius)
         E = euclideanize(D, rep.radius)
-        assert rep.dim == self.oracle_dim(rep, E)
+        assert rep.p == self.oracle_dim(rep, E)
 
     def test_pipeline_uses_the_same_centers(self, case):
         D, _, r_min, radius = case
         res = run_projection(D, "jl-power", radius_override=radius)
         E = euclideanize(D, res.representation.radius)
-        assert res.representation.dim == self.oracle_dim(res.representation, E)
+        assert res.representation.p == self.oracle_dim(res.representation, E)
         assert max_rel_offdiag(
             E, squared_distances(res.representation.centers)
         ) <= 1e-6
@@ -258,7 +262,7 @@ class TestMatchesTwoEighOracle:
         dec = decompose(B)
         assert dec.zero_rank == 50
         rep = power_representation(dec, 1.5)
-        assert rep.dim == D.n
+        assert rep.p == D.n
         # Gram B + 2r^2 I: the whole null block, ones direction included,
         # is kept at 2r^2
         gram = B + 2.0 * 1.5**2 * np.eye(D.n)
@@ -313,7 +317,7 @@ class TestCholeskyCenters:
         B = center_gram(D)
         full = decompose(B)
         dec, rep = decompose_power(B)
-        assert dec.eigenvectors is None and rep.dim == D.n
+        assert dec.eigenvectors is None and rep.p == D.n
         assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
         # r^2 = -e_n / 2 + m with the margin m = 1e-9 (e_1 - e_n)
@@ -354,7 +358,7 @@ class TestCholeskyCenters:
         dec, rep = decompose_power(center_gram(D), r_min)
         # the direction of e_n has no length left, so it is dropped
         assert dec.eigenvectors is not None
-        assert rep.radius == r_min and rep.dim == D.n - 1
+        assert rep.radius == r_min and rep.p == D.n - 1
         assert np.array_equal(rep.centers, power_representation(full, r_min).centers)
         assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())

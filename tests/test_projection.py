@@ -5,18 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dissimjl import (
+    BallSpec,
     DissimilarityError,
-    PowerRepresentation,
     ProjectionConfig,
     PseudoEuclideanEmbedding,
     center_gram,
     decompose,
     embed_pq,
     gaussian_map,
+    gen_balls,
     power_representation,
+    project,
     project_classical,
-    project_power,
-    project_pq,
     reconstruct,
     squared_distances,
     target_dim,
@@ -140,65 +140,97 @@ def three_point_embedding():
     return embed_pq(three_point_decomposition())
 
 
-class TestProjectPq:
+def balls_embedding():
+    return embed_pq(decompose(center_gram(gen_balls(BallSpec(40, seed=1)))))
+
+
+def negated_points_embedding():
+    """p = 0: D = -(squared distances of 5 points in R^4) has q = 4."""
+    X = np.random.default_rng(14).standard_normal((5, 4))
+    return embed_pq(decompose(center_gram(validate_matrix(-squared_distances(X)))))
+
+
+class TestProject:
     def test_shapes_share_target_dim(self):
         emb = three_point_embedding()
-        proj = project_pq(emb, ProjectionConfig())
+        proj = project(emb, ProjectionConfig())
         assert proj.pos_coords.shape == (3, 13)
         assert proj.neg_coords.shape == (3, 13)
         assert proj.n == 3
 
     def test_returns_input_type(self):
-        proj = project_pq(three_point_embedding(), ProjectionConfig())
+        proj = project(three_point_embedding(), ProjectionConfig())
         assert type(proj) is PseudoEuclideanEmbedding
-        assert (proj.p, proj.q) == (13, 13)
+        assert (proj.p, proj.q, proj.radius) == (13, 13, 0.0)
         assert np.array_equal(
             proj.coords, np.hstack([proj.pos_coords, proj.neg_coords])
         )
 
+    def test_power_returns_input_type(self):
+        rep = power_representation(three_point_decomposition(), radius=2.5)
+        proj = project(rep, ProjectionConfig(seed=2))
+        assert type(proj) is PseudoEuclideanEmbedding
+        assert proj.radius == 2.5
+        assert proj.centers is proj.pos_coords
+        assert (proj.p, proj.q) == (13, 0)
+
+    @pytest.mark.parametrize(
+        "make", [three_point_embedding, balls_embedding, negated_points_embedding],
+        ids=["three-point", "balls", "negated-points"],
+    )
+    def test_parts_are_their_gaussian_maps_bitwise(self, make):
+        emb = make()
+        cfg = ProjectionConfig(seed=6)
+        m = target_dim(emb.n, cfg)
+        proj = project(emb, cfg)
+        for part, coords, seed in ((proj.pos_coords, emb.pos_coords, 6),
+                                   (proj.neg_coords, emb.neg_coords, 7)):
+            if coords.shape[1]:
+                assert np.array_equal(part, coords @ gaussian_map(m, coords.shape[1], seed).T)
+            else:
+                assert part.shape == (emb.n, 0)
+
     def test_parts_use_independent_maps(self):
         coords = np.random.default_rng(7).standard_normal((5, 2))
         emb = PseudoEuclideanEmbedding(coords, coords.copy())
-        proj = project_pq(emb, ProjectionConfig())
+        proj = project(emb, ProjectionConfig())
         assert not np.allclose(proj.pos_coords, proj.neg_coords)
 
     def test_empty_negative_part_stays_empty(self):
         X = np.random.default_rng(8).standard_normal((6, 3))
         emb = embed_pq(decompose(center_gram(validate_matrix(squared_distances(X)))))
         assert emb.q == 0
-        proj = project_pq(emb, ProjectionConfig())
+        proj = project(emb, ProjectionConfig())
         assert proj.neg_coords.shape == (6, 0)
         assert proj.pos_coords.shape[1] == target_dim(6, ProjectionConfig())
 
+    def test_empty_positive_part_stays_empty(self):
+        emb = negated_points_embedding()
+        assert (emb.p, emb.q) == (0, 4)
+        proj = project(emb, ProjectionConfig())
+        assert proj.pos_coords.shape == (5, 0)
+        assert proj.neg_coords.shape[1] == target_dim(5, ProjectionConfig())
+        assert np.array_equal(reconstruct(proj), -squared_distances(proj.neg_coords))
+
     def test_deterministic(self):
         emb = three_point_embedding()
-        a = project_pq(emb, ProjectionConfig(seed=9))
-        b = project_pq(emb, ProjectionConfig(seed=9))
+        a = project(emb, ProjectionConfig(seed=9))
+        b = project(emb, ProjectionConfig(seed=9))
         assert np.array_equal(a.pos_coords, b.pos_coords)
         assert np.array_equal(a.neg_coords, b.neg_coords)
-        c = project_pq(emb, ProjectionConfig(seed=10))
+        c = project(emb, ProjectionConfig(seed=10))
         assert not np.array_equal(a.pos_coords, c.pos_coords)
 
-
-class TestProjectPower:
     def test_radius_carried_through(self):
         rep = power_representation(three_point_decomposition())
-        proj = project_power(rep, ProjectionConfig(seed=2))
+        proj = project(rep, ProjectionConfig(seed=2))
         assert proj.radius == rep.radius
         assert proj.centers.shape == (3, 13)
-
-    def test_returns_input_type(self):
-        rep = power_representation(three_point_decomposition(), radius=2.5)
-        proj = project_power(rep, ProjectionConfig(seed=2))
-        assert type(proj) is PowerRepresentation
-        assert proj.radius == 2.5
-        assert proj.coords is proj.centers
-        assert proj.dim == 13
 
     def test_classical_matches_power_on_centers(self):
         rep = power_representation(three_point_decomposition())
         cfg = ProjectionConfig(seed=4)
-        proj = project_power(rep, cfg)
+        proj = project(rep, cfg)
         assert np.array_equal(proj.centers, project_classical(rep.centers, cfg))
 
 
@@ -219,7 +251,7 @@ class TestReconstruct:
 
     def test_projected_power_subtracts_radius_term(self):
         centers = np.random.default_rng(12).standard_normal((6, 3))
-        D = reconstruct(PowerRepresentation(centers, 1.5))
+        D = reconstruct(PseudoEuclideanEmbedding(centers, np.zeros((6, 0)), 1.5))
         expected = pairwise_sq_oracle(centers) - 9.0
         np.fill_diagonal(expected, 0.0)
         assert_allclose(D, expected, atol=1e-10)
@@ -233,9 +265,9 @@ class TestReconstruct:
         emb = embed_pq(dec)
         cfg = ProjectionConfig(seed=5)
         via_classical = squared_distances(project_classical(emb.pos_coords, cfg))
-        via_pq = reconstruct(project_pq(emb, cfg))
+        via_pq = reconstruct(project(emb, cfg))
         assert np.array_equal(via_classical, via_pq)
         rep = power_representation(dec)
         assert rep.radius == 0.0
-        via_power = reconstruct(project_power(rep, cfg))
+        via_power = reconstruct(project(rep, cfg))
         assert_allclose(via_power, via_classical, atol=1e-10)

@@ -31,7 +31,7 @@ from dissimjl import (
     embed_pq,
     gen_balls,
     gen_simplex,
-    project_pq,
+    project,
     reconstruct,
     relative_error_stats,
     run_projection,
@@ -342,7 +342,7 @@ def test_pq_reconstruct_holds_one_square_array():
     # 2.26
     n = 1024
     emb = embed_pq(decompose(center_gram(gen_balls(BallSpec(n, seed=1)))))
-    projected = project_pq(emb, ProjectionConfig())
+    projected = project(emb, ProjectionConfig())
     assert projected.p > 0 and projected.q > 0
     tracemalloc.start()
     try:
