@@ -71,11 +71,11 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     "violated" flag.
 
     - jl-pq (emb): the band around D_ij has half-width epsilon times the
-      Euclidean interval, epsilon * factor * |D_ij| wherever the factor is
-      finite.  Pairs with an infinite factor are excluded, never
-      violated.  The intervals come from ``_upper_distances`` of the two
-      signature parts: one band product of each per _BLOCK rows, and no
-      n x n array.
+      Euclidean interval P + Q, epsilon * factor * |D_ij|.  P - Q is D, so
+      P + Q comes from ``_upper_distances`` of the smaller signature part
+      alone: one band product per _BLOCK rows, and no n x n array.  Pairs
+      with D_ij == 0, which ``relative_error_stats`` excludes, are
+      excluded here too, never violated.
     - jl-power (bound): the "residual" beyond the multiplicative band,
       max(0, |Dhat_ij - D_ij| - epsilon |D_ij|), against the additive
       slack "bound".
@@ -91,12 +91,13 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
     if method == "jl-pq":
-        pos, neg = _upper_distances(emb.pos_coords), _upper_distances(emb.neg_coords)
+        sign = 1.0 if emb.q <= emb.p else -1.0
+        part = _upper_distances(emb.neg_coords if sign > 0 else emb.pos_coords)
     for block, pairs, tri in _upper_rows(A.shape[0]):
         d, dh = A[block][tri], Ah[block][tri]
         columns = {"dissimilarity": d, "reconstructed": dh}
         if method == "jl-pq":
-            columns.update(_pq_columns(d, dh, next(pos), next(neg), epsilon))
+            columns.update(_pq_columns(d, dh, next(part), sign, epsilon))
         elif method == "jl-power":
             residual = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
             columns.update(residual=residual, bound=np.full(d.size, bound),
@@ -111,23 +112,23 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
         del d, dh, columns  # hold no tile while forming the next
 
 
-def _pq_columns(d, dh, p, q, epsilon):
-    """jl-pq's band columns from a tile's P and Q, which it consumes.
+def _pq_columns(d, dh, x, sign, epsilon):
+    """jl-pq's band columns from a tile's D and, consumed, the squared
+    intervals x of its smaller part: Q with sign +1, P with sign -1.
 
-    Each temporary is freed or overwritten as soon as it is spent, so the
-    pass holds a few tile vectors beside its two band products.
+    P + Q = 2x + sign D, raised to |D| where rounding leaves it below, so
+    no band inverts; the factor is (P + Q) / |D|, infinite where D is 0.
+    Temporaries are overwritten once spent: a few tile vectors are held.
     """
-    euv = p + q
-    pqv = np.subtract(p, q, out=p)
-    del p, q
-    factor = np.where(euv == 0.0, 1.0, np.inf)  # where P - Q is zero
-    np.divide(euv, pqv, out=factor, where=pqv != 0.0)
-    np.abs(factor, out=factor)
-    del pqv
+    usable = d != 0.0
+    euv = np.multiply(x, 2.0, out=x)  # exact
+    euv += sign * d
+    np.maximum(euv, np.abs(d), out=euv)  # P + Q >= |P - Q| = |D|
+    factor = np.divide(euv, np.abs(d), out=np.full(d.size, np.inf), where=usable)
     half = np.multiply(euv, epsilon, out=euv)
     lower = d - half
     upper = np.add(d, half, out=half)
-    violated = ((dh < lower) | (dh > upper)) & np.isfinite(factor)
+    violated = ((dh < lower) | (dh > upper)) & usable
     return dict(factor=factor, band_lower=lower, band_upper=upper, violated=violated)
 
 
@@ -136,8 +137,7 @@ class PqBoundCheck:
     """Summary of the signed route's check against its factor-widened band.
 
     violation_rate is the share of usable pairs whose reconstruction
-    leaves the band; excluded_pairs counts the pairs with an infinite
-    distortion factor, which are not usable.
+    leaves the band; excluded_pairs counts the unusable pairs, D_ij == 0.
     """
 
     violation_rate: float
@@ -167,11 +167,11 @@ def _pq_check(tiles) -> PqBoundCheck:
     """jl-pq's check summary, folded over its band pass one tile at a time."""
     violated = excluded = total = 0
     for *_, columns in tiles:
-        factor = columns["factor"]
+        d = columns["dissimilarity"]
         violated += np.count_nonzero(columns["violated"])
-        excluded += np.count_nonzero(~np.isfinite(factor))
-        total += factor.size
-        del columns, factor  # hold no tile while the pass forms the next
+        excluded += np.count_nonzero(d == 0.0)
+        total += d.size
+        del columns, d  # hold no tile while the pass forms the next
     usable = total - excluded
     return PqBoundCheck(float(violated / usable) if usable else 0.0, int(excluded))
 

@@ -15,11 +15,13 @@ matrices P - Q and P + Q that the tiled bound check never forms, and
 ``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band
 arrays that the bound checks reduce tile by tile.
 
-By default ``ref_pq_bound`` reads P and Q off whole Gram products.  The
-jl-pq band pass forms them from one product per band of rows instead,
-which can round apart in the last bits once n spans more than one band,
-so there the default is an accuracy oracle; tests/test_tiles.py passes
-it band products for a bitwise one.
+By default ``ref_pq_bound`` takes the Euclidean interval P + Q off whole
+Gram products of both signature parts.  The jl-pq band pass forms it as
+2Q + D or 2P - D from the smaller part alone, one product per band of
+rows, which rounds apart from it in the last bits, so the default is an
+accuracy oracle; tests/test_tiles.py passes it that one-part formula on
+band products for a bitwise one.  Either way a pair is excluded exactly
+where D is zero.
 """
 
 import numpy as np
@@ -190,22 +192,25 @@ def ref_squared_distances(X):
     return D
 
 
-def ref_pq_bound(A, emb, Ah, epsilon, distances=ref_squared_distances):
+def ref_pq_bound(A, emb, Ah, epsilon, euclidean=None):
     """(factor, lower, upper, violated, excluded) over ``np.triu_indices`` pairs.
 
-    P and Q are ``distances`` of the two signature parts.
+    The Euclidean interval is ``euclidean(A, emb)`` over those pairs, by
+    default the whole-matrix P + Q.  The factor is it over |D|, infinite
+    where D == 0, and those pairs are excluded.
     """
-    P = distances(emb.pos_coords)
-    Q = distances(emb.neg_coords)
     iu = np.triu_indices(A.shape[0], 1)
-    d, dh, pqv, euv = A[iu], Ah[iu], (P - Q)[iu], (P + Q)[iu]
-    safe = np.where(pqv != 0.0, pqv, 1.0)
-    factor = np.where(
-        pqv != 0.0, np.abs(euv / safe), np.where(euv == 0.0, 1.0, np.inf)
-    )
+    d, dh = A[iu], Ah[iu]
+    if euclidean is None:
+        euv = (ref_squared_distances(emb.pos_coords)
+               + ref_squared_distances(emb.neg_coords))[iu]
+    else:
+        euv = euclidean(A, emb)
+    excluded = d == 0.0
+    factor = np.full(d.shape, np.inf)
+    factor[~excluded] = euv[~excluded] / np.abs(d[~excluded])
     lower = d - epsilon * euv
     upper = d + epsilon * euv
-    excluded = ~np.isfinite(factor)
     violated = ((dh < lower) | (dh > upper)) & ~excluded
     return factor, lower, upper, violated, excluded
 

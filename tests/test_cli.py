@@ -525,7 +525,7 @@ class TestValidateMatchesLibrary:
         write_matrix(path, source)
         library = run_projection(validate_matrix(read_matrix(path)), method)
         if kind == "balls":
-            # pairs with D == 0 and, on jl-pq, pairs with infinite factors
+            # pairs with D == 0, which jl-pq's check excludes too
             assert library.stats.excluded_pairs > 0
             assert method != "jl-pq" or library.pq_check.excluded_pairs > 0
         validate_csv(path, tmp_path, "--method", method, "--sample", "200")

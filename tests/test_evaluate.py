@@ -5,26 +5,35 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dissimjl import (
+    BallSpec,
     DissimilarityError,
     PseudoEuclideanEmbedding,
+    SimplexSpec,
     center_gram,
     decompose,
     embed_pq,
+    gen_balls,
+    gen_simplex,
     kmeans_projected,
     power_representation,
+    reconstruct,
     relational_cost,
     relational_kmeans,
     relative_error_stats,
+    run_projection,
     squared_distances,
     validate_matrix,
     validate_power_residual,
     validate_pq_bound,
 )
 
+from dissimjl import core, evaluate
+
 from conftest import (
     band_columns,
     brute_force_best_2partition,
     coordinate_kmeans_cost,
+    grid_hops,
     random_hollow,
     relational_cost_oracle,
 )
@@ -133,6 +142,57 @@ class TestValidatePqBound:
         emb = embed_pq(decompose(center_gram(np.zeros((1, 1)))))
         check = validate_pq_bound(np.zeros((1, 1)), emb, np.zeros((1, 1)), 0.5)
         assert repr(check) == repr(type(check)(0.0, 0))
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-11])
+    def test_band_never_inverts(self, gap):
+        # point 299 copies point 0 up to D = gap, far below the rounding
+        # of the pair's intervals: P + Q must not come out under |D|
+        A = gen_simplex(SimplexSpec(300)).entries.copy()
+        A[299], A[:, 299] = A[0], A[0]
+        A[0, 299] = A[299, 0] = gap
+        A[299, 299] = 0.0
+        D = validate_matrix(A)
+        emb = embed_pq(decompose(center_gram(D)))
+        band = band_columns("jl-pq", D, reconstruct(emb), 0.5, emb=emb)
+        d, factor = band["dissimilarity"], band["factor"]
+        usable = d != 0.0
+        assert np.all(factor[np.isfinite(factor)] >= 1.0)
+        assert np.all((band["band_upper"] - d)[usable] >= 0.5 * np.abs(d[usable]))
+        assert np.all(band["band_lower"] <= band["band_upper"])
+
+    @pytest.mark.parametrize("tile_rows", [None, 7], ids=["default", "rows7"])
+    @pytest.mark.parametrize("kind", ["balls", "grid"])
+    def test_exclusions_are_the_zero_pairs_of_d(self, kind, tile_rows, monkeypatch):
+        # the check and the error stats exclude the same pairs, D_ij == 0,
+        # however the band products round
+        D = validate_matrix(gen_balls(BallSpec(800, seed=1)) if kind == "balls"
+                            else grid_hops(8))
+        if tile_rows:
+            monkeypatch.setattr(core, "_TILE_ENTRIES", tile_rows * D.n)
+        zero = np.count_nonzero(D.entries[np.triu_indices(D.n, 1)] == 0.0)
+        assert kind == "grid" or zero > 0
+        res = run_projection(D, "jl-pq")
+        assert res.pq_check.excluded_pairs == res.stats.excluded_pairs == zero
+
+    @pytest.mark.parametrize("D", [
+        gen_simplex(SimplexSpec(300, seed=5)),
+        gen_balls(BallSpec(300, seed=5)),
+        # p = 0: the signed embedding has no positive part
+        -squared_distances(np.random.default_rng(5).standard_normal((300, 10))),
+        grid_hops(8),  # q = 0
+    ], ids=["simplex", "balls", "negated-points", "grid"])
+    def test_band_products_of_the_smaller_part_only(self, D, monkeypatch):
+        D = validate_matrix(D)
+        emb = embed_pq(decompose(center_gram(D)))
+        widths = []
+
+        def recording(X, _upper=evaluate._upper_distances):
+            widths.append(X.shape[1])
+            return _upper(X)
+
+        monkeypatch.setattr(evaluate, "_upper_distances", recording)
+        validate_pq_bound(D, emb, D.entries, 0.5)
+        assert widths == [min(emb.p, emb.q)]
 
 
 class TestValidatePowerResidual:

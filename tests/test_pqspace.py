@@ -30,10 +30,10 @@ def embed(D):
 def factors(emb):
     """The jl-pq band pass's factor column over the pairs i < j, row-major.
 
-    D and Dhat are zero here; the factor reads only the embedding.
+    D and Dhat are the embedding's own signed intervals P - Q.
     """
-    zero = np.zeros((emb.n, emb.n))
-    return band_columns("jl-pq", zero, zero, 0.5, emb=emb)["factor"]
+    D = interval_matrices(emb)[0]
+    return band_columns("jl-pq", D, D, 0.5, emb=emb)["factor"]
 
 
 class TestEmbedPq:
@@ -104,7 +104,8 @@ class TestDistortionFactor:
     def test_at_least_one(self):
         factor = factors(embed(random_hollow(np.random.default_rng(5), 16)))
         assert factor.size == 16 * 15 // 2
-        assert np.all(factor >= 1.0 - 1e-12)
+        assert np.all(np.isfinite(factor))
+        assert np.all(factor >= 1.0)
 
     def test_three_point_values(self):
         # pairs (0, 1), (0, 2), (1, 2)
@@ -123,9 +124,10 @@ class TestDistortionFactor:
         assert interval_matrices(emb)[0][0, 1] == 0.0
         assert factors(emb)[0] == math.inf
 
-    def test_coincident_points_give_one(self):
+    def test_coincident_points_are_excluded(self):
+        # D == 0 on every pair: no signed interval to divide by
         emb = PseudoEuclideanEmbedding(np.zeros((3, 2)), np.zeros((3, 1)))
-        assert np.all(factors(emb) == 1.0)
+        assert np.all(factors(emb) == math.inf)
 
 
 class TestNormRatioSample:
