@@ -48,7 +48,6 @@ from .power import (
     decompose_power,
     power_distance,
     power_radius,
-    power_representation,
     silhouette_gaussian,
 )
 from .projection import (
@@ -102,7 +101,6 @@ __all__ = [
     "parse_edge_list",
     "power_distance",
     "power_radius",
-    "power_representation",
     "project",
     "project_classical",
     "reconstruct",

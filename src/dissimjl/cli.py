@@ -168,7 +168,7 @@ def _pair_rows(tiles, picked, out):
     tiles is the run's band pass (evaluate's ``_band_tiles``).  Rows
     exist only for the ``picked`` positions of the upper triangle
     (row-major, i < j, sorted).  Each tile's picked positions take their
-    i and j from the tile's rows and their values from its columns, and
+    i and j from the tile's mask and their values from its columns, and
     are formatted as one block with one row format.  So ``validate
     --sample N`` formats N rows, and the full table is never held as text
     at once.  No tile is held while the pass forms the next.  The header
@@ -177,7 +177,7 @@ def _pair_rows(tiles, picked, out):
     """
     row = None
     for tile in tiles:
-        (rows, cols), pairs, _, columns = tile
+        (rows, cols), pairs, tri, columns = tile
         if row is None:
             route = list(columns)[2:]  # after dissimilarity and reconstructed
             out.write(",".join(["i,j,dissimilarity,reconstructed,ratio", *route]) + "\n")
@@ -185,18 +185,16 @@ def _pair_rows(tiles, picked, out):
         lo, hi = np.searchsorted(picked, (pairs.start, pairs.stop))
         at = picked[lo:hi]
         if at.size:
-            d, dh, *values = [column[at - pairs.start] for column in columns.values()]
-            # row r's pairs (r, r + 1), ... start at position r n - r (r + 1) / 2
-            r = np.arange(rows.start, rows.stop)
-            starts = r * cols.stop - r * (r + 1) // 2
-            i = r[np.searchsorted(starts, at, side="right") - 1]
-            j = at - starts[i - rows.start] + i + 1
+            at = at - pairs.start
+            d, dh, *values = [column[at] for column in columns.values()]
+            i, j = np.nonzero(tri)
+            i, j = i[at] + rows.start, j[at] + cols.start
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = dh / d
             table = np.column_stack((i, j, d, dh, ratio, *values))
             out.write((row * at.size) % tuple(table.ravel().tolist()))
         yield tile
-        del tile, columns, _  # hold no tile while the pass forms the next
+        del tile, columns, tri  # hold no tile while the pass forms the next
 
 
 def cmd_validate(args) -> int:

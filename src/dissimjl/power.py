@@ -7,12 +7,12 @@ reproduced by the generalized power distance.  Any centers whose Gram
 matrix is B + 2r^2 I do: it differs from Gram(E) = B + 2r^2 C (the
 constant-shift embedding of Roth et al., IEEE TPAMI 2003) only along
 the all-ones direction, which no center difference sees, so E is never
-formed and never decomposed.  :func:`decompose_power` takes the centers
-from one Cholesky factorization of B + 2r^2 I, and needs only B's
-eigenvalues to choose r; :func:`power_representation` reads them off
-B's eigenvectors, which a radius that leaves a direction at zero needs.
-Both return a ``PseudoEuclideanEmbedding`` (centers, an empty negative
-part, r), the type ``projection.project`` maps.  The same bilinear form
+formed and never decomposed.  :func:`decompose_power` is the one
+builder: it needs only B's eigenvalues to choose r, and takes the
+centers from one Cholesky factorization of B + 2r^2 I, or from B's
+eigenvectors where the radius leaves a direction at zero.  It returns a
+``PseudoEuclideanEmbedding`` (centers, an empty negative part, r), the
+type ``projection.project`` maps.  The same bilinear form
 doubles as the closed-form silhouette gap of two isotropic Gaussian
 clusters, :func:`silhouette_gaussian`.
 """
@@ -103,35 +103,6 @@ def _shifted_spectrum(dec: GramDecomposition, radius: float):
     return mu, tol
 
 
-def power_representation(
-    dec: GramDecomposition, radius: float | None = None
-) -> PseudoEuclideanEmbedding:
-    """Centers plus common radius reproducing the matrix behind dec.
-
-    The matrix D behind dec comes back as power distances.  The radius
-    defaults to :func:`power_radius`; an explicit smaller value leaves
-    the shifted matrix E = D + 4r^2 (J - I) non-Euclidean and raises, a
-    larger one works and changes only the split between center geometry
-    and radius.  dec must hold eigenvectors.
-
-    The centers are B's eigenvectors scaled by sqrt(lambda_k + 2r^2),
-    dropping the directions where that is within the tolerance of zero.
-    Their Gram B + 2r^2 I differs from Gram(E) = B + 2r^2 C by
-    2r^2 11^T / n, which no difference e_i - e_j sees; for r > 0 it adds
-    the all-ones direction to the span of E's classical scaling.
-    """
-    if dec.eigenvectors is None:
-        raise DissimilarityError("the decomposition holds no eigenvectors")
-    if radius is None:
-        radius = power_radius(dec)
-    mu, tol = _shifted_spectrum(dec, radius)
-    keep = mu > tol
-    centers = dec.eigenvectors[:, keep]
-    centers *= np.sqrt(mu[keep])
-    # the empty negative part is a view of the centers: it allocates no buffer
-    return PseudoEuclideanEmbedding(centers, centers[:, :0], float(radius))
-
-
 def decompose_power(
     B, radius: float | None = None
 ) -> tuple[GramDecomposition, PseudoEuclideanEmbedding]:
@@ -141,19 +112,21 @@ def decompose_power(
     :func:`~dissimjl.core.center_gram`) and is overwritten.  Only B's
     eigenvalues are computed; they give the signature, tau and the
     radius.  The radius defaults to r^2 = -e_n / 2 + m, just above the
-    minimum: the margin m = 1e-9 (e_1 - e_n) is the tolerance at which
-    :func:`power_representation` drops a direction at the minimal radius,
-    and B + 2r^2 I has smallest eigenvalue 2m, about twice the tolerance
-    at the new radius.  The centers are the Cholesky factor L of
-    B + 2r^2 I, formed from B with its diagonal shifted in place: L L^T
-    is the centers' Gram, so they reproduce D as power distances, in n
-    dimensions.  The returned decomposition holds no eigenvectors.
+    minimum: the margin m = 1e-9 (e_1 - e_n) is the tolerance at which a
+    direction is dropped at the minimal radius, and B + 2r^2 I has
+    smallest eigenvalue 2m, about twice the tolerance at the new radius.
+    An explicit radius below the minimum raises; a larger one changes
+    only the split between center geometry and radius.  The centers are
+    the Cholesky factor L of B + 2r^2 I, formed from B with its diagonal
+    shifted in place: L L^T is the centers' Gram, so they reproduce D as
+    power distances, in n dimensions.  The returned decomposition holds
+    no eigenvectors.
 
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
     Cholesky factor.  Then B is decomposed again with its eigenvectors,
-    and the results are those of :func:`~dissimjl.core.decompose` and
-    :func:`power_representation`.
+    which the centers are, scaled by sqrt(lambda_k + 2r^2) and without
+    the directions where that is within the tolerance of zero.
     """
     B = np.asarray(B, dtype=float)
     dec = decompose(B, vectors=False)
@@ -165,13 +138,19 @@ def decompose_power(
             r = math.sqrt(r**2 + DEFAULT_TAU_REL * float(lam[0] - lam[-1]))
     mu, tol = _shifted_spectrum(dec, r)
     if mu.min() <= tol:
+        # mu and its drop tolerance from eigh's spectrum, not eigvalsh's
         dec = decompose(B)
-        return dec, power_representation(dec, radius)
-    B.flat[:: B.shape[0] + 1] += 2.0 * r**2
-    try:
-        centers = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+        mu, tol = _shifted_spectrum(dec, r)
+        keep = mu > tol
+        centers = dec.eigenvectors[:, keep]
+        centers *= np.sqrt(mu[keep])
+    else:
+        B.flat[:: B.shape[0] + 1] += 2.0 * r**2
+        try:
+            centers = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    # the empty negative part is a view of the centers: it allocates no buffer
     return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], float(r))
 
 

@@ -5,9 +5,10 @@ Points live in R^(p+q) with the indefinite form
 one common radius r, and a pair's value is P - Q - 4r^2.  The embedding
 of a Gram decomposition (:func:`embed_pq`, r = 0) reproduces any
 symmetric hollow matrix as signed squared intervals P - Q; the power
-representation (``power``, q = 0) reproduces it as power distances
-P - 4r^2.  The per-pair distortion factor (P + Q) / |D|, Euclidean over
-signed interval, is a column of evaluate's jl-pq band pass.
+representation (:func:`~dissimjl.power.decompose_power`, q = 0)
+reproduces it as power distances P - 4r^2.  The per-pair distortion
+factor (P + Q) / |D|, Euclidean over signed interval, is a column of
+evaluate's jl-pq band pass.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ independent derivations instead of the code with itself.
 The power oracles take the long way round that the library avoids:
 ``euclideanize`` forms the shifted matrix E = D + 4r^2 (J - I) and
 ``recover_centers`` runs a second eigendecomposition on it, where
-``power_representation`` reads the centers off B's own eigenpairs and
-``decompose_power`` factors B + 2r^2 I.
+``decompose_power`` factors B + 2r^2 I, or reads the centers off B's
+own eigenpairs where the radius leaves B + 2r^2 I singular.
 ``interval_matrices`` builds the whole signed and Euclidean interval
 matrices P - Q and P + Q that the tiled bound check never forms, and
 ``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band

@@ -11,11 +11,11 @@ from dissimjl import (
     SimplexSpec,
     center_gram,
     decompose,
+    decompose_power,
     embed_pq,
     gen_balls,
     gen_simplex,
     kmeans_projected,
-    power_representation,
     reconstruct,
     relational_cost,
     relational_kmeans,
@@ -301,7 +301,7 @@ class TestRelationalKMeans:
         for _ in range(20):
             n = int(rng.integers(20, 81))
             D = random_hollow(rng, n)
-            rep = power_representation(decompose(center_gram(D)))
+            _, rep = decompose_power(center_gram(D))
             result = relational_kmeans(D, 3, seed=int(rng.integers(100)),
                                        restarts=3)
             labels = result.assignment

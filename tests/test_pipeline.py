@@ -18,10 +18,10 @@ from dissimjl import (
     as_matrix,
     center_gram,
     decompose,
+    decompose_power,
     embed_pq,
     gen_balls,
     gen_simplex,
-    power_representation,
     reconstruct,
     relational_kmeans,
     run_projection,
@@ -129,7 +129,8 @@ def test_row_order_keeps_signature_and_exactness(kind, n, seed):
     # criteria 1-2's 1e-6, relative to max |D|
     tol = 1e-6 * np.abs(D).max()
     assert np.abs(interval_matrices(embed_pq(dec))[0] - P).max() <= tol
-    assert np.abs(reconstruct(power_representation(dec)) - P).max() <= tol
+    _, rep = decompose_power(center_gram(validate_matrix(P)))
+    assert np.abs(reconstruct(rep) - P).max() <= tol
 
 
 def test_centering_overflow_is_numerical_error():

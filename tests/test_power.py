@@ -22,7 +22,6 @@ from dissimjl import (
     gen_simplex,
     power_distance,
     power_radius,
-    power_representation,
     reconstruct,
     run_projection,
     silhouette_gaussian,
@@ -44,6 +43,10 @@ THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 
 def decomposed(D):
     return decompose(center_gram(validate_matrix(D)))
+
+
+def power_rep(D, radius=None):
+    return decompose_power(center_gram(validate_matrix(D)), radius)[1]
 
 
 def power_matrix(rep: PseudoEuclideanEmbedding) -> np.ndarray:
@@ -133,8 +136,12 @@ class TestRecoverCenters:
 
 class TestPowerRepresentation:
     def test_reproduces_three_point(self):
-        rep = power_representation(decomposed(THREE_POINT))
-        assert_allclose(rep.radius, math.sqrt(1.0 / 12.0), atol=1e-12)
+        rep = power_rep(THREE_POINT)
+        # the default radius is the minimum sqrt(1 / 12) plus the margin:
+        # r^2 - 1 / 12 = 1e-9 (e_1 - e_n)
+        lam = decomposed(THREE_POINT).eigenvalues
+        assert_allclose(rep.radius**2 - 1.0 / 12.0,
+                        DEFAULT_TAU_REL * (lam[0] - lam[-1]), rtol=1e-6)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert_allclose(
@@ -144,7 +151,7 @@ class TestPowerRepresentation:
 
     def test_matrix_roundtrip(self):
         D = random_hollow(np.random.default_rng(5), 20)
-        rep = power_representation(decomposed(D))
+        rep = power_rep(D)
         assert rep.q == 0 and rep.centers is rep.pos_coords
         assert_allclose(power_matrix(rep), D, atol=1e-7)
 
@@ -152,15 +159,15 @@ class TestPowerRepresentation:
         D = random_hollow(np.random.default_rng(6), 10)
         dec = decomposed(D)
         r = power_radius(dec)
-        rep = power_representation(dec, radius=2.0 * r + 1.0)
+        rep = power_rep(D, radius=2.0 * r + 1.0)
         assert rep.radius == 2.0 * r + 1.0
         assert_allclose(power_matrix(rep), D, atol=1e-6)
 
     def test_radius_below_minimum_rejected(self):
-        dec = decomposed(random_hollow(np.random.default_rng(7), 10))
-        r = power_radius(dec)
+        D = random_hollow(np.random.default_rng(7), 10)
+        r = power_radius(decomposed(D))
         with pytest.raises(DissimilarityError, match="not Euclidean"):
-            power_representation(dec, radius=0.5 * r)
+            power_rep(D, radius=0.5 * r)
 
     # the one representation type checks its radius, with or without a
     # negative part
@@ -174,7 +181,7 @@ class TestPowerRepresentation:
         with pytest.raises(DissimilarityError, match="nonnegative and finite"):
             PseudoEuclideanEmbedding(np.zeros((2, 1)), np.zeros((2, 0)), radius)
         with pytest.raises(DissimilarityError, match="nonnegative and finite"):
-            power_representation(decomposed(THREE_POINT), radius)
+            power_rep(THREE_POINT, radius)
 
 
 def max_rel_offdiag(E, Ehat):
@@ -185,11 +192,17 @@ def max_rel_offdiag(E, Ehat):
 
 
 # (matrix, radius factor over power_radius, additive radius); None keeps
-# the minimal radius
+# the default radius, and a factor of 1 overrides with the minimal radius,
+# at which B + 2r^2 I is singular and the centers are B's eigenvectors
 EQUIVALENCE_CASES = {
     "simplex": (lambda: gen_simplex(SimplexSpec(120, seed=3)), None, 0.0),
+    "simplex-minimum": (lambda: gen_simplex(SimplexSpec(120, seed=3)), 1.0, 0.0),
     "balls": (lambda: gen_balls(BallSpec(120, seed=3)), None, 0.0),
+    "balls-minimum": (lambda: gen_balls(BallSpec(120, seed=3)), 1.0, 0.0),
     "random": (lambda: random_hollow(np.random.default_rng(12), 40), None, 0.0),
+    "random-minimum": (
+        lambda: random_hollow(np.random.default_rng(12), 40), 1.0, 0.0
+    ),
     "random-larger-radius": (
         lambda: random_hollow(np.random.default_rng(13), 40), 3.0, 1.0
     ),
@@ -198,7 +211,7 @@ EQUIVALENCE_CASES = {
 
 
 class TestMatchesTwoEighOracle:
-    """Centers from B's eigenpairs against a second eigh of the shifted matrix."""
+    """decompose_power's centers against a second eigh of the shifted matrix."""
 
     @staticmethod
     def build(name):
@@ -215,8 +228,8 @@ class TestMatchesTwoEighOracle:
 
     def test_centers_reproduce_shifted_matrix(self, case):
         D, dec, r_min, radius = case
-        rep = power_representation(dec, radius)
-        E = euclideanize(D, r_min if radius is None else radius)
+        _, rep = decompose_power(center_gram(D), radius)
+        E = euclideanize(D, rep.radius)
         assert max_rel_offdiag(E, squared_distances(rep.centers)) <= 1e-6
 
     @staticmethod
@@ -226,7 +239,7 @@ class TestMatchesTwoEighOracle:
 
     def test_center_dimension_matches_oracle(self, case):
         D, dec, r_min, radius = case
-        rep = power_representation(dec, radius)
+        _, rep = decompose_power(center_gram(D), radius)
         E = euclideanize(D, rep.radius)
         assert rep.p == self.oracle_dim(rep, E)
 
@@ -239,15 +252,17 @@ class TestMatchesTwoEighOracle:
             E, squared_distances(res.representation.centers)
         ) <= 1e-6
 
-    # the grid is Euclidean (minimal radius 0), so it has no radius below
-    @pytest.mark.parametrize(
-        "name", sorted(set(EQUIVALENCE_CASES) - {"grid-null-block"})
-    )
+    # the grid is Euclidean (minimal radius 0), so it has no radius below;
+    # the "-minimum" cases share their input's minimum with the default ones
+    @pytest.mark.parametrize("name", sorted(
+        name for name in EQUIVALENCE_CASES
+        if name != "grid-null-block" and not name.endswith("-minimum")
+    ))
     def test_radius_below_minimum_still_rejected(self, name, tmp_path, capsys):
         D, dec, r_min, _ = self.build(name)
         assert r_min > 0.0
         with pytest.raises(DissimilarityError, match="not Euclidean"):
-            power_representation(dec, 0.5 * r_min)
+            decompose_power(center_gram(D), 0.5 * r_min)
         with pytest.raises(DissimilarityError, match="not Euclidean"):
             run_projection(D, "jl-power", radius_override=0.5 * r_min)
         path = tmp_path / "D.csv"
@@ -261,7 +276,7 @@ class TestMatchesTwoEighOracle:
         B = center_gram(D)
         dec = decompose(B)
         assert dec.zero_rank == 50
-        rep = power_representation(dec, 1.5)
+        _, rep = decompose_power(B.copy(), 1.5)
         assert rep.p == D.n
         # Gram B + 2r^2 I: the whole null block, ones direction included,
         # is kept at 2r^2
@@ -359,20 +374,23 @@ class TestCholeskyCenters:
         # the direction of e_n has no length left, so it is dropped
         assert dec.eigenvectors is not None
         assert rep.radius == r_min and rep.p == D.n - 1
-        assert np.array_equal(rep.centers, power_representation(full, r_min).centers)
+        # B's eigenvectors scaled by sqrt(mu), mu = lambda + 2r^2, without
+        # the directions at or below the tolerance
+        lam = full.eigenvalues
+        mu = lam + 2.0 * r_min**2
+        keep = mu > DEFAULT_TAU_REL * max(np.abs(mu).max(), np.abs(lam).max())
+        oracle = full.eigenvectors[:, keep] * np.sqrt(mu[keep])
+        assert np.array_equal(rep.centers, oracle)
         assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
         res = run_projection(D, "jl-power", radius_override=r_min)
         assert res.representation.radius == r_min
         # the run keeps the spectrum only; its centers are eigh's
         assert res.decomposition.eigenvectors is None
-        assert np.array_equal(res.representation.centers,
-                              power_representation(full, r_min).centers)
+        assert np.array_equal(res.representation.centers, oracle)
 
     def test_vectorless_decomposition_has_no_eigenvector_route(self):
         dec = decompose(center_gram(THREE_POINT), vectors=False)
-        with pytest.raises(DissimilarityError, match="no eigenvectors"):
-            power_representation(dec)
         with pytest.raises(DissimilarityError, match="no eigenvectors"):
             embed_pq(dec)
 
@@ -414,10 +432,6 @@ class TestSingleEigendecomposition:
             solver_calls.update(dict.fromkeys(solver_calls, 0))
         run_projection(D, "jl-power", radius_override=radius)
         assert tuple(solver_calls.values()) == expected
-
-    def test_power_representation_calls_eigh_once(self, solver_calls):
-        power_representation(decomposed(random_hollow(np.random.default_rng(15), 30)))
-        assert solver_calls == {"eigh": 1, "eigvalsh": 0, "cholesky": 0}
 
 
 class TestSilhouette:
@@ -461,7 +475,7 @@ class TestSilhouette:
 @settings(max_examples=40, deadline=None)
 def test_representation_roundtrip_property(n, seed):
     D = random_hollow(np.random.default_rng(seed), n, scale=3.0)
-    rep = power_representation(decomposed(D))
+    rep = power_rep(D)
     assert rep.radius >= 0.0
     scale = max(1.0, np.abs(D).max())
     assert np.abs(power_matrix(rep) - D).max() <= 1e-6 * scale

@@ -11,10 +11,10 @@ from dissimjl import (
     PseudoEuclideanEmbedding,
     center_gram,
     decompose,
+    decompose_power,
     embed_pq,
     gaussian_map,
     gen_balls,
-    power_representation,
     project,
     project_classical,
     reconstruct,
@@ -131,9 +131,17 @@ class TestGaussianMap:
         assert misses / trials <= 0.02
 
 
-def three_point_decomposition():
+def three_point_gram():
     D = validate_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]]))
-    return decompose(center_gram(D))
+    return center_gram(D)
+
+
+def three_point_decomposition():
+    return decompose(three_point_gram())
+
+
+def three_point_power(radius=None):
+    return decompose_power(three_point_gram(), radius)[1]
 
 
 def three_point_embedding():
@@ -167,7 +175,7 @@ class TestProject:
         )
 
     def test_power_returns_input_type(self):
-        rep = power_representation(three_point_decomposition(), radius=2.5)
+        rep = three_point_power(radius=2.5)
         proj = project(rep, ProjectionConfig(seed=2))
         assert type(proj) is PseudoEuclideanEmbedding
         assert proj.radius == 2.5
@@ -222,13 +230,13 @@ class TestProject:
         assert not np.array_equal(a.pos_coords, c.pos_coords)
 
     def test_radius_carried_through(self):
-        rep = power_representation(three_point_decomposition())
+        rep = three_point_power()
         proj = project(rep, ProjectionConfig(seed=2))
         assert proj.radius == rep.radius
         assert proj.centers.shape == (3, 13)
 
     def test_classical_matches_power_on_centers(self):
-        rep = power_representation(three_point_decomposition())
+        rep = three_point_power()
         cfg = ProjectionConfig(seed=4)
         proj = project(rep, cfg)
         assert np.array_equal(proj.centers, project_classical(rep.centers, cfg))
@@ -267,7 +275,7 @@ class TestReconstruct:
         via_classical = squared_distances(project_classical(emb.pos_coords, cfg))
         via_pq = reconstruct(project(emb, cfg))
         assert np.array_equal(via_classical, via_pq)
-        rep = power_representation(dec)
+        _, rep = decompose_power(center_gram(D))
         assert rep.radius == 0.0
         via_power = reconstruct(project(rep, cfg))
         assert_allclose(via_power, via_classical, atol=1e-10)
