@@ -35,7 +35,8 @@ class DissimilarityMatrix:
 
     Entries may be negative and need not satisfy the triangle
     inequality.  Construct through :func:`validate_matrix`, which
-    canonicalizes raw input; instances are treated as immutable.
+    canonicalizes raw input into read-only entries, possibly a view of
+    it; instances are treated as immutable.
     """
 
     entries: np.ndarray
@@ -64,8 +65,13 @@ def validate_matrix(raw) -> DissimilarityMatrix:
     Returns
     -------
     DissimilarityMatrix
-        Exactly symmetrized copy, 0.5 A_ij + 0.5 A_ji (finite for any
-        finite input), with the diagonal forced to zero.
+        The exactly symmetrized matrix, 0.5 A_ij + 0.5 A_ji (finite for
+        any finite input), with the diagonal forced to +0, read-only.
+        Where that equals a C-contiguous float64 input bit for bit, as
+        on every matrix that ``gen``, ``ingest-graph`` and
+        ``write_matrix`` produce, the entries are a view of the input and
+        share its memory: writing to the original afterwards changes the
+        validated matrix.  Any other input is copied.
 
     Raises
     ------
@@ -83,8 +89,28 @@ def validate_matrix(raw) -> DissimilarityMatrix:
         i, j = np.argwhere(~np.isfinite(A))[0]
         raise DissimilarityError(f"non-finite entry at ({i}, {j}): {A[i, j]!r}")
     tol = 1e-9 * top
-    sym = np.empty(A.shape)
-    if _asymmetry(A, sym) > tol:
+    # per block of the upper block triangle: the gap, and the average
+    # compared bit for bit with both mirror blocks; the copy is taken at
+    # the first block that differs, and holds the earlier ones already
+    sym = (None if A.dtype == np.float64 and A.flags.c_contiguous
+           else A.astype(float, order="C"))
+    gaps = []
+    for rows, cols in _blocks(A.shape[0]):
+        a, b = A[rows, cols], A[cols, rows].T
+        gaps.append(np.abs(a - b).max())
+        # halving before the sum keeps the average finite near the float64 limit
+        avg = 0.5 * a + 0.5 * b
+        if rows == cols:
+            np.fill_diagonal(avg, 0.0)
+        if sym is None:
+            bits = avg.view(np.int64)
+            if (np.array_equal(bits, a.view(np.int64))
+                    and np.array_equal(bits, b.view(np.int64))):
+                continue
+            sym = A.copy()
+        sym[rows, cols] = avg
+        sym[cols, rows] = avg.T
+    if max(gaps) > tol:
         gap = np.abs(A - A.T)
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise DissimilarityError(
@@ -94,8 +120,9 @@ def validate_matrix(raw) -> DissimilarityMatrix:
     if diag.max() > tol:
         i = int(np.argmax(diag))
         raise DissimilarityError(f"nonzero diagonal at ({i}, {i}): {A[i, i]!r}")
-    np.fill_diagonal(sym, 0.0)
-    return DissimilarityMatrix(sym)
+    entries = A.view() if sym is None else sym
+    entries.flags.writeable = False
+    return DissimilarityMatrix(entries)
 
 
 def center_gram(D) -> np.ndarray:
@@ -309,18 +336,7 @@ def _abs_max(A: np.ndarray) -> float:
     return float(np.max([np.abs(A[r0:r1]).max() for r0, r1 in _row_tiles(A.shape[0])]))
 
 
-def _asymmetry(A: np.ndarray, out: np.ndarray | None = None) -> float:
-    """max |A - A^T|; with out, also write 0.5 A + 0.5 A^T there.
-
-    Halving before the sum keeps the average finite for entries near the
-    float64 limit.
-    """
-    gaps = []
-    for rows, cols in _blocks(A.shape[0]):
-        a, b = A[rows, cols], A[cols, rows].T
-        gaps.append(np.abs(a - b).max())
-        if out is not None:
-            avg = 0.5 * a + 0.5 * b
-            out[rows, cols] = avg
-            out[cols, rows] = avg.T
-    return float(np.max(gaps))
+def _asymmetry(A: np.ndarray) -> float:
+    """max |A - A^T|, over square blocks."""
+    return float(max(np.abs(A[rows, cols] - A[cols, rows].T).max()
+                     for rows, cols in _blocks(A.shape[0])))

@@ -45,6 +45,65 @@ def random_hollow(rng, n, scale=1.0):
     return A
 
 
+def ref_validate(raw):
+    """validate_matrix's entries as a whole-matrix formula: 0.5 (A + A^T),
+    hollow, always a fresh array."""
+    A = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(A)):
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise DissimilarityError(f"non-finite entry at ({i}, {j}): {A[i, j]!r}")
+    tol = 1e-9 * max(1.0, float(np.abs(A).max()))
+    gap = np.abs(A - A.T)
+    if gap.max() > tol:
+        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        raise DissimilarityError(
+            f"asymmetric at ({i}, {j}): {A[i, j]!r} vs {A[j, i]!r}"
+        )
+    sym = 0.5 * (A + A.T)
+    np.fill_diagonal(sym, 0.0)
+    return sym
+
+
+def copy_cases(n, seed=0):
+    """Raw inputs that validate_matrix copies, by name, each a variant of
+    the canonical ``random_hollow(n)``, with the entries it must return.
+
+    - "negative-zero diagonal" differs from its symmetrized result in
+      bits, not in value.
+    - "one-ulp asymmetry" (within tolerance) and "later block" differ in
+      one entry.  The later block's pair sits in the corner block, past
+      the first one under small blocks, and its average rounds to the
+      upper entry 0.5, so only the lower one differs from it.
+    - "subnormal pair" is exactly symmetric, but the halving rounds
+      2.5e-324 to +0, which ref_validate's sum-first formula does not.
+    - "fortran", "strided", "float32" and "int" hold canonical values in
+      another layout or type.
+    """
+    A = random_hollow(np.random.default_rng(seed), n)
+    cases = {}
+    B = A.copy()
+    B[0, 0] = -0.0
+    cases["negative-zero diagonal"] = (B, ref_validate(B))
+    B = A.copy()
+    B[0, 1] = B[1, 0] = 5e-324
+    expected = ref_validate(B)
+    expected[0, 1] = expected[1, 0] = 0.0
+    cases["subnormal pair"] = (B, expected)
+    B = A.copy()
+    B[1, 0] = np.nextafter(B[0, 1], np.inf)
+    cases["one-ulp asymmetry"] = (B, ref_validate(B))
+    B = A.copy()
+    B[0, n - 1], B[n - 1, 0] = 0.5, np.nextafter(0.5, 1.0)
+    cases["later block"] = (B, ref_validate(B))
+    cases["fortran"] = (np.asfortranarray(A), A)
+    cases["strided"] = (np.repeat(A, 2, axis=1)[:, ::2], A)
+    B = A.astype(np.float32)
+    cases["float32"] = (B, ref_validate(B))
+    B = np.rint(10 * A).astype(int)
+    cases["int"] = (B, ref_validate(B))
+    return cases
+
+
 def grid_hops(k):
     """Hop counts of a k x k grid: Euclidean, with a null block of rank >> 1."""
     edges = []

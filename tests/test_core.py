@@ -18,7 +18,14 @@ from dissimjl import (
     validate_matrix,
 )
 
-from conftest import dense_gram_oracle, grid_hops, pairwise_sq_oracle, random_hollow
+from conftest import (
+    copy_cases,
+    dense_gram_oracle,
+    grid_hops,
+    pairwise_sq_oracle,
+    random_hollow,
+    ref_validate,
+)
 
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 
@@ -73,6 +80,36 @@ class TestValidateMatrix:
         broken = DissimilarityMatrix(np.zeros((2, 3)))
         with pytest.raises(DissimilarityError, match="square"):
             validate_matrix(broken)
+        # entries of another dtype, built without validation, come back float
+        wrapped = DissimilarityMatrix(np.array([[0, 3], [3, 0]]))
+        out = validate_matrix(wrapped).entries
+        assert out.dtype == np.float64 and np.array_equal(out, [[0.0, 3.0], [3.0, 0.0]])
+
+    def test_canonical_input_is_a_read_only_view(self):
+        raw = random_hollow(np.random.default_rng(4), 40)
+        out = validate_matrix(raw).entries
+        assert np.shares_memory(out, raw)
+        assert not out.flags.writeable and raw.flags.writeable
+        assert out.tobytes() == ref_validate(raw).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 1] = 1.0
+        raw[0, 1] = 7.0  # the validated matrix shares the caller's memory
+        assert out[0, 1] == 7.0
+
+    def test_revalidation_returns_a_view(self):
+        D = gen_simplex(SimplexSpec(12, seed=2))
+        assert np.shares_memory(validate_matrix(D).entries, D.entries)
+        assert np.shares_memory(validate_matrix(D.entries).entries, D.entries)
+
+    @pytest.mark.parametrize("case", list(copy_cases(7)))
+    def test_other_input_is_a_read_only_copy(self, case):
+        raw, expected = copy_cases(7)[case]
+        out = validate_matrix(raw).entries
+        assert not np.shares_memory(out, raw)
+        assert out.flags.c_contiguous and not out.flags.writeable
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 1] = 1.0
 
 
 class TestCenterGram:

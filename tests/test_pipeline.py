@@ -24,11 +24,12 @@ from dissimjl import (
     gen_simplex,
     reconstruct,
     relational_kmeans,
+    report_dict,
     run_projection,
     validate_matrix,
 )
 
-from conftest import interval_matrices, random_hollow
+from conftest import grid_hops, interval_matrices, random_hollow
 
 
 def test_every_exported_name_resolves():
@@ -108,6 +109,20 @@ def test_scaling_the_input_scales_every_tolerance(D):
                         base.representation.radius, rtol=1e-9)
         assert_allclose(relational_kmeans(c * D, 3).cost / c, cost, rtol=1e-9)
 
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_view_and_copy_of_the_input_give_the_same_run(method):
+    # a canonical array is validated as a view, its Fortran-order copy
+    # as a C-ordered copy: every later stage reads the same bits
+    for D in (gen_simplex(SimplexSpec(200, seed=0)), gen_balls(BallSpec(200, seed=1)),
+              grid_hops(8)):
+        view = run_projection(D.entries, method)
+        copy = run_projection(np.asfortranarray(D.entries), method)
+        assert np.shares_memory(view.matrix.entries, D.entries)
+        assert not np.shares_memory(copy.matrix.entries, D.entries)
+        assert view.reconstructed.tobytes() == copy.reconstructed.tobytes()
+        assert report_dict(view) == report_dict(copy)
 
 @given(kind=st.sampled_from(["hollow", "simplex", "balls"]),
        n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from dissimjl import (
+    METHODS,
     BallSpec,
     DissimilarityError,
     ProjectionConfig,
@@ -46,12 +47,14 @@ from dissimjl import core
 
 from conftest import (
     band_columns,
+    copy_cases,
     random_hollow,
     ref_power_residual,
     ref_power_summary,
     ref_pq_bound,
     ref_pq_summary,
     ref_squared_distances,
+    ref_validate,
 )
 
 T = 5
@@ -72,23 +75,6 @@ def tiles(request, monkeypatch):
         return request.param
 
     return use
-
-
-def ref_validate(raw):
-    A = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(A)):
-        i, j = np.argwhere(~np.isfinite(A))[0]
-        raise DissimilarityError(f"non-finite entry at ({i}, {j}): {A[i, j]!r}")
-    tol = 1e-9 * max(1.0, float(np.abs(A).max()))
-    gap = np.abs(A - A.T)
-    if gap.max() > tol:
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        raise DissimilarityError(
-            f"asymmetric at ({i}, {j}): {A[i, j]!r} vs {A[j, i]!r}"
-        )
-    sym = 0.5 * (A + A.T)
-    np.fill_diagonal(sym, 0.0)
-    return sym
 
 
 def ref_center_gram(A):
@@ -245,6 +231,21 @@ def test_validate_and_center_match_whole_matrix(tiles, n):
         assert same(center_gram(sym), ref_center_gram(sym))
 
 
+
+@pytest.mark.parametrize("n", SIZES)
+def test_validate_views_canonical_input_and_copies_the_rest(tiles, n):
+    # the blocks are compared bit for bit before any copy is formed, and
+    # a copy taken at a later block holds the earlier, equal ones already
+    tiles(n)
+    raw = random_hollow(np.random.default_rng(0), n)
+    out = validate_matrix(raw).entries
+    assert np.shares_memory(out, raw) and not out.flags.writeable
+    assert same(out, ref_validate(raw))
+    for case, (raw, expected) in copy_cases(n).items():
+        out = validate_matrix(raw).entries
+        assert not np.shares_memory(out, raw), case
+        assert out.flags.c_contiguous and not out.flags.writeable, case
+        assert same(out, expected), case
 @pytest.mark.parametrize("n", SIZES)
 def test_squared_distances_match_whole_matrix(tiles, n):
     tiles(n)
@@ -353,6 +354,36 @@ def test_pq_bound_pass_holds_no_square_array():
         tracemalloc.stop()
     assert peak < 0.7 * n * n * 8
 
+
+def test_validate_holds_no_square_array_on_canonical_input():
+    # per 256 x 256 block the gap, the average and their bit comparisons
+    # (0.20 of an n x n array at n = 1024); the symmetrized copy took 1.20
+    n = 1024
+    raw = np.array(gen_simplex(SimplexSpec(n)).entries)
+    tracemalloc.start()
+    try:
+        out = validate_matrix(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(out.entries, raw)
+    assert peak < 0.25 * n * n * 8
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_projection_keeps_no_copy_of_canonical_input(method):
+    # a raw canonical array is validated as a view, so the run holds three
+    # n x n arrays at its peak (2.94 to 3.02 at n = 1024), where the
+    # symmetrized copy made four
+    n = 1024
+    raw = np.array(gen_simplex(SimplexSpec(n)).entries)
+    tracemalloc.start()
+    try:
+        run_projection(raw, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.1 * n * n * 8
 
 def test_pq_reconstruct_holds_one_square_array():
     # D-hat, one band product of 256 x n doubles (a quarter of D-hat at
