@@ -56,7 +56,6 @@ from .projection import (
     ProjectionConfig,
     gaussian_map,
     project,
-    project_classical,
     reconstruct,
     target_dim,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "power_distance",
     "power_radius",
     "project",
-    "project_classical",
     "reconstruct",
     "relational_cost",
     "relational_kmeans",

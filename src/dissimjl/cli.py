@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -104,11 +105,19 @@ def _manifest(command: str, inputs: list[str], args, started: float) -> dict:
     }
 
 
+def _strict(value):
+    """value with None (JSON null) for each non-finite float: RFC 8259 JSON
+    has no NaN or Infinity token."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_report(args, command: str, started: float, body: dict) -> None:
     """Write the JSON report: the run manifest, then the body's keys."""
     report = {"manifest": _manifest(command, [args.matrix], args, started), **body}
     with _stream(args.out_report) as out:
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(json.dumps(_strict(report), indent=2, allow_nan=False) + "\n")
 
 
 def cmd_gen_simplex(args) -> int:
@@ -235,30 +244,32 @@ def cmd_kmeans(args) -> int:
         return kmeans_projected(D, coords, args.k, seed=args.seed,
                                 restarts=args.restarts)
 
-    # the baseline clusters the positive part of D's signed embedding;
-    # jl-power's run builds none, so on that route the baseline is
-    # decomposed and clustered first, and its eigh buffers are gone
-    # before the run's centers exist.  The report reads no reconstruction,
-    # stats or check, so the run is not scored.
+    def baseline(emb):
+        """The positive part of D's signed embedding clustered, None if p = 0."""
+        return cluster(emb.pos_coords) if emb.p else None
+
+    # jl-power's run builds no signed embedding, so on that route the
+    # baseline is decomposed and clustered first, and its eigh buffers
+    # are gone before the run's centers exist.  The report reads no
+    # reconstruction, stats or check, so the run is not scored.
     if args.method == "jl-power":
-        original = cluster(embed_pq(decompose(center_gram(D))).pos_coords)
+        original = baseline(embed_pq(decompose(center_gram(D))))
     result = _run_from_args(args, _project, D)
     if args.method != "jl-power":
-        original = cluster(result.embedding.pos_coords)
+        original = baseline(result.embedding)
     projected = cluster(result.coords)
-    ratio = None
-    if original.cost != 0.0:
-        ratio = projected.cost / original.cost
+    cost, iterations = (original.cost, original.iterations) if original else (None, None)
+    ratio = projected.cost / cost if cost else None  # none for a zero cost too
     _write_report(args, "kmeans", started, {
         "method": args.method,
         "n": D.n,
         "k": args.k,
         "seed": args.seed,
         "restarts": args.restarts,
-        "original_cost": original.cost,
+        "original_cost": cost,
         "projected_cost": projected.cost,
         "cost_ratio": ratio,
-        "original_iterations": original.iterations,
+        "original_iterations": iterations,
         "projected_iterations": projected.iterations,
     })
     return EXIT_OK

@@ -58,8 +58,9 @@ def relative_error_stats(D, Dhat) -> ErrorStats:
     rel = rel[:used]
     top, mean = float(rel.max()), float(rel.mean())
     lo, hi = (used - 1) // 2, used // 2  # the middle entry, or the two
-    rel.partition((lo, hi))
-    return ErrorStats(top, mean, float(rel[lo:hi + 1].mean()), excluded)
+    rel.partition(hi)  # rel[:hi] holds the smaller ones, so lo's is their max
+    median = rel[hi] if lo == hi else (rel[:hi].max() + rel[hi]) / 2.0
+    return ErrorStats(top, mean, float(median), excluded)
 
 
 def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
@@ -287,7 +288,6 @@ def _lloyd_euclidean(X, k, seed):
                 candidates = np.flatnonzero(shared)
                 fit = d2[candidates, new_labels[candidates]]
                 far = candidates[np.argmax(fit)]
-                centers[c] = X[far]
                 new_labels[far] = c
                 members = new_labels == c
             centers[c] = X[members].mean(axis=0)
@@ -313,7 +313,7 @@ def kmeans_projected(
     comparable across embeddings.
     """
     A = as_matrix(D)
-    X = np.asarray(coords, dtype=float)
+    X = np.ascontiguousarray(coords, dtype=float)  # Lloyd gathers rows
     n = A.shape[0]
     if X.shape[0] != n:
         raise DissimilarityError(

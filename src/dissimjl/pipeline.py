@@ -28,13 +28,7 @@ from .evaluate import (
     validate_pq_bound,
 )
 from .power import decompose_power
-from .projection import (
-    ProjectionConfig,
-    project,
-    project_classical,
-    reconstruct,
-    target_dim,
-)
+from .projection import ProjectionConfig, project, reconstruct, target_dim
 from .pqspace import PseudoEuclideanEmbedding, embed_pq
 
 METHODS = ("jl", "jl-pq", "jl-power")
@@ -65,9 +59,7 @@ class RunResult:
     @property
     def coords(self) -> np.ndarray:
         """Projected coordinate rows, the input k-means clusters on."""
-        if self.method == "jl":
-            return self.projected
-        return self.projected.coords
+        return self.projected if self.method == "jl" else self.projected.coords
 
 
 def _scored(result: RunResult, Dhat, through=None) -> RunResult:
@@ -128,7 +120,11 @@ def _project(
         rep = embed_pq(dec)
     # the representation copied all the run reads of the eigenvectors
     dec = replace(dec, eigenvectors=None)
-    projected = project_classical(rep.coords, config) if method == "jl" else project(rep, config)
+    if method == "jl":  # the one part of signs-discarded coordinates, kept as rows
+        X = rep.coords
+        projected = project(PseudoEuclideanEmbedding(X, X[:, :0]), config).pos_coords
+    else:
+        projected = project(rep, config)
     return RunResult(
         method=method,
         config=config,
@@ -151,9 +147,9 @@ def run_projection(
 ) -> RunResult:
     """Validate, embed, project, reconstruct, and score one matrix.
 
-    method is one of "jl" (classical projection of the signs-discarded
-    embedding), "jl-pq" (independent projections of the signature
-    parts), or "jl-power" (projection of power-representation centers).
+    method is one of "jl" (projection of the signs-discarded embedding as
+    one part), "jl-pq" (independent projections of the signature parts),
+    or "jl-power" (projection of power-representation centers).
     radius_override replaces the default radius on the power route,
     which sits just above the minimum (see ``decompose_power``); values
     below the minimum leave the shifted matrix non-Euclidean, which is a

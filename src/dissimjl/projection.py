@@ -1,11 +1,12 @@
-"""Gaussian random projection of plain rows and of (pos, neg, radius).
+"""Gaussian random projection of the one representation (pos, neg, radius).
 
 The target dimension follows the usual JL budget
 m = ceil(c * log2(n) / eps^2).  A Gaussian map is a plain (m, d)
 matrix M, and coordinate rows X map to X @ M.T.  :func:`project` maps a
-``PseudoEuclideanEmbedding``, signed embedding or power representation,
-to the same type: each part through its own map into a copy of R^m,
-the radius unchanged.  :func:`reconstruct` rebuilds the dissimilarities
+``PseudoEuclideanEmbedding``, signed embedding, power representation or
+the jl route's one part of signs-discarded coordinates, to the same
+type: each part through its own map into a copy of R^m, the radius
+unchanged.  :func:`reconstruct` rebuilds the dissimilarities
 of any projection as P - Q - 4r^2 from one band pass of Gram products,
 the pass ``squared_distances`` runs: P holds the squared distances of
 the plain rows or the positive part, Q those of the negative part, and
@@ -66,13 +67,6 @@ def gaussian_map(out_dim: int, in_dim: int, seed: int) -> np.ndarray:
         raise DissimilarityError(f"input dimension must be >= 0, got {in_dim}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0 / math.sqrt(out_dim), size=(out_dim, in_dim))
-
-
-def project_classical(coords, config: ProjectionConfig) -> np.ndarray:
-    """Project coordinate rows to the target dimension for their count."""
-    X = np.asarray(coords, dtype=float)
-    m = target_dim(X.shape[0], config)
-    return X @ gaussian_map(m, X.shape[1], config.seed).T
 
 
 def project(

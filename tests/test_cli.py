@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -84,6 +86,15 @@ def zeros_csv(tmp_path):
     path = tmp_path / "zeros.csv"
     assert main(["gen", "ball", "--n", "14", "--dim", "2", "--rmin", "0.8",
                  "--rmax", "1.6", "--seed", "2", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture()
+def negated_csv(tmp_path):
+    # negated squared distances of seeded points: no positive part (p = 0)
+    path = tmp_path / "negated.csv"
+    X = np.random.default_rng(5).standard_normal((300, 5))
+    write_matrix(str(path), -squared_distances(X))
     return str(path)
 
 
@@ -305,6 +316,27 @@ class TestProject:
         assert main(["project", simplex_csv, "--method", "jl-power",
                      "--radius-override", "0.001"]) == 2
         assert "not Euclidean" in capsys.readouterr().err
+
+
+class TestStrictJson:
+    def test_nonfinite_numbers_are_written_as_null(self, simplex_csv, tmp_path, schema):
+        # RFC 8259 has no NaN or Infinity token: those numbers are null
+        body = report_dict(run_projection(read_matrix(simplex_csv), "jl-power"))
+        body["stats"].update(max_rel=math.inf, mean_rel=math.inf, median_rel=math.nan)
+        body["bounds"]["power_residual_max"] = math.nan
+        path = tmp_path / "r.json"
+        args = argparse.Namespace(matrix=simplex_csv, out_report=str(path))
+        cli._write_report(args, "project", time.monotonic(), body)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(path.read_text(), parse_constant=refuse)
+        jsonschema.validate(report, schema)
+        assert report["stats"] == {"max_rel": None, "mean_rel": None,
+                                   "median_rel": None, "excluded": 0}
+        assert report["bounds"]["power_residual_max"] is None
+        assert report["bounds"]["radius"] == body["bounds"]["radius"]
 
 
 class TestValidate:
@@ -602,6 +634,22 @@ class TestKMeans:
                          "--out-report", str(path)]) == 0
             costs.add(load_json(str(path))["original_cost"])
         assert len(costs) == 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_baseline_without_a_positive_part(self, method, negated_csv, tmp_path):
+        # the baseline clusters the positive part, which p = 0 input lacks
+        D = validate_matrix(read_matrix(negated_csv))
+        assert embed_pq(decompose(center_gram(D))).p == 0
+        path = tmp_path / "km.json"
+        assert main(["kmeans", negated_csv, "--k", "4", "--method", method,
+                     "--out-report", str(path)]) == 0
+        report = load_json(str(path))
+        assert report["original_cost"] is None
+        assert report["cost_ratio"] is None
+        assert report["original_iterations"] is None
+        projected = kmeans_projected(D, run_projection(D, method).coords, 4)
+        assert report["projected_cost"] == projected.cost
+        assert report["projected_iterations"] == projected.iterations
 
     def test_single_cluster(self, blobs_csv, tmp_path):
         path = tmp_path / "km.json"

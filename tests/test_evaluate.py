@@ -354,6 +354,34 @@ class TestKMeansProjected:
             kmeans_projected(D, X, 2, restarts=0)
 
 
+@pytest.mark.parametrize("D", [
+    gen_simplex(SimplexSpec(300, seed=0)),
+    gen_balls(BallSpec(300, seed=0)),
+], ids=["simplex", "balls"])
+def test_row_major_rows_cluster_as_the_column_major_gather(D, monkeypatch):
+    # an embedding's parts are column gathers of eigenvectors, Fortran
+    # ordered; k-means clusters their row-major copy, which Lloyd's row
+    # gathers read faster, to the same assignment, cost and step count
+    emb = embed_pq(decompose(center_gram(D)))
+    lloyd, row_major = evaluate._lloyd_euclidean, []
+
+    def recording(X, k, seed):
+        row_major.append(X.flags.c_contiguous)
+        return lloyd(X, k, seed)
+
+    monkeypatch.setattr(evaluate, "_lloyd_euclidean", recording)
+    for part in (emb.pos_coords, emb.neg_coords):
+        assert part.flags.f_contiguous and not part.flags.c_contiguous
+        for k in (3, 8):
+            for seed in (0, 3):
+                labels, iterations = lloyd(part, k, seed)
+                result = kmeans_projected(D, part, k, seed=seed, restarts=1)
+                assert np.array_equal(result.assignment, labels)
+                assert result.cost == relational_cost(D, labels)
+                assert result.iterations == iterations
+    assert row_major and all(row_major)
+
+
 def test_coincident_points_fill_every_cluster():
     # an empty cluster is reseeded from a cluster that keeps a member
     D = np.zeros((6, 6))

@@ -20,12 +20,14 @@ from dissimjl import (
     decompose,
     decompose_power,
     embed_pq,
+    gaussian_map,
     gen_balls,
     gen_simplex,
     reconstruct,
     relational_kmeans,
     report_dict,
     run_projection,
+    target_dim,
     validate_matrix,
 )
 
@@ -49,6 +51,23 @@ def test_coords_match_route_branch(method):
         expected = res.projected
     assert np.array_equal(res.coords, expected)
     assert res.coords.shape[0] == 30
+
+
+@pytest.mark.parametrize("D", [
+    gen_simplex(SimplexSpec(300, seed=0)),
+    gen_balls(BallSpec(300, seed=1)),
+], ids=["simplex", "balls"])
+def test_jl_projects_the_signs_discarded_coords_as_one_part(D):
+    # jl is project's one-part case: the plain rows of the classical map
+    # of both parts side by side, drawn from the run's seed alone
+    config = ProjectionConfig(seed=7)
+    dec = decompose(center_gram(D))
+    m = target_dim(D.n, config)
+    expected = embed_pq(dec).coords @ gaussian_map(m, dec.p + dec.q, config.seed).T
+    projected = run_projection(D, "jl", config).projected
+    assert type(projected) is np.ndarray
+    assert projected.tobytes() == expected.tobytes()
+    assert projected.shape == (D.n, m)
 
 
 class TestStagesTheBenchmarkReads:

@@ -16,7 +16,6 @@ from dissimjl import (
     gaussian_map,
     gen_balls,
     project,
-    project_classical,
     reconstruct,
     squared_distances,
     target_dim,
@@ -239,7 +238,8 @@ class TestProject:
         rep = three_point_power()
         cfg = ProjectionConfig(seed=4)
         proj = project(rep, cfg)
-        assert np.array_equal(proj.centers, project_classical(rep.centers, cfg))
+        classical = rep.centers @ gaussian_map(target_dim(3, cfg), rep.p, cfg.seed).T
+        assert np.array_equal(proj.centers, classical)
 
 
 class TestReconstruct:
@@ -272,7 +272,10 @@ class TestReconstruct:
         dec = decompose(center_gram(D))
         emb = embed_pq(dec)
         cfg = ProjectionConfig(seed=5)
-        via_classical = squared_distances(project_classical(emb.pos_coords, cfg))
+        one_part = project(PseudoEuclideanEmbedding(emb.pos_coords, np.zeros((9, 0))), cfg)
+        classical = emb.pos_coords @ gaussian_map(target_dim(9, cfg), emb.p, cfg.seed).T
+        assert np.array_equal(one_part.pos_coords, classical)
+        via_classical = squared_distances(one_part.pos_coords)
         via_pq = reconstruct(project(emb, cfg))
         assert np.array_equal(via_classical, via_pq)
         _, rep = decompose_power(center_gram(D))
