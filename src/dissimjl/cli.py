@@ -219,10 +219,11 @@ def cmd_validate(args) -> int:
         Dhat = reconstruct(result.projected)
     n = result.matrix.n
     npairs = n * (n - 1) // 2
-    picked = np.arange(npairs)
     if args.sample is not None and args.sample < npairs:
         rng = np.random.default_rng(args.seed)
         picked = np.sort(rng.choice(npairs, size=args.sample, replace=False))
+    else:
+        picked = np.arange(npairs)
     # one band pass writes the pair rows and scores the run
     with _stream(args.out_csv) as out:
         result = _scored(result, Dhat, lambda tiles: _pair_rows(tiles, picked, out))
@@ -240,24 +241,20 @@ def cmd_kmeans(args) -> int:
     if args.k > D.n:  # before any eigendecomposition
         raise DissimilarityError(f"k must lie in [1, {D.n}], got {args.k}")
 
-    def cluster(coords):
-        return kmeans_projected(D, coords, args.k, seed=args.seed,
-                                restarts=args.restarts)
-
-    def baseline(emb):
-        """The positive part of D's signed embedding clustered, None if p = 0."""
-        return cluster(emb.pos_coords) if emb.p else None
-
-    # jl-power's run builds no signed embedding, so on that route the
-    # baseline is decomposed and clustered first, and its eigh buffers
-    # are gone before the run's centers exist.  The report reads no
-    # reconstruction, stats or check, so the run is not scored.
-    if args.method == "jl-power":
-        original = baseline(embed_pq(decompose(center_gram(D))))
+    # The baseline clusters the positive part of D's signed embedding (none
+    # on p = 0 input), the run's own on jl and jl-pq.  jl-power's run builds
+    # none, so D is decomposed for it first: after the run, eigh could not
+    # reuse the heap the run leaves fragmented, and would peak higher.  The
+    # report reads no reconstruction, stats or check: the run is not scored.
+    positive = (embed_pq(decompose(center_gram(D))).pos_coords
+                if args.method == "jl-power" else None)
     result = _run_from_args(args, _project, D)
-    if args.method != "jl-power":
-        original = baseline(result.embedding)
-    projected = cluster(result.coords)
+    if positive is None:
+        positive = result.embedding.pos_coords
+    original = kmeans_projected(D, positive, args.k, seed=args.seed,
+                                restarts=args.restarts) if positive.shape[1] else None
+    projected = kmeans_projected(D, result.coords, args.k, seed=args.seed,
+                                 restarts=args.restarts)
     cost, iterations = (original.cost, original.iterations) if original else (None, None)
     ratio = projected.cost / cost if cost else None  # none for a zero cost too
     _write_report(args, "kmeans", started, {

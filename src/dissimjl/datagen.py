@@ -75,7 +75,9 @@ def gen_simplex(spec: SimplexSpec) -> DissimilarityMatrix:
     rng = np.random.default_rng(spec.seed)
     k = max(1, round(HEAVY_FRACTION * spec.n))
     z = rng.uniform(0.0, spec.alpha, size=(spec.n, k))
-    D = 2.0 * (1.0 - np.eye(spec.n)) - spec.alpha * squared_distances(z)
+    D = squared_distances(z)  # formed in place: one n x n buffer
+    D *= -spec.alpha
+    D += 2.0
     np.fill_diagonal(D, 0.0)
     return validate_matrix(D)
 
@@ -92,8 +94,11 @@ def gen_balls(spec: BallSpec) -> DissimilarityMatrix:
     rng = np.random.default_rng(spec.seed)
     centers = rng.standard_normal((spec.n, spec.dim))
     radii = rng.uniform(spec.radius_min, spec.radius_max, size=spec.n)
-    gaps = np.sqrt(squared_distances(centers)) - radii[:, None] - radii[None, :]
-    D = np.maximum(gaps, 0.0)
+    D = squared_distances(centers)  # formed in place: one n x n buffer
+    np.sqrt(D, out=D)
+    D -= radii[:, None]
+    D -= radii[None, :]
+    np.maximum(D, 0.0, out=D)
     np.fill_diagonal(D, 0.0)
     return validate_matrix(D)
 

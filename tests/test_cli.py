@@ -617,6 +617,48 @@ class TestKMeans:
                      "--out-report", str(tmp_path / "km.json")]) == 0
         assert not any(counts.values())
 
+    @pytest.mark.parametrize("method,expected", [
+        ("jl", (1, 0, 0)), ("jl-pq", (1, 0, 0)), ("jl-power", (1, 1, 1)),
+    ])
+    def test_solver_calls(self, method, expected, simplex_csv, tmp_path, monkeypatch):
+        # (eigh, eigvalsh, cholesky): jl and jl-pq cluster their run's own
+        # signed embedding; jl-power's run takes eigvalsh and one Cholesky
+        # factor, and the baseline one eigh of D
+        calls = dict.fromkeys(("eigh", "eigvalsh", "cholesky"), 0)
+        for name in calls:
+            def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert main(["kmeans", simplex_csv, "--k", "3", "--method", method,
+                     "--out-report", str(tmp_path / "km.json")]) == 0
+        assert tuple(calls.values()) == expected
+
+    def test_power_baseline_decomposed_before_the_run(
+        self, simplex_csv, tmp_path, monkeypatch
+    ):
+        # jl-power's run builds no signed embedding: D's eigh runs before the
+        # run, and only the positive part of its embedding is held through it
+        events, vectors = [], []
+        real_decompose, real_power = cli.decompose, dissimjl.pipeline.decompose_power
+
+        def decompose(*args, **kwargs):
+            dec = real_decompose(*args, **kwargs)
+            vectors.append(weakref.ref(dec.eigenvectors))
+            events.append("eigh")
+            return dec
+
+        def power(*args, **kwargs):
+            events.append(("run", [ref() is None for ref in vectors]))
+            return real_power(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", decompose)
+        monkeypatch.setattr(dissimjl.pipeline, "decompose_power", power)
+        assert main(["kmeans", simplex_csv, "--k", "3", "--method", "jl-power",
+                     "--out-report", str(tmp_path / "km.json")]) == 0
+        assert events == ["eigh", ("run", [True])]
+
     @pytest.mark.parametrize("method", ["jl", "jl-pq", "jl-power"])
     def test_all_methods_run(self, method, blobs_csv, tmp_path):
         path = tmp_path / "km.json"
