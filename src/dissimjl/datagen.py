@@ -75,9 +75,7 @@ def gen_simplex(spec: SimplexSpec) -> DissimilarityMatrix:
     rng = np.random.default_rng(spec.seed)
     k = max(1, round(HEAVY_FRACTION * spec.n))
     z = rng.uniform(0.0, spec.alpha, size=(spec.n, k))
-    D = squared_distances(z)  # formed in place: one n x n buffer
-    D *= -spec.alpha
-    D += 2.0
+    D = 2.0 * (1.0 - np.eye(spec.n)) - spec.alpha * squared_distances(z)
     np.fill_diagonal(D, 0.0)
     return validate_matrix(D)
 
@@ -94,11 +92,8 @@ def gen_balls(spec: BallSpec) -> DissimilarityMatrix:
     rng = np.random.default_rng(spec.seed)
     centers = rng.standard_normal((spec.n, spec.dim))
     radii = rng.uniform(spec.radius_min, spec.radius_max, size=spec.n)
-    D = squared_distances(centers)  # formed in place: one n x n buffer
-    np.sqrt(D, out=D)
-    D -= radii[:, None]
-    D -= radii[None, :]
-    np.maximum(D, 0.0, out=D)
+    gaps = np.sqrt(squared_distances(centers)) - radii[:, None] - radii[None, :]
+    D = np.maximum(gaps, 0.0)
     np.fill_diagonal(D, 0.0)
     return validate_matrix(D)
 

@@ -9,10 +9,8 @@ constant-shift embedding of Roth et al., IEEE TPAMI 2003) only along
 the all-ones direction, which no center difference sees, so E is never
 formed and never decomposed.  :func:`decompose_power` is the one
 builder: it needs only B's eigenvalues to choose r, and takes the
-centers from one of three branches: the Cholesky factor of B + 2r^2 I;
-at r = 0 with the all-ones direction as the one null direction, the
-Cholesky factor of B lifted along it; otherwise B's eigenvectors, where
-the radius leaves a direction at zero.  It returns a
+centers from one Cholesky factorization of B + 2r^2 I, or from B's
+eigenvectors where the radius leaves a direction at zero.  It returns a
 ``PseudoEuclideanEmbedding`` (centers, an empty negative part, r), the
 type ``projection.project`` maps.  The same bilinear form
 doubles as the closed-form silhouette gap of two isotropic Gaussian
@@ -126,17 +124,9 @@ def decompose_power(
 
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
-    Cholesky factor.  At r = 0 with exactly one eigenvalue at or below
-    the tolerance, that direction is the all-ones one that centring
-    leaves in every B.  No center difference sees it, so B + lambda_1
-    11^T / n has the same power distances, and its Cholesky factor,
-    formed from B lifted in place, gives the centers.  Otherwise (a wider null
-    block, as on low-rank Euclidean input, an explicit radius at the
-    minimum, or a lifted B the factorization rejects) B is decomposed
-    again with its eigenvectors, which the centers are, scaled by
-    sqrt(lambda_k + 2r^2) and without the directions where that is
-    within the tolerance of zero.  Then the returned decomposition is
-    that one, with its eigenvectors.
+    Cholesky factor.  Then B is decomposed again with its eigenvectors,
+    which the centers are, scaled by sqrt(lambda_k + 2r^2) and without
+    the directions where that is within the tolerance of zero.
     """
     B = np.asarray(B, dtype=float)
     dec = decompose(B, vectors=False)
@@ -147,28 +137,19 @@ def decompose_power(
             lam = dec.eigenvalues
             r = math.sqrt(r**2 + DEFAULT_TAU_REL * float(lam[0] - lam[-1]))
     mu, tol = _shifted_spectrum(dec, r)
-    centers = None
-    if mu.min() > tol:
-        B.flat[:: B.shape[0] + 1] += 2.0 * r**2
-        try:
-            centers = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    elif r == 0.0 and np.count_nonzero(mu <= tol) == 1:
-        # the one null direction is the all-ones one that centring leaves
-        lift = float(dec.eigenvalues[0]) / B.shape[0]
-        B += lift
-        try:
-            centers = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            B -= lift  # B again, to rounding, for its eigenvectors
-    if centers is None:
+    if mu.min() <= tol:
         # mu and its drop tolerance from eigh's spectrum, not eigvalsh's
         dec = decompose(B)
         mu, tol = _shifted_spectrum(dec, r)
         keep = mu > tol
         centers = dec.eigenvectors[:, keep]
         centers *= np.sqrt(mu[keep])
+    else:
+        B.flat[:: B.shape[0] + 1] += 2.0 * r**2
+        try:
+            centers = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     # the empty negative part is a view of the centers: it allocates no buffer
     return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], float(r))
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +15,7 @@ from dissimjl import (
     gen_simplex,
     graph_hops,
     parse_edge_list,
-    squared_distances,
-    validate_matrix,
 )
-from dissimjl.datagen import HEAVY_FRACTION
 
 
 class TestGenSimplex:
@@ -121,55 +117,6 @@ class TestGenBalls:
             gen_balls(BallSpec(5, radius_max=np.inf))
         with pytest.raises(DissimilarityError, match="seed"):
             BallSpec(5, seed=-1)
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-class TestInPlace:
-    """Each generator forms its matrix in one n x n buffer, bit for bit the
-    whole-array formula of its docstring."""
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("alpha", [0.0, 0.05, 6.0])
-    def test_simplex_matches_its_formula(self, seed, alpha):
-        n = 60
-        z = np.random.default_rng(seed).uniform(
-            0.0, alpha, size=(n, round(HEAVY_FRACTION * n)))
-        expected = 2.0 * (1.0 - np.eye(n)) - alpha * squared_distances(z)
-        np.fill_diagonal(expected, 0.0)
-        expected = validate_matrix(expected).entries
-        D = gen_simplex(SimplexSpec(n, alpha=alpha, seed=seed)).entries
-        assert np.array_equal(D.view(np.int64), expected.view(np.int64))
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_balls_match_their_formula(self, seed):
-        n, dim = 60, 4
-        rng = np.random.default_rng(seed)
-        centers = rng.standard_normal((n, dim))
-        radii = rng.uniform(0.5, 2.0, size=n)
-        gaps = np.sqrt(squared_distances(centers)) - radii[:, None] - radii[None, :]
-        expected = np.maximum(gaps, 0.0)
-        np.fill_diagonal(expected, 0.0)
-        expected = validate_matrix(expected).entries
-        D = gen_balls(BallSpec(n, dim=dim, seed=seed)).entries
-        assert np.array_equal(D.view(np.int64), expected.view(np.int64))
-
-    def test_generation_holds_one_matrix(self):
-        # beside the matrix: on balls the symmetrized copy validate_matrix
-        # takes ((s - r_i) - r_j rounds apart from its mirror) or a band
-        # product of 256 rows, on the simplex its 0.9 n heavy coordinates and
-        # the band; the whole-array formulas held one n x n array more
-        n = 1200
-        matrix = n * n * 8
-        assert traced_peak(lambda: gen_balls(BallSpec(n))) < 2.5 * matrix
-        assert traced_peak(lambda: gen_simplex(SimplexSpec(n))) < 2.5 * matrix
 
 
 class TestParseEdgeList:

@@ -287,6 +287,7 @@ class TestMatchesTwoEighOracle:
 
 EUCLIDEAN_CASES = {
     "grid": lambda: grid_hops(8),
+    "simplex-alpha-0": lambda: gen_simplex(SimplexSpec(60, alpha=0.0, seed=4)),
     "points": lambda: squared_distances(
         np.random.default_rng(16).standard_normal((30, 5))
     ),
@@ -295,62 +296,12 @@ EUCLIDEAN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(EUCLIDEAN_CASES))
 def test_euclidean_input_centers_are_the_pq_coordinates(name):
-    """At r = 0 with a null block wider than the all-ones direction, the
-    power centers are embed_pq's coordinates, bit for bit."""
+    """At r = 0 the power centers are embed_pq's coordinates, bit for bit."""
     D = validate_matrix(EUCLIDEAN_CASES[name]())
     res = run_projection(D, "jl-power")
     emb = embed_pq(decompose(center_gram(D)))
     assert res.representation.radius == 0.0 and emb.q == 0
-    assert emb.p < D.n - 1
     assert np.array_equal(res.representation.centers, emb.pos_coords)
-
-
-# Euclidean input whose only null direction is the all-ones one
-FULL_RANK_CASES = {
-    "simplex-alpha-0": lambda: gen_simplex(SimplexSpec(60, alpha=0.0, seed=4)),
-    "points": lambda: squared_distances(
-        np.random.default_rng(16).standard_normal((30, 40))
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FULL_RANK_CASES))
-def test_full_rank_euclidean_centers_are_the_lifted_cholesky_factor(name):
-    """At r = 0 the centers are the Cholesky factor of B + lambda_1 11^T / n:
-    the lift lies along the all-ones direction, which no center difference
-    sees, so they reproduce D."""
-    D = validate_matrix(FULL_RANK_CASES[name]())
-    B = center_gram(D)
-    full = decompose(B)
-    assert full.q == 0 and full.zero_rank == 1
-    dec, rep = decompose_power(B.copy())
-    assert rep.radius == 0.0 and dec.eigenvectors is None
-    assert (dec.p, dec.q, dec.zero_rank) == (D.n - 1, 0, 1)
-    lifted = B + dec.eigenvalues[0] / D.n
-    assert np.array_equal(rep.centers, np.linalg.cholesky(lifted))
-    assert np.abs(reconstruct(rep) - D.entries).max() <= (
-        1e-12 * np.abs(D.entries).max())
-    res = run_projection(D, "jl-power")
-    assert np.array_equal(res.representation.centers, rep.centers)
-
-
-def test_full_rank_euclidean_falls_back_to_eigh(monkeypatch):
-    """A lifted matrix with no Cholesky factor takes B's eigenvectors."""
-    D = validate_matrix(FULL_RANK_CASES["points"]())
-    B = center_gram(D)
-    before = B.copy()
-
-    def failing(A):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", failing)
-    dec, rep = decompose_power(B)
-    # the lift is taken off again before B's eigenvectors are computed
-    assert_allclose(B, before, rtol=0.0, atol=1e-15 * np.abs(before).max())
-    assert dec.eigenvectors is not None and rep.radius == 0.0
-    assert rep.p == D.n - 1
-    assert np.abs(reconstruct(rep) - D.entries).max() <= (
-        1e-12 * np.abs(D.entries).max())
 
 
 SPECTRUM_CASES = {
@@ -446,8 +397,7 @@ class TestCholeskyCenters:
 
 class TestSingleEigendecomposition:
     """LAPACK calls of one jl-power run: eigenvalues plus one Cholesky factor,
-    or eigh after the eigenvalues where the radius leaves a direction at 0
-    other than the all-ones one at r = 0."""
+    or eigh after the eigenvalues where the radius leaves a direction at 0."""
 
     @pytest.fixture()
     def solver_calls(self, monkeypatch):
@@ -462,12 +412,14 @@ class TestSingleEigendecomposition:
         return calls
 
     # (input, radius override, (eigh, eigvalsh, cholesky) calls); "minimum"
-    # overrides with power_radius, at which B + 2r^2 I is singular
+    # overrides with power_radius, at which B + 2r^2 I is singular.  Full-rank
+    # Euclidean input leaves only the all-ones direction null at r = 0, and
+    # takes eigh like the grid's 50-fold null block
     CASES = {
         "default": ("hollow", None, (0, 1, 1)),
         "override": ("hollow", 5.0, (0, 1, 1)),
-        "full-rank-euclidean": ("simplex-alpha-0", None, (0, 1, 1)),
         "euclidean": ("grid", None, (1, 1, 0)),
+        "full-rank-euclidean": ("simplex", None, (1, 1, 0)),
         "override-at-minimum": ("hollow", "minimum", (1, 1, 0)),
     }
 
@@ -476,8 +428,8 @@ class TestSingleEigendecomposition:
         kind, radius, expected = self.CASES[case]
         if kind == "grid":
             D = grid_hops(8)
-        elif kind in FULL_RANK_CASES:
-            D = FULL_RANK_CASES[kind]()
+        elif kind == "simplex":
+            D = gen_simplex(SimplexSpec(60, alpha=0.0, seed=4))
         else:
             D = validate_matrix(random_hollow(np.random.default_rng(14), 30))
         if radius == "minimum":
