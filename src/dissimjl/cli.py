@@ -20,14 +20,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import (
-    DissimilarityError,
-    NumericalError,
-    as_matrix,
-    center_gram,
-    decompose,
-    validate_matrix,
-)
+from .core import DissimilarityError, NumericalError, as_matrix, validate_matrix
 from .datagen import (
     DEFAULT_ALPHA,
     BallSpec,
@@ -37,7 +30,7 @@ from .datagen import (
     graph_hops,
     parse_edge_list,
 )
-from .evaluate import DEFAULT_RESTARTS, kmeans_projected
+from .evaluate import DEFAULT_RESTARTS, kmeans_projected, relational_kmeans
 from .pipeline import METHODS, _project, _scored, report_dict, run_projection
 from .projection import (
     DEFAULT_DIM_CONSTANT,
@@ -45,7 +38,6 @@ from .projection import (
     ProjectionConfig,
     reconstruct,
 )
-from .pqspace import embed_pq
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,33 +232,20 @@ def cmd_kmeans(args) -> int:
     D = validate_matrix(read_matrix(args.matrix))
     if args.k > D.n:  # before any eigendecomposition
         raise DissimilarityError(f"k must lie in [1, {D.n}], got {args.k}")
-
-    # The baseline clusters the positive part of D's signed embedding (none
-    # on p = 0 input), the run's own on jl and jl-pq.  jl-power's run builds
-    # none, so D is decomposed for it first: after the run, eigh could not
-    # reuse the heap the run leaves fragmented, and would peak higher.  The
-    # report reads no reconstruction, stats or check: the run is not scored.
-    positive = (embed_pq(decompose(center_gram(D))).pos_coords
-                if args.method == "jl-power" else None)
-    result = _run_from_args(args, _project, D)
-    if positive is None:
-        positive = result.embedding.pos_coords
-    original = kmeans_projected(D, positive, args.k, seed=args.seed,
-                                restarts=args.restarts) if positive.shape[1] else None
-    projected = kmeans_projected(D, result.coords, args.k, seed=args.seed,
-                                 restarts=args.restarts)
-    cost, iterations = (original.cost, original.iterations) if original else (None, None)
-    ratio = projected.cost / cost if cost else None  # none for a zero cost too
+    sketch = _run_from_args(args, _project, D).projected  # unscored: only the sketch is read
+    projected = kmeans_projected(D, sketch, args.k, seed=args.seed, restarts=args.restarts)
+    original = relational_kmeans(D, args.k, seed=args.seed, restarts=args.restarts)
+    ratio = projected.cost / original.cost if original.cost else None  # none for 0
     _write_report(args, "kmeans", started, {
         "method": args.method,
         "n": D.n,
         "k": args.k,
         "seed": args.seed,
         "restarts": args.restarts,
-        "original_cost": cost,
+        "original_cost": original.cost,
         "projected_cost": projected.cost,
         "cost_ratio": ratio,
-        "original_iterations": iterations,
+        "original_iterations": original.iterations,
         "projected_iterations": projected.iterations,
     })
     return EXIT_OK

@@ -92,7 +92,8 @@ def gen_balls(spec: BallSpec) -> DissimilarityMatrix:
     rng = np.random.default_rng(spec.seed)
     centers = rng.standard_normal((spec.n, spec.dim))
     radii = rng.uniform(spec.radius_min, spec.radius_max, size=spec.n)
-    gaps = np.sqrt(squared_distances(centers)) - radii[:, None] - radii[None, :]
+    # r_i + r_j once, so D_ij and D_ji round alike and validation keeps a view
+    gaps = np.sqrt(squared_distances(centers)) - (radii[:, None] + radii[None, :])
     D = np.maximum(gaps, 0.0)
     np.fill_diagonal(D, 0.0)
     return validate_matrix(D)

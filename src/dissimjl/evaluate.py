@@ -8,17 +8,18 @@ import numpy as np
 
 from .core import (
     DissimilarityError,
+    DissimilarityMatrix,
+    NumericalError,
     _upper_distances,
     _upper_rows,
     as_matrix,
-    center_gram,
     validate_matrix,
 )
-from .power import decompose_power
 from .pqspace import PseudoEuclideanEmbedding
 
 DEFAULT_RESTARTS = 10
-_MAX_ITER = 100  # Lloyd steps per restart
+_MAX_ITER = 100  # Hartigan sweeps per restart
+_MOVE_TOL = 1e-12  # a move lowers the cost by more than this share of max |R|
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,8 @@ def validate_power_residual(
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Clustering outcome scored by the relational cost.
-
-    iterations counts the Lloyd steps of the winning restart; it reaches
-    the iteration cap only if that restart did not converge.
-    """
+    """Clustering outcome scored by the relational cost; iterations counts
+    the Hartigan sweeps of the winning restart, the cap if it did not converge."""
 
     assignment: np.ndarray
     cost: float
@@ -235,98 +233,118 @@ def relational_cost(D, assignment) -> float:
     squared Euclidean distances; meaningful (possibly negative) for any
     symmetric hollow D.  assignment holds nonnegative integer labels.
     """
-    A = as_matrix(D)
     labels = np.asarray(assignment)
-    total = 0.0
-    for c in np.flatnonzero(np.bincount(labels)):
-        members = np.flatnonzero(labels == c)
-        block = A[np.ix_(members, members)]
-        total += block.sum() / (2.0 * members.size)
-    return float(total)
+    sums = (labels == np.arange(labels.max() + 1)[:, None]) @ as_matrix(D)
+    return float(np.sum(sums[labels, np.arange(labels.size)] / np.bincount(labels)[labels]) / 2)
 
 
-def relational_kmeans(
-    D,
-    k: int,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> KMeansResult:
-    """k-means on a symmetric hollow D, driven by dissimilarities alone.
-
-    D is validated and clustered by :func:`kmeans_projected` on the
-    centers of its power representation.  Their squared distances are
-    D + 4r^2 off the diagonal, which moves every k-cluster relational
-    cost by the same 2r^2 (n - k) (Roth et al., IEEE TPAMI 2003), so
-    Euclidean Lloyd on the centers converges and descends on D's own
-    relational cost, indefinite or not.
-    """
-    Dm = validate_matrix(D)
-    _, rep = decompose_power(center_gram(Dm))
-    return kmeans_projected(Dm, rep.centers, k, seed, restarts)
+def _sketch_rows(coords):
+    """A sketch's rows as they enter Hartigan's sums, and as ``_table``
+    reads them, each held once, row-major.  coords is a
+    ``PseudoEuclideanEmbedding``, or plain rows, its one-part case.  The
+    radius drops out: it shifts every k-cluster cost by 2 r^2 (n - k)."""
+    if not isinstance(coords, PseudoEuclideanEmbedding):
+        coords = np.asarray(coords, dtype=float)
+        coords = PseudoEuclideanEmbedding(coords, coords[:, :0])
+    p, q = coords.p, coords.q
+    V = np.hstack([coords.pos_coords, coords.neg_coords, np.ones((coords.n, 2))])
+    P, Q = V[:, :p], V[:, p:p + q]
+    V[:, -1] = np.einsum("ij,ij->i", P, P) - np.einsum("ij,ij->i", Q, Q)  # g_i = <y_i, y_i>
+    E = V[:, np.r_[:p + q, p + q + 1, p + q]]  # (y_i, g_i, 1), scaled in place
+    E *= np.repeat([-2.0, 2.0, 1.0], [p, q, 2])
+    return E, V
 
 
-def _lloyd_euclidean(X, k, seed):
-    """One standard Lloyd run on coordinate rows; returns (labels, iters)."""
-    rng = np.random.default_rng(seed)
-    n = X.shape[0]
-    centers = X[rng.choice(n, size=k, replace=False)].copy()
-    sq = np.einsum("ij,ij->i", X, X)[:, None]
-    labels = None
-    for it in range(1, _MAX_ITER + 1):
-        d2 = (
-            sq
-            - 2.0 * (X @ centers.T)  # exact doubling, no scaled copy of X
-            + np.einsum("ij,ij->i", centers, centers)[None, :]
-        )
-        new_labels = np.argmin(d2, axis=1)
-        for c in range(k):
-            members = new_labels == c
-            if not members.any():
-                # reseed an empty center at the worst-served point among
-                # those whose cluster keeps a member without it
-                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
-                candidates = np.flatnonzero(shared)
-                fit = d2[candidates, new_labels[candidates]]
-                far = candidates[np.argmax(fit)]
-                new_labels[far] = c
-                members = new_labels == c
-            centers[c] = X[members].mean(axis=0)
-        if labels is not None and np.array_equal(new_labels, labels):
-            return labels, it
-        labels = new_labels
-    return labels, _MAX_ITER
+def _table(S, V, i=slice(None)):
+    """Columns i of Hartigan's table R[c, i], the sum of i's pair values
+    over cluster c, from the clusters' sums S of entering rows.  On D (V
+    None) that is S.  A sketch's pair value is g_i + g_j - 2 <y_i, y_j> in
+    its form, + on pos and - on neg; its row i enters as (-2 sign y_i, g_i,
+    1) and is read as V[i] = (y_i, 1, g_i), so that S[c] = (-2 sign s_c,
+    G_c, |c|), for the sums s_c of c's rows and G_c of their g, gives
+    R[c, i] = S[c] . V[i] = |c| g_i + G_c - 2 <y_i, s_c>."""
+    return S[:, i] if V is None else S @ V[i].T
 
 
-def kmeans_projected(
-    D,
-    coords,
-    k: int,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> KMeansResult:
-    """Standard Lloyd on coordinate rows, scored relationally on D.
+def _hartigan(E, V, labels, k: int) -> int:
+    """Hartigan's single-point moves (Hartigan & Wong, Appl. Stat. 1979)
+    on labels in place, under the table of entering rows E read through V
+    (``_table``); returns the sweeps.
 
-    Restart t starts from k distinct rows drawn by default_rng(seed + t)
-    and runs at most 100 Lloyd steps.  The Euclidean objective drives the
-    iterations; the reported cost (and the best-of-restarts selection)
-    uses the relational cost on the original matrix, so results are
-    comparable across embeddings.
-    """
-    A = as_matrix(D)
-    X = np.ascontiguousarray(coords, dtype=float)  # Lloyd gathers rows
-    n = A.shape[0]
-    if X.shape[0] != n:
-        raise DissimilarityError(
-            f"coordinate rows ({X.shape[0]}) do not match matrix size ({n})"
-        )
+    Cluster c costs W_c / 2|c|, W_c summing R[c, i] over its members, and
+    moving i from a to b changes the total by exactly (R[b, i] - cost_b) /
+    (|b| + 1) - (R[a, i] - cost_a) / (|a| - 1), which no constant shift of
+    the matrix moves.  A sweep screens every point at once, then re-checks
+    and applies its candidates one at a time; none empties a cluster or
+    gains less than _MOVE_TOL max |R|."""
+    at = np.arange(labels.size)
+    # sums that overflow are raised as a NumericalError, with no warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        S = (labels == np.arange(k)[:, None]) @ E
+        for sweep in range(1, _MAX_ITER + 1):
+            R = _table(S, V)
+            tol = _MOVE_TOL * np.abs(R).max()
+            if not np.isfinite(tol):
+                raise NumericalError("cluster sums are not finite: the sums overflowed")
+            sizes = np.bincount(labels, minlength=k).astype(float)
+            cost = np.bincount(labels, weights=R[labels, at], minlength=k) / (2.0 * sizes)
+            grow = 1.0 / (sizes + 1.0)
+            into = (R - cost[:, None]) * grow[:, None]
+            into[labels, at] = np.inf
+            out = (R[labels, at] - cost[labels]) / (sizes[labels] - 1.0)
+            before, sizes = labels.copy(), sizes.tolist()  # Python scalars from here
+            for i in np.flatnonzero(into.min(axis=0) - out < -tol).tolist():
+                a, r = int(labels[i]), _table(S, V, i)
+                into = (r - cost) * grow
+                into[a] = np.inf
+                b = int(into.argmin())
+                if sizes[a] > 1.0 and into[b] - (r[a] - cost[a]) / (sizes[a] - 1.0) < -tol:
+                    for c, step in ((a, -1.0), (b, 1.0)):
+                        cost[c] = (sizes[c] * cost[c] + step * r[c]) / (sizes[c] + step)
+                        sizes[c] += step
+                        grow[c] = 1.0 / (sizes[c] + 1.0)
+                    labels[i] = b
+                    S[a] -= E[i]
+                    S[b] += E[i]
+            if np.array_equal(labels, before):  # no move in this sweep
+                return sweep
+    return _MAX_ITER
+
+
+def _clustered(D, E, V, k: int, seed: int, restarts: int) -> KMeansResult:
+    """Best of restarts of ``_hartigan`` by the relational cost on D.  Restart
+    t starts from each point's nearest of k distinct points drawn by
+    default_rng(seed + t), which keep their own clusters."""
+    n = D.shape[0]
+    if E.shape[0] != n:
+        raise DissimilarityError(f"coordinate rows ({E.shape[0]}) do not match matrix size ({n})")
     if not 1 <= k <= n:
         raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
     if restarts < 1:
         raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
     best = None
     for t in range(restarts):
-        labels, iters = _lloyd_euclidean(X, k, seed + t)
-        cost = relational_cost(A, labels)
+        seeds = np.random.default_rng(seed + t).choice(n, size=k, replace=False)
+        labels = _table(E[seeds], V).argmin(axis=0)
+        labels[seeds] = np.arange(k)
+        sweeps = _hartigan(E, V, labels, k)
+        cost = relational_cost(D, labels)
         if best is None or cost < best.cost:
-            best = KMeansResult(labels, cost, iters)
+            best = KMeansResult(labels, cost, sweeps)
     return best
+
+
+def relational_kmeans(D, k: int, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
+    """k-means on a symmetric hollow D, driven by dissimilarities alone:
+    Hartigan's moves on D's own rows lower D's relational cost at every
+    step, indefinite or not, with no eigensolver."""
+    A = (D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)).entries
+    return _clustered(A, A, None, k, seed, restarts)
+
+
+def kmeans_projected(D, coords, k: int, seed: int = 0,
+                     restarts: int = DEFAULT_RESTARTS) -> KMeansResult:
+    """Hartigan's moves on a sketch in its own form (``_sketch_rows``), at
+    most 100 sweeps per restart, scored relationally on D: the reported cost
+    (and the best-of-restarts selection) is comparable across sketches."""
+    return _clustered(as_matrix(D), *_sketch_rows(coords), k, seed, restarts)

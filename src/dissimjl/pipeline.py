@@ -58,7 +58,7 @@ class RunResult:
 
     @property
     def coords(self) -> np.ndarray:
-        """Projected coordinate rows, the input k-means clusters on."""
+        """Projected coordinate rows, both parts side by side, signs discarded."""
         return self.projected if self.method == "jl" else self.projected.coords
 
 

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -29,6 +30,7 @@ from dissimjl import (
     gen_balls,
     gen_simplex,
     kmeans_projected,
+    relational_kmeans,
     report_dict,
     run_projection,
     squared_distances,
@@ -590,17 +592,18 @@ class TestKMeans:
     ):
         D = validate_matrix(read_matrix(blobs_csv))
         run = run_projection(D, method, ProjectionConfig())
-        baseline = embed_pq(decompose(center_gram(D))).pos_coords
         path = tmp_path / "km.json"
         argv = ["kmeans", blobs_csv, "--k", "3", "--method", method,
                 "--out-report", str(path)]
         assert main(argv) == 0
         report = load_json(str(path))
-        original = kmeans_projected(D, baseline, 3)
-        projected = kmeans_projected(D, run.coords, 3)
+        original = relational_kmeans(D, 3)
+        projected = kmeans_projected(D, run.projected, 3)
         assert report["original_iterations"] == original.iterations
         assert report["projected_iterations"] == projected.iterations
-        # a restart stopped at the step cap shows as the cap itself
+        assert report["original_cost"] == original.cost
+        assert report["projected_cost"] == projected.cost
+        # a restart stopped at the sweep cap shows as the cap itself
         monkeypatch.setattr(evaluate, "_MAX_ITER", 1)
         assert main(argv) == 0
         report = load_json(str(path))
@@ -618,12 +621,11 @@ class TestKMeans:
         assert not any(counts.values())
 
     @pytest.mark.parametrize("method,expected", [
-        ("jl", (1, 0, 0)), ("jl-pq", (1, 0, 0)), ("jl-power", (1, 1, 1)),
+        ("jl", (1, 0, 0)), ("jl-pq", (1, 0, 0)), ("jl-power", (0, 1, 1)),
     ])
     def test_solver_calls(self, method, expected, simplex_csv, tmp_path, monkeypatch):
-        # (eigh, eigvalsh, cholesky): jl and jl-pq cluster their run's own
-        # signed embedding; jl-power's run takes eigvalsh and one Cholesky
-        # factor, and the baseline one eigh of D
+        # (eigh, eigvalsh, cholesky): the run's own, and nothing more: the
+        # baseline clusters D's rows, so no route decomposes D twice
         calls = dict.fromkeys(("eigh", "eigvalsh", "cholesky"), 0)
         for name in calls:
             def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -635,29 +637,31 @@ class TestKMeans:
                      "--out-report", str(tmp_path / "km.json")]) == 0
         assert tuple(calls.values()) == expected
 
-    def test_power_baseline_decomposed_before_the_run(
-        self, simplex_csv, tmp_path, monkeypatch
-    ):
-        # jl-power's run builds no signed embedding: D's eigh runs before the
-        # run, and only the positive part of its embedding is held through it
-        events, vectors = [], []
-        real_decompose, real_power = cli.decompose, dissimjl.pipeline.decompose_power
+    @pytest.mark.parametrize("method", METHODS)
+    def test_clustering_forms_no_square_matrix(self, method, tmp_path, monkeypatch):
+        # from the projected run on, kmeans holds the sketch, two row-major
+        # n x (width + 2) copies of its rows and k x n tables: no n x n
+        # matrix, of the sketch or of D, which alone would be twice the bound
+        n = 1000
+        path = tmp_path / "balls.csv"
+        write_matrix(str(path), gen_balls(BallSpec(n, seed=1)))
+        real, held = cli.kmeans_projected, []
 
-        def decompose(*args, **kwargs):
-            dec = real_decompose(*args, **kwargs)
-            vectors.append(weakref.ref(dec.eigenvectors))
-            events.append("eigh")
-            return dec
+        def clustering(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return real(*args, **kwargs)
 
-        def power(*args, **kwargs):
-            events.append(("run", [ref() is None for ref in vectors]))
-            return real_power(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "decompose", decompose)
-        monkeypatch.setattr(dissimjl.pipeline, "decompose_power", power)
-        assert main(["kmeans", simplex_csv, "--k", "3", "--method", "jl-power",
-                     "--out-report", str(tmp_path / "km.json")]) == 0
-        assert events == ["eigh", ("run", [True])]
+        monkeypatch.setattr(cli, "kmeans_projected", clustering)
+        tracemalloc.start()
+        try:
+            assert main(["kmeans", str(path), "--k", "8", "--method", method,
+                         "--restarts", "2", "--out-report", str(tmp_path / "km.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert peak - held[0] < 0.5 * n * n * 8
 
     @pytest.mark.parametrize("method", ["jl", "jl-pq", "jl-power"])
     def test_all_methods_run(self, method, blobs_csv, tmp_path):
@@ -667,8 +671,7 @@ class TestKMeans:
         assert load_json(str(path))["method"] == method
 
     def test_baseline_is_the_same_on_every_route(self, simplex_csv, tmp_path):
-        # the baseline clusters D's signed embedding; jl-power's run holds no
-        # eigenvectors, so its command decomposes D for it on its own
+        # the baseline clusters D itself, whatever the route
         costs = set()
         for method in METHODS:
             path = tmp_path / f"{method}.json"
@@ -679,17 +682,20 @@ class TestKMeans:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_no_baseline_without_a_positive_part(self, method, negated_csv, tmp_path):
-        # the baseline clusters the positive part, which p = 0 input lacks
+        # p = 0 input has no positive part; the baseline clusters D's own
+        # rows, which needs none, so it is finite here as on any input
         D = validate_matrix(read_matrix(negated_csv))
         assert embed_pq(decompose(center_gram(D))).p == 0
         path = tmp_path / "km.json"
         assert main(["kmeans", negated_csv, "--k", "4", "--method", method,
                      "--out-report", str(path)]) == 0
         report = load_json(str(path))
-        assert report["original_cost"] is None
-        assert report["cost_ratio"] is None
-        assert report["original_iterations"] is None
-        projected = kmeans_projected(D, run_projection(D, method).coords, 4)
+        original = relational_kmeans(D, 4)
+        assert math.isfinite(report["original_cost"])
+        assert report["original_cost"] == original.cost
+        assert report["original_iterations"] == original.iterations
+        assert report["cost_ratio"] == report["projected_cost"] / original.cost
+        projected = kmeans_projected(D, run_projection(D, method).projected, 4)
         assert report["projected_cost"] == projected.cost
         assert report["projected_iterations"] == projected.iterations
 
@@ -718,7 +724,7 @@ class TestKMeans:
                 return fn(*args, **kwargs)
             return counted
 
-        for module in (cli, dissimjl.pipeline, dissimjl.power):
+        for module in (dissimjl.pipeline, dissimjl.power):
             monkeypatch.setattr(module, "decompose", counting(core.decompose))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))

@@ -71,6 +71,12 @@ class TestGenBalls:
         assert np.all(A >= 0.0)
         assert np.all(np.diag(A) == 0.0)
 
+    def test_validation_keeps_a_view(self):
+        # r_i + r_j is formed once, so D_ij and D_ji round alike and the
+        # generated matrix is canonical: validation copies nothing
+        for seed in range(3):
+            assert gen_balls(BallSpec(120, seed=seed)).entries.base is not None
+
     def test_overlapping_pairs_produce_zeros(self):
         A = gen_balls(BallSpec(120)).entries
         off = A[np.triu_indices(120, 1)]

@@ -257,8 +257,8 @@ class TestRelationalKMeans:
 
     def test_finds_global_optimum_on_blob_instances(self):
         # restarts only guarantee the global optimum when the data has
-        # cluster structure; unstructured points can strand Lloyd in a
-        # local minimum no matter how often it restarts
+        # cluster structure; unstructured points can strand the moves in a
+        # local minimum no matter how often they restart
         for seed in (0, 1, 2):
             X, _ = two_blobs(n_per=5, gap=5.0, seed=seed)
             D = squared_distances(X)
@@ -294,18 +294,21 @@ class TestRelationalKMeans:
                         atol=1e-12)
 
     def test_converges_and_cost_shifts_by_constant(self):
-        # Lloyd runs on the power centers, whose squared distances are
-        # D + 4r^2 off the diagonal, so each k-cluster cost moves by the
-        # same 2r^2 (n - k) and the iteration converges on indefinite D
+        # the power centers' squared distances are D + 4r^2 off the
+        # diagonal, so each k-cluster cost moves by the same 2r^2 (n - k):
+        # Hartigan's moves on D and on the centers take the same path, and
+        # converge on indefinite D
         rng = np.random.default_rng(21)
         for _ in range(20):
             n = int(rng.integers(20, 81))
             D = random_hollow(rng, n)
             _, rep = decompose_power(center_gram(D))
-            result = relational_kmeans(D, 3, seed=int(rng.integers(100)),
-                                       restarts=3)
+            seed = int(rng.integers(100))
+            result = relational_kmeans(D, 3, seed=seed, restarts=3)
+            centers = kmeans_projected(D, rep, 3, seed=seed, restarts=3)
             labels = result.assignment
-            assert result.iterations < 100
+            assert np.array_equal(centers.assignment, labels)
+            assert centers.iterations == result.iterations < 100
             assert result.k == 3
             assert_allclose(result.cost, relational_cost(D, labels), rtol=1e-9)
             shift = 2.0 * rep.radius**2 * (n - 3)
@@ -358,34 +361,62 @@ class TestKMeansProjected:
     gen_simplex(SimplexSpec(300, seed=0)),
     gen_balls(BallSpec(300, seed=0)),
 ], ids=["simplex", "balls"])
-def test_row_major_rows_cluster_as_the_column_major_gather(D, monkeypatch):
+def test_row_major_rows_cluster_as_the_column_major_gather(D):
     # an embedding's parts are column gathers of eigenvectors, Fortran
-    # ordered; k-means clusters their row-major copy, which Lloyd's row
-    # gathers read faster, to the same assignment, cost and step count
+    # ordered; k-means clusters row-major copies of the sketch's rows, so C-
+    # and F-ordered parts give the same assignment, cost and sweep count
     emb = embed_pq(decompose(center_gram(D)))
-    lloyd, row_major = evaluate._lloyd_euclidean, []
-
-    def recording(X, k, seed):
-        row_major.append(X.flags.c_contiguous)
-        return lloyd(X, k, seed)
-
-    monkeypatch.setattr(evaluate, "_lloyd_euclidean", recording)
-    for part in (emb.pos_coords, emb.neg_coords):
-        assert part.flags.f_contiguous and not part.flags.c_contiguous
+    assert all(part.flags.f_contiguous and not part.flags.c_contiguous
+               for part in (emb.pos_coords, emb.neg_coords))
+    rows = PseudoEuclideanEmbedding(np.ascontiguousarray(emb.pos_coords),
+                                    np.ascontiguousarray(emb.neg_coords))
+    for coords in ((emb, rows), (emb.neg_coords, rows.neg_coords)):
         for k in (3, 8):
             for seed in (0, 3):
-                labels, iterations = lloyd(part, k, seed)
-                result = kmeans_projected(D, part, k, seed=seed, restarts=1)
-                assert np.array_equal(result.assignment, labels)
-                assert result.cost == relational_cost(D, labels)
-                assert result.iterations == iterations
-    assert row_major and all(row_major)
+                column, row = (kmeans_projected(D, c, k, seed=seed, restarts=1)
+                               for c in coords)
+                assert np.array_equal(column.assignment, row.assignment)
+                assert column.cost == row.cost
+                assert column.iterations == row.iterations
 
 
 def test_coincident_points_fill_every_cluster():
-    # an empty cluster is reseeded from a cluster that keeps a member
+    # moves never empty a cluster: each restart's k draws keep their own
+    # clusters, and a singleton keeps its point, with no reseeding
     D = np.zeros((6, 6))
     for result in (relational_kmeans(D, 3, restarts=2),
                    kmeans_projected(D, np.zeros((6, 0)), 3, restarts=2)):
-        assert np.bincount(result.assignment, minlength=3).tolist() == [4, 1, 1]
+        assert np.bincount(result.assignment, minlength=3).min() >= 1
         assert result.k == 3
+
+
+def single_moves(labels, k):
+    """Each labelling one point's move away that keeps every cluster nonempty."""
+    sizes = np.bincount(labels, minlength=k)
+    for i in np.flatnonzero(sizes[labels] > 1):
+        for b in range(k):
+            if b != labels[i]:
+                moved = labels.copy()
+                moved[i] = b
+                yield moved
+
+
+@pytest.mark.parametrize("D", [
+    gen_simplex(SimplexSpec(40, seed=0)),
+    gen_balls(BallSpec(40, seed=1)),
+    validate_matrix(-squared_distances(np.random.default_rng(5).standard_normal((40, 5)))),
+], ids=["simplex", "balls", "p=0"])
+def test_no_single_move_lowers_the_cost(D):
+    # the projected run stops where no move lowers its sketch's own cost,
+    # whatever the route's form, and the baseline where none lowers D's
+    k = 4
+    runs = [(D.entries, relational_kmeans(D, k, restarts=3))]
+    for method in ("jl", "jl-pq", "jl-power"):
+        sketch = run_projection(D, method).projected
+        runs.append((reconstruct(sketch), kmeans_projected(D, sketch, k, restarts=3)))
+    for A, result in runs:
+        assert result.iterations < 100
+        cost = relational_cost(A, result.assignment)
+        tol = 1e-9 * 40 * np.abs(A).max()
+        assert min(relational_cost(A, moved)
+                   for moved in single_moves(result.assignment, k)) >= cost - tol
