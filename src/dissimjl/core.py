@@ -8,6 +8,8 @@ eigenstructure of the doubly centered Gram matrix B = -CDC/2.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,12 +180,18 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     ----------
     B : array_like
         Symmetric matrix (checked within ``1e-8 * |B|_max``), typically
-        the output of :func:`center_gram`.
+        the output of :func:`center_gram`.  LAPACK's ``dsyevd`` runs in
+        B's own buffer, so a writeable C-contiguous float64 B is
+        overwritten: with vectors its rows hold the eigenvectors in
+        descending order, and ``eigenvectors`` is the view B^T; without
+        them its upper triangle and diagonal are destroyed.  A
+        read-only, non-C-contiguous or non-float64 B is copied first
+        and never written.
     vectors : bool
-        False computes the eigenvalues alone (``eigvalsh``, about half
-        the time of ``eigh``) and leaves ``eigenvectors`` None.  They
-        agree with ``eigh``'s to rounding, and so do (p, q, zero_rank)
-        and tau.
+        False computes the eigenvalues alone (about half the time) and
+        leaves ``eigenvectors`` None.  They agree with the full
+        decomposition's to rounding, and so do (p, q, zero_rank) and
+        tau.
 
     Returns
     -------
@@ -191,6 +199,9 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         With ``tau = DEFAULT_TAU_REL * |lambda|_max``, relative to the
         spectrum, so scaling B scales tau and keeps (p, q, zero_rank).
         The zero matrix has tau 0 and every eigenvalue counted as zero.
+        Bit for bit, the spectrum and eigenvectors are those of
+        ``np.linalg.eigh`` (or ``eigvalsh``) on exactly symmetric B,
+        stably sorted to descending order.
 
     Raises
     ------
@@ -199,31 +210,130 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     NumericalError
         If B is not finite, or the eigensolver does not converge.
     """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise DissimilarityError(f"expected a square matrix, got shape {B.shape}")
-    if B.size == 0:
-        raise DissimilarityError("matrix is empty")
+    B = _own_square(B)
     top = _abs_max(B)
     if not np.isfinite(top):
         raise NumericalError("Gram matrix is not finite: centering overflowed")
     if _asymmetry(B) > 1e-8 * top:
         raise DissimilarityError("matrix is not symmetric")
-    try:
-        lam, U = np.linalg.eigh(B) if vectors else (np.linalg.eigvalsh(B), None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    # a stable argsort and an n x n copy of U, not reversed views: a
-    # reversal that keeps the order of tied eigenvalues costs about nine
-    # lines, and saves no peak RSS, which sits in eigh's workspace
+    lam = _syevd(B, vectors)
+    # the vectors are B's rows, moved in place into the stable descending
+    # order (tied eigenvalues keep the solver's order), so U is B^T:
+    # column-major as eigh's own, and no second n x n array is formed
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
-    if U is not None:
-        U = U[:, order]
+    U = None
+    if vectors:
+        _permute_rows(B, order)
+        U = B.T
     tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
     p = int(np.sum(lam > tau))
     q = int(np.sum(lam < -tau))
     return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau)
+
+
+def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
+    """Put row order[k] of A at row k, in place: each cycle of the
+    permutation moves its rows along through one spare row."""
+    moved = order == np.arange(len(order))
+    for start in np.flatnonzero(~moved):
+        if moved[start]:
+            continue
+        spare, k = A[start].copy(), start
+        while order[k] != start:
+            A[k] = A[order[k]]
+            moved[k], k = True, order[k]
+        A[k] = spare
+        moved[k] = True
+
+
+def _own_square(B) -> np.ndarray:
+    """B as a nonempty square array that LAPACK may factor in place: B
+    itself if it is writeable, C-contiguous and float64, else a C-ordered
+    float64 copy.  Raises DissimilarityError on any other shape."""
+    B = np.require(B, dtype=np.float64, requirements=["C", "W", "E"])
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise DissimilarityError(f"expected a square matrix, got shape {B.shape}")
+    if B.size == 0:
+        raise DissimilarityError("matrix is empty")
+    return B
+
+
+@functools.cache
+def _lapacke():
+    """(dsyevd, dpotrf) from the LAPACKE inside numpy's own OpenBLAS, or None.
+
+    numpy's wheels link linalg against an ILP64 OpenBLAS whose symbols
+    carry a ``scipy_`` prefix and a ``64_`` suffix; ``dlsym`` on
+    ``_umath_linalg`` finds them among its dependencies.  Where numpy
+    links another LAPACK, or exports none, the callers take the
+    ``np.linalg`` route, which runs the same routines on a copy.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        syevd, potrf = lib.scipy_LAPACKE_dsyevd64_, lib.scipy_LAPACKE_dpotrf64_
+    except (AttributeError, OSError):
+        return None
+    mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    layout, char, lint = ctypes.c_int, ctypes.c_char, ctypes.c_int64
+    syevd.argtypes = [layout, char, char, lint, mat, lint, vec]
+    potrf.argtypes = [layout, char, lint, mat, lint]
+    syevd.restype = potrf.restype = lint
+    return syevd, potrf
+
+
+# LAPACK_COL_MAJOR: LAPACKE reads a C-ordered a as its transpose, in place,
+# where row-major layout would make it transpose a into a copy.  Its lower
+# triangle (UPLO "L", as numpy's) is then a's upper one
+_COL_MAJOR = 102
+
+
+def _syevd(a: np.ndarray, vectors: bool) -> np.ndarray:
+    """Ascending eigenvalues of a^T by LAPACK dsyevd, in a's own buffer.
+
+    a is square, C-ordered, float64 and writeable.  With vectors, a's
+    rows then hold the eigenvectors; without, a's upper triangle and
+    diagonal are destroyed and its strict lower triangle is kept.  The
+    ``np.linalg`` route gives the same bits: it runs dsyevd on a copy of
+    a^T and writes its vectors back.
+    """
+    lapack = _lapacke()
+    if lapack is None:
+        try:
+            if not vectors:
+                return np.linalg.eigvalsh(a.T)
+            lam, U = np.linalg.eigh(a.T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        a[...] = U.T
+        return lam
+    n = a.shape[0]
+    lam = np.empty(n)
+    info = lapack[0](_COL_MAJOR, b"V" if vectors else b"N", b"L", n, a, n, lam)
+    if info:
+        raise NumericalError(f"eigendecomposition failed: dsyevd info {info}")
+    return lam
+
+
+def _potrf(a: np.ndarray) -> None:
+    """Cholesky factor L of a^T by LAPACK dpotrf, in a's own buffer.
+
+    a is square, C-ordered, float64 and writeable; its upper triangle
+    and diagonal then hold L^T, and its strict lower triangle is left
+    undefined.  The ``np.linalg`` route gives the same bits on a copy.
+    """
+    lapack = _lapacke()
+    if lapack is None:
+        try:
+            a[...] = np.linalg.cholesky(a.T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+        return
+    n = a.shape[0]
+    info = lapack[1](_COL_MAJOR, b"L", n, a, n)
+    if info:
+        raise NumericalError(f"Cholesky factorization failed: dpotrf info {info}")
 
 
 def squared_distances(X) -> np.ndarray:

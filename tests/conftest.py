@@ -25,16 +25,62 @@ where D is zero.
 """
 
 import numpy as np
+import pytest
 
 from dissimjl import (
+    BallSpec,
     DissimilarityError,
+    SimplexSpec,
     as_matrix,
     center_gram,
     decompose,
+    gen_balls,
+    gen_simplex,
     graph_hops,
     squared_distances,
 )
+from dissimjl import core
 from dissimjl.evaluate import _band_tiles
+
+
+# the LAPACK that numpy links; its wheels bundle scipy-openblas, whose LAPACKE
+# core resolves and factors B with in place
+NUMPY_LAPACK = (np.show_config(mode="dicts").get("Build Dependencies", {})
+                .get("lapack", {}).get("name"))
+in_place_lapack = pytest.mark.skipif(
+    NUMPY_LAPACK != "scipy-openblas", reason=f"numpy links {NUMPY_LAPACK}")
+
+
+@pytest.fixture(params=["in-place", "np.linalg"])
+def lapack_route(request, monkeypatch):
+    """Run a test on both routes of core's factorizations: numpy's LAPACKE
+    in B's own buffer, and the np.linalg fallback, forced."""
+    if request.param == "np.linalg":
+        monkeypatch.setattr(core, "_lapacke", lambda: None)
+    return request.param
+
+
+@pytest.fixture()
+def lapack_calls(monkeypatch):
+    """Calls of each LAPACK routine the library factors B with, counted at
+    core's resolver: {"dsyevd V", "dsyevd N", "dpotrf"}, in the order of
+    the np.linalg calls they stand for (eigh, eigvalsh, cholesky)."""
+    real = core._lapacke()
+    if real is None:
+        pytest.skip("numpy exports no LAPACKE dsyevd and dpotrf here")
+    syevd, potrf = real
+    calls = dict.fromkeys(("dsyevd V", "dsyevd N", "dpotrf"), 0)
+
+    def counting_syevd(layout, jobz, *args):
+        calls["dsyevd " + jobz.decode()] += 1
+        return syevd(layout, jobz, *args)
+
+    def counting_potrf(*args):
+        calls["dpotrf"] += 1
+        return potrf(*args)
+
+    monkeypatch.setattr(core, "_lapacke", lambda: (counting_syevd, counting_potrf))
+    return calls
 
 
 def random_hollow(rng, n, scale=1.0):
@@ -113,6 +159,23 @@ def grid_hops(k):
         if v + k < k * k:
             edges.append((v, v + k))
     return graph_hops(edges)
+
+
+# Gram matrices whose eigh spectrum has no exact tie, and two that do: the
+# alpha = 0 simplex (32 tied neighbours in eigh's output at n = 50) and zero
+ORDER_CASES = {
+    "simplex": (lambda: center_gram(gen_simplex(SimplexSpec(120, seed=3))), False),
+    "balls": (lambda: center_gram(gen_balls(BallSpec(120, seed=3))), False),
+    "grid": (lambda: center_gram(grid_hops(8)), False),
+    "simplex-alpha-0": (
+        lambda: center_gram(gen_simplex(SimplexSpec(50, alpha=0.0, seed=0))), True
+    ),
+    "zero": (lambda: np.zeros((6, 6)), True),
+}
+
+# ORDER_CASES' Gram matrices and a random hollow one's, all exactly symmetric
+GRAM_CASES = {name: make for name, (make, _) in ORDER_CASES.items()}
+GRAM_CASES["random"] = lambda: center_gram(random_hollow(np.random.default_rng(6), 90))
 
 
 def dense_gram_oracle(D):

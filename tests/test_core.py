@@ -12,16 +12,22 @@ from dissimjl import (
     SimplexSpec,
     center_gram,
     decompose,
+    decompose_power,
     gen_balls,
     gen_simplex,
+    run_projection,
     squared_distances,
     validate_matrix,
 )
+from dissimjl.pipeline import METHODS
 
 from conftest import (
+    GRAM_CASES,
+    ORDER_CASES,
     copy_cases,
     dense_gram_oracle,
     grid_hops,
+    in_place_lapack,
     pairwise_sq_oracle,
     random_hollow,
     ref_validate,
@@ -150,7 +156,7 @@ class TestDecompose:
 
     def test_descending_order_with_matching_vectors(self):
         B = center_gram(random_hollow(np.random.default_rng(11), 20))
-        dec = decompose(B)
+        dec = decompose(B.copy())
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
         for k in range(dec.n):
             assert_allclose(
@@ -161,7 +167,7 @@ class TestDecompose:
 
     def test_eigenvalues_match_independent_solver(self):
         B = center_gram(random_hollow(np.random.default_rng(5), 25))
-        dec = decompose(B)
+        dec = decompose(B.copy())
         assert_allclose(dec.eigenvalues, np.sort(np.linalg.eigvalsh(B))[::-1],
                         atol=1e-10)
 
@@ -169,7 +175,7 @@ class TestDecompose:
         rng = np.random.default_rng(2)
         for n in (5, 20, 50):
             B = center_gram(random_hollow(rng, n))
-            dec = decompose(B)
+            dec = decompose(B.copy())
             rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
             scale = max(1.0, np.abs(B).max())
             assert np.abs(rebuilt - B).max() <= 1e-7 * scale
@@ -233,19 +239,6 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-# Gram matrices whose eigh spectrum has no exact tie, and two that do: the
-# alpha = 0 simplex (32 tied neighbours in eigh's output at n = 50) and zero
-ORDER_CASES = {
-    "simplex": (lambda: center_gram(gen_simplex(SimplexSpec(120, seed=3))), False),
-    "balls": (lambda: center_gram(gen_balls(BallSpec(120, seed=3))), False),
-    "grid": (lambda: center_gram(grid_hops(8)), False),
-    "simplex-alpha-0": (
-        lambda: center_gram(gen_simplex(SimplexSpec(50, alpha=0.0, seed=0))), True
-    ),
-    "zero": (lambda: np.zeros((6, 6)), True),
-}
-
-
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
 def test_descending_order_is_the_stable_sort_bitwise(name):
     # tied eigenvalues keep their vectors in the solver's order, so a
@@ -255,13 +248,66 @@ def test_descending_order_is_the_stable_sort_bitwise(name):
     lam, U = np.linalg.eigh(B)
     assert bool(np.any(lam[:-1] == lam[1:])) == tied
     order = np.argsort(-lam, kind="stable")
-    dec = decompose(B)
+    dec = decompose(B.copy())
     assert bits(dec.eigenvalues) == bits(lam[order])
     assert bits(dec.eigenvectors) == bits(U[:, order])
     alone = np.linalg.eigvalsh(B)
-    assert bits(decompose(B, vectors=False).eigenvalues) == bits(
+    assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(
         alone[np.argsort(-alone, kind="stable")]
     )
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
+    # in B's own buffer or through the np.linalg fallback: eigh's and
+    # eigvalsh's bits, stably sorted
+    B = GRAM_CASES[name]()
+    lam, U = np.linalg.eigh(B)
+    order = np.argsort(-lam, kind="stable")
+    dec = decompose(B.copy())
+    assert bits(dec.eigenvalues) == bits(lam[order])
+    assert bits(dec.eigenvectors) == bits(U[:, order])
+    assert dec.eigenvectors.flags.f_contiguous  # column-major, as eigh's
+    alone = np.linalg.eigvalsh(B)
+    assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(
+        alone[np.argsort(-alone, kind="stable")]
+    )
+
+
+@in_place_lapack
+def test_factorizations_run_in_b_own_buffer(monkeypatch):
+    # numpy's LAPACKE is found, so no route reaches np.linalg, and decompose
+    # leaves the eigenvectors, in descending order, in B's rows
+    B = center_gram(random_hollow(np.random.default_rng(7), 40))
+    lam, U = np.linalg.eigh(B)
+    order = np.argsort(-lam, kind="stable")
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, None)
+    dec = decompose(B)
+    assert dec.eigenvectors.base is B
+    assert bits(B) == bits(U[:, order].T)
+    assert bits(dec.eigenvalues) == bits(lam[order])
+    for method in METHODS:  # a call of np.linalg would raise
+        run_projection(random_hollow(np.random.default_rng(7), 40), method)
+
+
+@pytest.mark.parametrize("kind", ["read-only view", "F-ordered", "float32"])
+def test_input_that_cannot_be_factored_in_place_is_not_written(kind):
+    B = center_gram(random_hollow(np.random.default_rng(8), 30))
+    if kind == "read-only view":
+        arg = B.view()
+        arg.flags.writeable = False
+    elif kind == "F-ordered":
+        arg = np.asfortranarray(B)
+    else:
+        arg = B.astype(np.float32)
+    before = arg.copy(order="K")
+    full = decompose(arg)
+    decompose(arg, vectors=False)
+    decompose_power(arg)
+    assert bits(arg) == bits(before) and arg.flags.f_contiguous == before.flags.f_contiguous
+    if kind != "float32":
+        assert bits(full.eigenvectors) == bits(decompose(B.copy()).eigenvectors)
 
 
 class TestSquaredDistances:

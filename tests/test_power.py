@@ -31,6 +31,7 @@ from dissimjl import (
 from dissimjl.cli import main, write_matrix
 
 from conftest import (
+    GRAM_CASES,
     euclideanize,
     grid_hops,
     mc_silhouette,
@@ -274,7 +275,7 @@ class TestMatchesTwoEighOracle:
     def test_grid_null_block_holds_the_ones_direction(self):
         D = grid_hops(8)
         B = center_gram(D)
-        dec = decompose(B)
+        dec = decompose(B.copy())
         assert dec.zero_rank == 50
         _, rep = decompose_power(B.copy(), 1.5)
         assert rep.p == D.n
@@ -315,12 +316,44 @@ SPECTRUM_CASES = {
 @pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
 def test_eigenvalues_alone_give_the_same_signature(name):
     B = center_gram(validate_matrix(as_matrix(SPECTRUM_CASES[name]())))
-    full, alone = decompose(B), decompose(B, vectors=False)
+    full, alone = decompose(B.copy()), decompose(B.copy(), vectors=False)
     assert alone.eigenvectors is None
     assert (alone.p, alone.q, alone.zero_rank) == (full.p, full.q, full.zero_rank)
     assert_allclose(alone.tau, full.tau, rtol=1e-12)
     assert_allclose(alone.eigenvalues, full.eigenvalues,
                     atol=1e-12 * np.abs(full.eigenvalues).max())
+
+
+# the branch each GRAM_CASES input takes at the default radius: r > 0 factors
+# B + 2r^2 I; Euclidean input (r = 0) keeps a null direction and takes eigh
+POWER_BRANCHES = {"simplex": "cholesky", "balls": "cholesky", "random": "cholesky",
+                  "grid": "eigh", "simplex-alpha-0": "eigh", "zero": "eigh"}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_both_lapack_routes_give_numpys_centers(name, lapack_route):
+    # in B's own buffer or through the np.linalg fallback: eigvalsh's
+    # spectrum, and cholesky's factor or eigh's scaled vectors, bit for bit
+    B = GRAM_CASES[name]()
+    n = B.shape[0]
+    dec, rep = decompose_power(B.copy())
+    r = rep.radius
+    alone = np.linalg.eigvalsh(B)
+    if POWER_BRANCHES[name] == "cholesky":
+        assert dec.eigenvectors is None
+        assert dec.eigenvalues.tobytes() == alone[np.argsort(-alone, kind="stable")].tobytes()
+        shifted = B.copy()
+        shifted.flat[:: n + 1] += 2.0 * r**2
+        oracle = np.linalg.cholesky(shifted)
+        assert rep.centers.flags.c_contiguous
+    else:
+        lam, U = np.linalg.eigh(B)
+        order = np.argsort(-lam, kind="stable")
+        assert dec.eigenvalues.tobytes() == lam[order].tobytes()
+        keep = order[: rep.p]  # mu = lambda + 2r^2 is descending: kept first
+        oracle = U[:, keep] * np.sqrt(lam[keep] + 2.0 * r**2)
+    assert np.ascontiguousarray(rep.centers).tobytes() == np.ascontiguousarray(
+        oracle).tobytes()
 
 
 class TestCholeskyCenters:
@@ -330,8 +363,8 @@ class TestCholeskyCenters:
     def test_centers_reproduce_d_just_above_the_minimal_radius(self, name):
         D = validate_matrix(as_matrix(SPECTRUM_CASES[name]()))
         B = center_gram(D)
-        full = decompose(B)
-        dec, rep = decompose_power(B)
+        full = decompose(B.copy())
+        dec, rep = decompose_power(B.copy())
         assert dec.eigenvectors is None and rep.p == D.n
         assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
@@ -359,12 +392,13 @@ class TestCholeskyCenters:
                         atol=1e-12 * np.abs(gram).max())
 
     def test_gram_matrix_is_shifted_in_place(self):
+        # the factor is formed and returned in B's own buffer: B is then L
         B = center_gram(random_hollow(np.random.default_rng(18), 12))
-        before = B.copy()
+        gram = B + 2.0 * np.eye(12) * decompose_power(B.copy())[1].radius**2
         _, rep = decompose_power(B)
-        off = ~np.eye(12, dtype=bool)
-        assert np.array_equal(B[off], before[off])
-        assert np.array_equal(np.diag(B), np.diag(before) + 2.0 * rep.radius**2)
+        assert rep.centers is B
+        assert np.array_equal(B, np.tril(B))
+        assert_allclose(B @ B.T, gram, atol=1e-12 * np.abs(gram).max())
 
     def test_override_at_the_minimal_radius_takes_eigh(self):
         D = validate_matrix(random_hollow(np.random.default_rng(19), 30))
@@ -399,19 +433,8 @@ class TestSingleEigendecomposition:
     """LAPACK calls of one jl-power run: eigenvalues plus one Cholesky factor,
     or eigh after the eigenvalues where the radius leaves a direction at 0."""
 
-    @pytest.fixture()
-    def solver_calls(self, monkeypatch):
-        calls = dict.fromkeys(("eigh", "eigvalsh", "cholesky"), 0)
-        for name in calls:
-            def counting(*args, _real=getattr(np.linalg, name), _name=name,
-                         **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        return calls
-
-    # (input, radius override, (eigh, eigvalsh, cholesky) calls); "minimum"
+    # (input, radius override, (eigh, eigvalsh, cholesky) calls), counted as
+    # the LAPACK routines that stand for them (dsyevd V, dsyevd N, dpotrf); "minimum"
     # overrides with power_radius, at which B + 2r^2 I is singular.  Full-rank
     # Euclidean input leaves only the all-ones direction null at r = 0, and
     # takes eigh like the grid's 50-fold null block
@@ -424,7 +447,7 @@ class TestSingleEigendecomposition:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_run_projection_solver_calls(self, solver_calls, case):
+    def test_run_projection_solver_calls(self, lapack_calls, case):
         kind, radius, expected = self.CASES[case]
         if kind == "grid":
             D = grid_hops(8)
@@ -434,9 +457,9 @@ class TestSingleEigendecomposition:
             D = validate_matrix(random_hollow(np.random.default_rng(14), 30))
         if radius == "minimum":
             radius = power_radius(decompose(center_gram(D), vectors=False))
-            solver_calls.update(dict.fromkeys(solver_calls, 0))
+            lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         run_projection(D, "jl-power", radius_override=radius)
-        assert tuple(solver_calls.values()) == expected
+        assert tuple(lapack_calls.values()) == expected
 
 
 class TestSilhouette:

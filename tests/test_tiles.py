@@ -31,6 +31,7 @@ from dissimjl import (
     SimplexSpec,
     center_gram,
     decompose,
+    decompose_power,
     embed_pq,
     gen_balls,
     gen_simplex,
@@ -48,6 +49,7 @@ from dissimjl import core
 from conftest import (
     band_columns,
     copy_cases,
+    in_place_lapack,
     random_hollow,
     ref_power_residual,
     ref_power_summary,
@@ -368,6 +370,25 @@ def test_validate_holds_no_square_array_on_canonical_input():
         tracemalloc.stop()
     assert np.shares_memory(out.entries, raw)
     assert peak < 0.25 * n * n * 8
+
+
+@in_place_lapack
+def test_factorizations_hold_no_square_array():
+    # dsyevd and dpotrf run in B's own buffer, the descending reorder moves
+    # B's rows in place, and the centers are B: what is left is a tile of the
+    # input checks (0.13 of an n x n array at n = 1024), where eigh's output
+    # and the U[:, order] copy took 2.0.  LAPACK's workspace is malloc'd, out
+    # of tracemalloc's view
+    n = 1024
+    for build in (decompose, decompose_power):
+        B = center_gram(gen_balls(BallSpec(n, seed=1)))
+        tracemalloc.start()
+        try:
+            build(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * n * n * 8
 
 
 @pytest.mark.parametrize("method", METHODS)
