@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dissimjl import (
-    BallSpec,
     DissimilarityError,
     DissimilarityMatrix,
     NumericalError,
@@ -13,12 +12,12 @@ from dissimjl import (
     center_gram,
     decompose,
     decompose_power,
-    gen_balls,
     gen_simplex,
     run_projection,
     squared_distances,
     validate_matrix,
 )
+from dissimjl import core
 from dissimjl.pipeline import METHODS
 
 from conftest import (
@@ -26,7 +25,6 @@ from conftest import (
     ORDER_CASES,
     copy_cases,
     dense_gram_oracle,
-    grid_hops,
     in_place_lapack,
     pairwise_sq_oracle,
     random_hollow,
@@ -289,6 +287,24 @@ def test_factorizations_run_in_b_own_buffer(monkeypatch):
     assert bits(dec.eigenvalues) == bits(lam[order])
     for method in METHODS:  # a call of np.linalg would raise
         run_projection(random_hollow(np.random.default_rng(7), 40), method)
+
+
+def test_lapack_failure_is_a_numerical_error(monkeypatch):
+    # a nonzero info from either routine (no convergence, or a leading minor
+    # that is not positive definite) raises, whatever B's contents are then
+    monkeypatch.setattr(core, "_lapacke", lambda: (lambda *args: 3, lambda *args: 2))
+    B = center_gram(random_hollow(np.random.default_rng(9), 12))
+    with pytest.raises(NumericalError, match="eigendecomposition failed: dsyevd info 3"):
+        decompose(B.copy())
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        decompose_power(B.copy())
+    def zero_spectrum(*args):
+        args[-1].fill(0.0)
+        return 0
+
+    monkeypatch.setattr(core, "_lapacke", lambda: (zero_spectrum, lambda *args: 2))
+    with pytest.raises(NumericalError, match="Cholesky factorization failed: dpotrf info 2"):
+        decompose_power(B.copy(), radius=3.0)
 
 
 @pytest.mark.parametrize("kind", ["read-only view", "F-ordered", "float32"])
