@@ -181,15 +181,15 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     B : array_like
         Symmetric matrix (checked within ``1e-8 * |B|_max``), typically
         the output of :func:`center_gram`.  LAPACK's ``dsyevd`` runs in
-        B's own buffer, so a writeable C-contiguous float64 B is
-        overwritten: with vectors its rows hold the eigenvectors in
-        descending order, and ``eigenvectors`` is the view B^T; without
-        them its upper triangle and diagonal are destroyed.  A
-        read-only, non-C-contiguous or non-float64 B is copied first
-        and never written.
+        B's own buffer, so with vectors a writeable C-contiguous float64
+        B is overwritten: its rows hold the eigenvectors in descending
+        order, and ``eigenvectors`` is the view B^T; pass ``B.copy()``
+        to keep it.  A read-only, non-C-contiguous or non-float64 B is
+        copied first and never written.
     vectors : bool
-        False computes the eigenvalues alone (about half the time) and
-        leaves ``eigenvectors`` None.  They agree with the full
+        False computes the eigenvalues alone (about half the time),
+        leaves ``eigenvectors`` None, and leaves an exactly symmetric B
+        as it was, bit for bit.  The eigenvalues agree with the full
         decomposition's to rounding, and so do (p, q, zero_rank) and
         tau.
 
@@ -217,34 +217,12 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     if _asymmetry(B) > 1e-8 * top:
         raise DissimilarityError("matrix is not symmetric")
     lam = _syevd(B, vectors)
-    # the vectors are B's rows, moved in place into the stable descending
-    # order (tied eigenvalues keep the solver's order), so U is B^T:
-    # column-major as eigh's own, and no second n x n array is formed
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    U = None
-    if vectors:
-        _permute_rows(B, order)
-        U = B.T
     tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
     p = int(np.sum(lam > tau))
     q = int(np.sum(lam < -tau))
+    # B's rows are the eigenvectors: B^T is column-major, as eigh's own
+    U = B.T if vectors else None
     return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau)
-
-
-def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
-    """Put row order[k] of A at row k, in place: each cycle of the
-    permutation moves its rows along through one spare row."""
-    moved = order == np.arange(len(order))
-    for start in np.flatnonzero(~moved):
-        if moved[start]:
-            continue
-        spare, k = A[start].copy(), start
-        while order[k] != start:
-            A[k] = A[order[k]]
-            moved[k], k = True, order[k]
-        A[k] = spare
-        moved[k] = True
 
 
 def _own_square(B) -> np.ndarray:
@@ -290,43 +268,73 @@ _COL_MAJOR = 102
 
 
 def _syevd(a: np.ndarray, vectors: bool) -> np.ndarray:
-    """Ascending eigenvalues of a^T by LAPACK dsyevd, in a's own buffer.
+    """Eigenvalues of a^T by LAPACK dsyevd in a's own buffer, stably
+    sorted to descending order (tied ones keep the solver's order).
 
     a is square, C-ordered, float64 and writeable.  With vectors, a's
-    rows then hold the eigenvectors; without, a's upper triangle and
-    diagonal are destroyed and its strict lower triangle is kept.  The
-    ``np.linalg`` route gives the same bits: it runs dsyevd on a copy of
-    a^T and writes its vectors back.
+    rows then hold the eigenvectors in that order, moved in place;
+    without, an exactly symmetric a is left as it was (any other gets
+    its lower triangle's mirror above the diagonal).  The ``np.linalg``
+    route gives the same bits on a copy of a^T.
     """
     lapack = _lapacke()
+    n = a.shape[0]
     if lapack is None:
         try:
-            if not vectors:
-                return np.linalg.eigvalsh(a.T)
-            lam, U = np.linalg.eigh(a.T)
+            if vectors:
+                lam, U = np.linalg.eigh(a.T)
+                a[...] = U.T
+            else:
+                lam = np.linalg.eigvalsh(a.T)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-        a[...] = U.T
-        return lam
-    n = a.shape[0]
-    lam = np.empty(n)
-    info = lapack[0](_COL_MAJOR, b"V" if vectors else b"N", b"L", n, a, n, lam)
-    if info:
-        raise NumericalError(f"eigendecomposition failed: dsyevd info {info}")
-    return lam
+    else:
+        lam = np.empty(n)
+        diag = a.diagonal().copy()
+        info = lapack[0](_COL_MAJOR, b"V" if vectors else b"N", b"L", n, a, n, lam)
+        if info:
+            raise NumericalError(f"eigendecomposition failed: dsyevd info {info}")
+        if not vectors:
+            # dsyevd destroyed a's upper triangle and diagonal and kept its
+            # strict lower triangle: mirror that back, band by band
+            for r0, r1 in _tiles(n, _BLOCK):
+                a[r0:r1, r1:] = a[r1:, r0:r1].T
+                block = a[r0:r1, r0:r1]
+                upper = np.triu_indices(r1 - r0, 1)
+                block[upper] = block.T[upper]
+            a.flat[:: n + 1] = diag
+    order = np.argsort(-lam, kind="stable")
+    if vectors:
+        _permute_rows(a, order)
+    return lam[order]
+
+
+def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
+    """Put row order[k] of A at row k, in place: each cycle of the
+    permutation moves its rows along through one spare row."""
+    moved = order == np.arange(len(order))
+    for start in np.flatnonzero(~moved):
+        if moved[start]:
+            continue
+        spare, k = A[start].copy(), start
+        while order[k] != start:
+            A[k] = A[order[k]]
+            moved[k], k = True, order[k]
+        A[k] = spare
+        moved[k] = True
 
 
 def _potrf(a: np.ndarray) -> None:
-    """Cholesky factor L of a^T by LAPACK dpotrf, in a's own buffer.
+    """Cholesky factor L of a by LAPACK dpotrf, in a's own buffer.
 
-    a is square, C-ordered, float64 and writeable; its upper triangle
-    and diagonal then hold L^T, and its strict lower triangle is left
-    undefined.  The ``np.linalg`` route gives the same bits on a copy.
+    a is symmetric, square, C-ordered, float64 and writeable; it then
+    holds L itself: lower triangular, C-ordered, zero above the diagonal.
+    The ``np.linalg`` route gives the same bits on exactly symmetric a.
     """
     lapack = _lapacke()
     if lapack is None:
         try:
-            a[...] = np.linalg.cholesky(a.T).T
+            a[...] = np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
         return
@@ -334,6 +342,15 @@ def _potrf(a: np.ndarray) -> None:
     info = lapack[1](_COL_MAJOR, b"L", n, a, n)
     if info:
         raise NumericalError(f"Cholesky factorization failed: dpotrf info {info}")
+    # dpotrf left L^T in a's upper triangle and diagonal: move it to the
+    # lower one and zero the upper, band by band
+    for r0, r1 in _tiles(n, _BLOCK):
+        a[r1:, r0:r1] = a[r0:r1, r1:].T
+        a[r0:r1, r1:] = 0.0
+        block = a[r0:r1, r0:r1]
+        upper = np.triu_indices(r1 - r0, 1)
+        block.T[upper] = block[upper]
+        block[upper] = 0.0
 
 
 def squared_distances(X) -> np.ndarray:

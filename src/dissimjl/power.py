@@ -10,7 +10,8 @@ the all-ones direction, which no center difference sees, so E is never
 formed and never decomposed.  :func:`decompose_power` is the one
 builder: it needs only B's eigenvalues to choose r, and takes the
 centers from one Cholesky factorization of B + 2r^2 I, or from B's
-eigenvectors where the radius leaves a direction at zero.  It returns a
+eigenvectors where the radius leaves a direction at zero, each in B's
+own buffer through core's LAPACK wrappers.  It returns a
 ``PseudoEuclideanEmbedding`` (centers, an empty negative part, r), the
 type ``projection.project`` maps.  The same bilinear form
 doubles as the closed-form silhouette gap of two isotropic Gaussian
@@ -25,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _BLOCK,
     DEFAULT_TAU_REL,
     DissimilarityError,
     GramDecomposition,
     _own_square,
     _potrf,
-    _tiles,
     decompose,
 )
 from .pqspace import PseudoEuclideanEmbedding
@@ -113,32 +112,32 @@ def decompose_power(
 
     B is the centered Gram matrix (the output of
     :func:`~dissimjl.core.center_gram`) and is overwritten, under the
-    contract of :func:`~dissimjl.core.decompose`: a read-only,
-    non-C-contiguous or non-float64 B is copied first.  Only B's
-    eigenvalues are computed; they give the signature, tau and the
-    radius.  The radius defaults to r^2 = -e_n / 2 + m, just above the
-    minimum: the margin m = 1e-9 (e_1 - e_n) is the tolerance at which a
-    direction is dropped at the minimal radius, and B + 2r^2 I has
-    smallest eigenvalue 2m, about twice the tolerance at the new radius.
-    An explicit radius below the minimum raises; a larger one changes
-    only the split between center geometry and radius.  The centers are
-    the Cholesky factor L of B + 2r^2 I, formed in B's own buffer with
-    its diagonal shifted in place, and returned in it: L L^T is the
-    centers' Gram, so they reproduce D as power distances, in n
-    dimensions.  Bit for bit, spectrum and centers are those of
-    ``np.linalg.eigvalsh`` and ``np.linalg.cholesky`` on exactly
-    symmetric B.  The returned decomposition holds no eigenvectors.
+    contract of :func:`~dissimjl.core.decompose`: pass ``B.copy()`` to
+    keep it.  First B's eigenvalues alone are computed; they give the
+    signature, tau and the radius.  The radius defaults to
+    r^2 = -e_n / 2 + m, just above the minimum: the margin
+    m = 1e-9 (e_1 - e_n) is the tolerance at which a direction is
+    dropped at the minimal radius, and B + 2r^2 I has smallest
+    eigenvalue 2m, about twice the tolerance at the new radius.  An
+    explicit radius below the minimum raises; a larger one changes only
+    the split between center geometry and radius; -0.0 is returned as
+    +0.0.  The centers are the Cholesky factor L of B + 2r^2 I, formed
+    in B's own buffer with its diagonal shifted in place, and returned
+    in it: L L^T is the centers' Gram, so they reproduce D as power
+    distances, in n dimensions.  The decomposition then holds no
+    eigenvectors.
 
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
-    Cholesky factor.  Then B is decomposed again with its eigenvectors,
-    which the centers are, scaled by sqrt(lambda_k + 2r^2) and without
-    the directions where that is within the tolerance of zero.
+    Cholesky factor.  Then B is decomposed again, and the decomposition
+    holds its eigenvectors, B^T; the centers are a copy of them, scaled
+    by sqrt(lambda_k + 2r^2), without the directions where that is
+    within the tolerance of zero.  Bit for bit, spectrum and centers are
+    those of ``np.linalg`` (eigvalsh, then cholesky or eigh) on exactly
+    symmetric B.
     """
     B = _own_square(B)
-    diag = B.diagonal().copy()
     dec = decompose(B, vectors=False)
-    _restore_upper(B, diag)
     r = radius
     if r is None:
         r = power_radius(dec)
@@ -146,6 +145,7 @@ def decompose_power(
             lam = dec.eigenvalues
             r = math.sqrt(r**2 + DEFAULT_TAU_REL * float(lam[0] - lam[-1]))
     mu, tol = _shifted_spectrum(dec, r)
+    r = abs(float(r))  # -0.0 passes every check; the report shows +0.0
     if mu.min() <= tol:
         # mu and its drop tolerance from the full spectrum, not the first one
         dec = decompose(B)
@@ -156,36 +156,9 @@ def decompose_power(
     else:
         B.flat[:: B.shape[0] + 1] += 2.0 * r**2
         _potrf(B)
-        _lower_factor(B)
         centers = B
     # the empty negative part is a view of the centers: it allocates no buffer
-    return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], float(r))
-
-
-def _restore_upper(B: np.ndarray, diag: np.ndarray) -> None:
-    """Rebuild B after an eigenvalues-only ``dsyevd``, which destroys its
-    upper triangle and diagonal: the kept strict lower triangle is written
-    onto the upper one, band by band, and diag onto the diagonal.  Exact
-    for an exactly symmetric B, such as every center_gram output."""
-    for r0, r1 in _tiles(B.shape[0], _BLOCK):
-        B[r0:r1, r1:] = B[r1:, r0:r1].T
-        block = B[r0:r1, r0:r1]
-        upper = np.triu_indices(r1 - r0, 1)
-        block[upper] = block.T[upper]
-    B.flat[:: B.shape[0] + 1] = diag
-
-
-def _lower_factor(B: np.ndarray) -> None:
-    """Move the factor L^T that dpotrf leaves in B's upper triangle to its
-    lower one, band by band, and zero the strict upper triangle: B is then
-    L, in C order."""
-    for r0, r1 in _tiles(B.shape[0], _BLOCK):
-        B[r1:, r0:r1] = B[r0:r1, r1:].T
-        B[r0:r1, r1:] = 0.0
-        block = B[r0:r1, r0:r1]
-        upper = np.triu_indices(r1 - r0, 1)
-        block.T[upper] = block[upper]
-        block[upper] = 0.0
+    return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], r)
 
 
 def silhouette_gaussian(a: GaussianCluster, b: GaussianCluster) -> float:

@@ -312,6 +312,17 @@ class TestProject:
                      "--out-report", str(path)]) == 0
         assert load_json(str(path))["bounds"]["radius"] == 50.0
 
+    def test_negative_zero_radius_override_is_reported_as_zero(self, tmp_path):
+        # Euclidean input, whose minimal radius is 0: -0.0 is a valid
+        # override, and the report's radius is +0.0
+        path, report = tmp_path / "e.csv", tmp_path / "r.json"
+        X = np.random.default_rng(5).standard_normal((20, 5))
+        write_matrix(str(path), squared_distances(X))
+        assert main(["project", str(path), "--method", "jl-power",
+                     "--radius-override", "-0.0", "--out-report", str(report)]) == 0
+        text = report.read_text()
+        assert '"radius": 0.0' in text and '"radius": -0.0' not in text
+
     def test_radius_override_below_minimum_is_data_error(
         self, simplex_csv, capsys
     ):

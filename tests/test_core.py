@@ -272,6 +272,17 @@ def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
     )
 
 
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_eigenvalues_alone_leave_b_as_it_was(name, lapack_route):
+    # in place, dsyevd without vectors destroys B's upper triangle and
+    # diagonal; the wrapper mirrors the kept lower triangle back and
+    # restores the diagonal, so an exactly symmetric B is unchanged
+    B = GRAM_CASES[name]()
+    before = B.copy()
+    decompose(B, vectors=False)
+    assert bits(B) == bits(before)
+
+
 @in_place_lapack
 def test_factorizations_run_in_b_own_buffer(monkeypatch):
     # numpy's LAPACKE is found, so no route reaches np.linalg, and decompose

@@ -305,6 +305,14 @@ def test_euclidean_input_centers_are_the_pq_coordinates(name):
     assert np.array_equal(res.representation.centers, emb.pos_coords)
 
 
+def test_negative_zero_radius_is_returned_as_positive_zero():
+    # -0.0 passes every radius check on Euclidean input, and would reach
+    # the report with its sign
+    D = validate_matrix(EUCLIDEAN_CASES["points"]())
+    _, rep = decompose_power(center_gram(D), -0.0)
+    assert rep.radius == 0.0 and math.copysign(1.0, rep.radius) == 1.0
+
+
 SPECTRUM_CASES = {
     "simplex": lambda: gen_simplex(SimplexSpec(120, seed=3)),
     "balls": lambda: gen_balls(BallSpec(120, seed=3)),

@@ -406,6 +406,26 @@ def test_run_projection_keeps_no_copy_of_canonical_input(method):
         tracemalloc.stop()
     assert peak < 3.1 * n * n * 8
 
+
+def test_eigh_branch_run_frees_b_before_scoring():
+    # jl-power at r = 0 on low-rank Euclidean input takes the eigh branch,
+    # whose centers are a scaled copy of B's kept eigenvectors, so B goes
+    # once the run drops them: 1.95 arrays at n = 1024.  Scaling B's rows
+    # in place and returning a view of them would keep all of B through
+    # scoring (2.95 measured), though it cuts decompose_power's own peak
+    # (1.01 to 0.14 arrays on the alpha = 0 simplex)
+    n = 1024
+    raw = squared_distances(np.random.default_rng(0).standard_normal((n, 5)))
+    tracemalloc.start()
+    try:
+        res = run_projection(raw, "jl-power")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.representation.radius == 0.0 and res.representation.p == 5
+    assert peak < 2.1 * n * n * 8
+
+
 def test_pq_reconstruct_holds_one_square_array():
     # D-hat, one band product of 256 x n doubles (a quarter of D-hat at
     # n = 1024) and a few tile vectors: 1.41 D-hat, where a whole Q took
