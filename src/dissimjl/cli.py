@@ -166,7 +166,9 @@ def _pair_rows(tiles, picked, out):
     """Write per-pair plot records of a band pass to out as CSV, and yield
     each tile of the pass on once its rows are written.
 
-    tiles is the run's band pass (evaluate's ``_band_tiles``).  Rows
+    tiles is the run's band pass (evaluate's ``_band_tiles``), and the
+    route's check, ``validate_pq_bound`` or ``validate_power_residual``,
+    folds the tiles this yields (``_scored``).  Rows
     exist only for the ``picked`` positions of the upper triangle
     (row-major, i < j, sorted).  Each tile's picked positions take their
     i and j from the tile's mask and their values from its columns, and

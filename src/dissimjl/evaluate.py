@@ -86,9 +86,9 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     The pass keeps no reference to a tile it has yielded, so a consumer
     that drops each tile before asking for the next holds one at a time.
     The route's check is one such consumer, a fold over the pass
-    (:func:`_pq_check`, :func:`_power_check`); ``validate`` puts its pair
-    row writer between the pass and the fold, which writes each tile's
-    sampled rows and passes the tile on.
+    (:func:`validate_pq_bound`, :func:`validate_power_residual`);
+    ``validate`` puts its pair row writer between the pass and the fold,
+    which writes each tile's sampled rows and passes the tile on.
     """
     A = as_matrix(D)
     Ah = np.asarray(Dhat, dtype=float)
@@ -160,13 +160,13 @@ class PowerResidualCheck:
     bound: float
 
 
-def _slack(epsilon: float, radius: float) -> float:
-    """The power route's additive slack 4 epsilon r^2."""
-    return 4.0 * epsilon * radius**2
+def validate_pq_bound(tiles) -> PqBoundCheck:
+    """jl-pq's check summary, folded over its band pass (``_band_tiles``)
+    one tile at a time.
 
-
-def _pq_check(tiles) -> PqBoundCheck:
-    """jl-pq's check summary, folded over its band pass one tile at a time."""
+    Public although only the pipeline calls it: perfbench's tracer wraps
+    public functions alone, and its roadmap lines read this span.
+    """
     violated = excluded = total = 0
     for *_, columns in tiles:
         d = columns["dissimilarity"]
@@ -178,9 +178,14 @@ def _pq_check(tiles) -> PqBoundCheck:
     return PqBoundCheck(float(violated / usable) if usable else 0.0, int(excluded))
 
 
-def _power_check(tiles, bound: float) -> PowerResidualCheck:
+def validate_power_residual(tiles, bound: float) -> PowerResidualCheck:
     """jl-power's check summary against the slack bound, folded over its
-    band pass one tile at a time; a nan residual makes the maximum nan."""
+    band pass (``_band_tiles``) one tile at a time; a nan residual makes
+    the maximum nan.
+
+    Public although only the pipeline calls it: perfbench's tracer wraps
+    public functions alone, and times this route's check by its span.
+    """
     top, within, total = 0.0, 0, 0
     for *_, columns in tiles:
         residual = columns["residual"]
@@ -189,27 +194,6 @@ def _power_check(tiles, bound: float) -> PowerResidualCheck:
         total += residual.size
         del columns, residual  # hold no tile while the pass forms the next
     return PowerResidualCheck(float(top), float(within / total) if total else 1.0, bound)
-
-
-def validate_pq_bound(
-    D, emb: PseudoEuclideanEmbedding, Dhat, epsilon: float
-) -> PqBoundCheck:
-    """Check a reconstruction against the factor-widened band of D.
-
-    The band pass is reduced to counts tile by tile.
-    """
-    return _pq_check(_band_tiles("jl-pq", D, Dhat, epsilon, emb=emb))
-
-
-def validate_power_residual(
-    D, radius: float, Dhat, epsilon: float
-) -> PowerResidualCheck:
-    """Check a power-route reconstruction against the additive slack.
-
-    The residual pass is reduced to a maximum and a count tile by tile.
-    """
-    bound = _slack(epsilon, radius)
-    return _power_check(_band_tiles("jl-power", D, Dhat, epsilon, bound=bound), bound)
 
 
 @dataclass(frozen=True)
@@ -322,6 +306,8 @@ def _clustered(D, E, V, k: int, seed: int, restarts: int) -> KMeansResult:
         raise DissimilarityError(f"k must lie in [1, {n}], got {k}")
     if restarts < 1:
         raise DissimilarityError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise DissimilarityError(f"seed must be nonnegative, got {seed}")
     best = None
     for t in range(restarts):
         seeds = np.random.default_rng(seed + t).choice(n, size=k, replace=False)
@@ -347,4 +333,5 @@ def kmeans_projected(D, coords, k: int, seed: int = 0,
     """Hartigan's moves on a sketch in its own form (``_sketch_rows``), at
     most 100 sweeps per restart, scored relationally on D: the reported cost
     (and the best-of-restarts selection) is comparable across sketches."""
-    return _clustered(as_matrix(D), *_sketch_rows(coords), k, seed, restarts)
+    A = (D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)).entries
+    return _clustered(A, *_sketch_rows(coords), k, seed, restarts)

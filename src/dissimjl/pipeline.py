@@ -20,9 +20,6 @@ from .evaluate import (
     PowerResidualCheck,
     PqBoundCheck,
     _band_tiles,
-    _power_check,
-    _pq_check,
-    _slack,
     relative_error_stats,
     validate_power_residual,
     validate_pq_bound,
@@ -65,33 +62,27 @@ class RunResult:
 def _scored(result: RunResult, Dhat, through=None) -> RunResult:
     """result with reconstruction Dhat, its stats and bound check redone.
 
-    The check is the route's fold over one band pass (``_band_tiles``),
-    as ``validate_pq_bound`` and ``validate_power_residual`` run it.
-    through, if given, is a generator that reads the pass and yields each
-    tile on, dropping it before it asks for the next; the fold then reads
-    through's tiles, so through and the check share one pass that holds
-    one tile at a time.  On jl, which has no check, the pass is read for
-    through alone.
+    The check is the route's fold over one band pass (``_band_tiles``):
+    ``validate_pq_bound`` on jl-pq, ``validate_power_residual`` on
+    jl-power.  through, if given, is a generator that reads the pass and
+    yields each tile on, dropping it before it asks for the next; the fold
+    then reads through's tiles, so through and the check share one pass
+    that holds one tile at a time.  On jl, which has no check, the pass
+    is read for through alone, and without through it is never formed.
     """
     D, epsilon, method = result.matrix, result.config.epsilon, result.method
     pq, power = method == "jl-pq", method == "jl-power"
-    check = None
+    bound = 4.0 * epsilon * result.representation.radius**2 if power else None
+    tiles = _band_tiles(method, D, Dhat, epsilon, result.embedding, bound)
     if through is not None:
-        bound = _slack(epsilon, result.representation.radius) if power else None
-        tiles = through(_band_tiles(method, D, Dhat, epsilon, result.embedding, bound))
-        if pq:
-            check = _pq_check(tiles)
-        elif power:
-            check = _power_check(tiles, bound)
-        else:
-            deque(tiles, maxlen=0)  # reads the pass and keeps no tile
-    elif pq:
-        check = validate_pq_bound(D, result.embedding, Dhat, epsilon)
-    elif power:
-        check = validate_power_residual(D, result.representation.radius, Dhat, epsilon)
+        tiles = through(tiles)
+    pq_check = validate_pq_bound(tiles) if pq else None
+    power_check = validate_power_residual(tiles, bound) if power else None
+    if method == "jl" and through is not None:
+        deque(tiles, maxlen=0)  # reads the pass and keeps no tile
     stats = relative_error_stats(D, Dhat)
     return replace(result, reconstructed=Dhat, stats=stats,
-                   pq_check=check if pq else None, power_check=check if power else None)
+                   pq_check=pq_check, power_check=power_check)
 
 
 def _project(
@@ -109,6 +100,8 @@ def _project(
         raise DissimilarityError(
             f"unknown method {method!r}, expected one of {', '.join(METHODS)}"
         )
+    if radius_override is not None and method != "jl-power":
+        raise DissimilarityError(f"a radius override applies to jl-power only, not {method}")
     if config is None:
         config = ProjectionConfig()
     Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
@@ -152,9 +145,10 @@ def run_projection(
     or "jl-power" (projection of power-representation centers).
     radius_override replaces the default radius on the power route,
     which sits just above the minimum (see ``decompose_power``); values
-    below the minimum leave the shifted matrix non-Euclidean, which is a
-    data error.  The result's decomposition keeps the spectrum only: its
-    eigenvectors are dropped once the representation is built.
+    below the minimum leave the shifted matrix non-Euclidean, and jl and
+    jl-pq take no radius: either is a data error.  The result's
+    decomposition keeps the spectrum only: its eigenvectors are dropped
+    once the representation is built.
 
     This is ``_project`` followed by ``_scored`` on the reconstruction.
     The command line runs the parts it reports: ``validate`` scores

@@ -260,6 +260,7 @@ class TestProject:
             "power_residual_max", "bound_4er2", "fraction_within", "radius"
         }
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("block", [core._BLOCK, 5], ids=["bands256", "bands5"])
     @pytest.mark.parametrize("method", METHODS)
     def test_out_matrix_matches_library_run(
@@ -420,6 +421,7 @@ class TestValidate:
         assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
 
 
+@pytest.mark.one_blas_thread
 class TestPairCsv:
     @pytest.mark.parametrize("identity_debug", [False, True])
     @pytest.mark.parametrize("method", METHODS)
@@ -496,6 +498,7 @@ class TestPairCsv:
         assert capsys.readouterr().out == expected
 
 
+@pytest.mark.one_blas_thread
 class TestValidateOnePass:
     """validate scores the run and writes its pair rows from one band pass,
     holding one tile of it at a time."""
@@ -550,10 +553,11 @@ class TestValidateOnePass:
                           "reconstruct": 0 if identity_debug else 1}
 
 
+@pytest.mark.one_blas_thread
 class TestValidateMatchesLibrary:
-    """validate folds its checks over the band tiles its pair row writer
-    passes on, the library through validate_pq_bound and
-    validate_power_residual; both entry points give one report."""
+    """validate folds its check over the band tiles its pair row writer
+    passes on, the library over its own pass, both through the same
+    validate_pq_bound or validate_power_residual; both give one report."""
 
     @pytest.mark.parametrize("kind", ["balls", "simplex"])
     @pytest.mark.parametrize("method", METHODS)
@@ -578,6 +582,25 @@ class TestValidateMatchesLibrary:
         expected = json.loads(json.dumps(report_dict(library)))
         assert report["stats"] == expected["stats"]
         assert report["bounds"] == expected["bounds"]
+
+
+@pytest.mark.parametrize("method,fold", [
+    ("jl", None), ("jl-pq", "validate_pq_bound"), ("jl-power", "validate_power_residual"),
+])
+def test_both_entry_points_run_the_same_fold(method, fold, simplex_csv, tmp_path, monkeypatch):
+    # run_projection and validate, with or without --identity-debug, reach
+    # the route's check through one call of the same public fold
+    counts = count_calls(monkeypatch, evaluate.validate_pq_bound,
+                         evaluate.validate_power_residual)
+    expected = {"validate_pq_bound": 0, "validate_power_residual": 0}
+    if fold:
+        expected[fold] = 1
+    run_projection(validate_matrix(read_matrix(simplex_csv)), method)
+    assert counts == expected
+    for flags in ([], ["--identity-debug"]):
+        counts.update(dict.fromkeys(counts, 0))
+        validate_csv(simplex_csv, tmp_path, "--method", method, *flags)
+        assert counts == expected
 
 
 class TestKMeans:
@@ -829,6 +852,10 @@ class TestExitCodes:
          "radius"),
         (["project", "{csv}", "--method", "jl-power", "--radius-override", "inf"],
          "radius"),
+        # only jl-power has a radius to override
+        *[([command, "{csv}", "--method", method, "--radius-override", "3.0"],
+           f"a radius override applies to jl-power only, not {method}\n")
+          for command in ("project", "validate") for method in ("jl", "jl-pq")],
     ])
     def test_bad_parameter_is_one_line_data_error(
         self, argv, message, simplex_csv, capsys

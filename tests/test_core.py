@@ -34,6 +34,7 @@ from conftest import (
 THREE_POINT = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 5.0], [1.0, 5.0, 0.0]])
 
 
+@pytest.mark.one_blas_thread
 class TestValidateMatrix:
     def test_canonicalizes_within_tolerance(self):
         raw = np.array([[1e-12, 2.0], [2.0 + 1e-12, -1e-13]])
@@ -255,6 +256,7 @@ def test_descending_order_is_the_stable_sort_bitwise(name):
     )
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
     # in B's own buffer or through the np.linalg fallback: eigh's and
@@ -272,6 +274,7 @@ def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
     )
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_eigenvalues_alone_leave_b_as_it_was(name, lapack_route):
     # in place, dsyevd without vectors destroys B's upper triangle and
@@ -283,6 +286,7 @@ def test_eigenvalues_alone_leave_b_as_it_was(name, lapack_route):
     assert bits(B) == bits(before)
 
 
+@pytest.mark.one_blas_thread
 @in_place_lapack
 def test_factorizations_run_in_b_own_buffer(monkeypatch):
     # numpy's LAPACKE is found, so no route reaches np.linalg, and decompose
@@ -318,6 +322,7 @@ def test_lapack_failure_is_a_numerical_error(monkeypatch):
         decompose_power(B.copy(), radius=3.0)
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("kind", ["read-only view", "F-ordered", "float32"])
 def test_input_that_cannot_be_factored_in_place_is_not_written(kind):
     B = center_gram(random_hollow(np.random.default_rng(8), 30))

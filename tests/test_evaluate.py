@@ -28,6 +28,7 @@ from dissimjl import (
 )
 
 from dissimjl import core, evaluate
+from dissimjl.evaluate import _band_tiles
 
 from conftest import (
     band_columns,
@@ -99,7 +100,7 @@ class TestValidatePqBound:
 
     def test_exact_reconstruction_never_violates(self):
         D, emb = self.embedding()
-        check = validate_pq_bound(D, emb, D.entries, epsilon=0.5)
+        check = validate_pq_bound(_band_tiles("jl-pq", D, D.entries, 0.5, emb=emb))
         band = band_columns("jl-pq", D, D.entries, 0.5, emb=emb)
         assert not band["violated"].any()
         assert check.violation_rate == 0.0
@@ -119,7 +120,7 @@ class TestValidatePqBound:
         D, emb = self.embedding()
         Dhat = THREE_POINT.copy()
         Dhat[0, 1] = Dhat[1, 0] = 4.0  # band at eps=0.5 is [0.25, 1.75]
-        check = validate_pq_bound(D, emb, Dhat, epsilon=0.5)
+        check = validate_pq_bound(_band_tiles("jl-pq", D, Dhat, 0.5, emb=emb))
         violated = band_columns("jl-pq", D, Dhat, 0.5, emb=emb)["violated"]
         assert violated.sum() == 1
         iu, ju = np.triu_indices(3, 1)
@@ -133,16 +134,18 @@ class TestValidatePqBound:
         D = np.zeros((3, 3))
         Dhat = np.full((3, 3), 100.0)
         np.fill_diagonal(Dhat, 0.0)
-        check = validate_pq_bound(D, emb, Dhat, epsilon=0.5)
+        check = validate_pq_bound(_band_tiles("jl-pq", D, Dhat, 0.5, emb=emb))
         assert check.excluded_pairs == 3
         assert not band_columns("jl-pq", D, Dhat, 0.5, emb=emb)["violated"].any()
         assert check.violation_rate == 0.0
 
     def test_single_point_matrix(self):
         emb = embed_pq(decompose(center_gram(np.zeros((1, 1)))))
-        check = validate_pq_bound(np.zeros((1, 1)), emb, np.zeros((1, 1)), 0.5)
+        check = validate_pq_bound(
+            _band_tiles("jl-pq", np.zeros((1, 1)), np.zeros((1, 1)), 0.5, emb=emb))
         assert repr(check) == repr(type(check)(0.0, 0))
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("gap", [1e-9, 1e-11])
     def test_band_never_inverts(self, gap):
         # point 299 copies point 0 up to D = gap, far below the rounding
@@ -160,6 +163,7 @@ class TestValidatePqBound:
         assert np.all((band["band_upper"] - d)[usable] >= 0.5 * np.abs(d[usable]))
         assert np.all(band["band_lower"] <= band["band_upper"])
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("tile_rows", [None, 7], ids=["default", "rows7"])
     @pytest.mark.parametrize("kind", ["balls", "grid"])
     def test_exclusions_are_the_zero_pairs_of_d(self, kind, tile_rows, monkeypatch):
@@ -191,14 +195,16 @@ class TestValidatePqBound:
             return _upper(X)
 
         monkeypatch.setattr(evaluate, "_upper_distances", recording)
-        validate_pq_bound(D, emb, D.entries, 0.5)
+        validate_pq_bound(_band_tiles("jl-pq", D, D.entries, 0.5, emb=emb))
         assert widths == [min(emb.p, emb.q)]
 
 
 class TestValidatePowerResidual:
     def test_exact_reconstruction(self):
         D = random_hollow(np.random.default_rng(2), 8)
-        check = validate_power_residual(D, radius=1.2, Dhat=D.copy(), epsilon=0.5)
+        bound = 4.0 * 0.5 * 1.2**2  # the slack 4 eps r^2 at r = 1.2
+        check = validate_power_residual(
+            _band_tiles("jl-power", D, D.copy(), 0.5, bound=bound), bound)
         assert check.max_residual == 0.0
         assert check.fraction_within == 1.0
         assert_allclose(check.bound, 4.0 * 0.5 * 1.2**2, atol=1e-15)
@@ -206,7 +212,9 @@ class TestValidatePowerResidual:
     def test_residual_is_excess_beyond_multiplicative_band(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         Dhat = np.array([[0.0, 2.0], [2.0, 0.0]])
-        check = validate_power_residual(D, radius=1.0, Dhat=Dhat, epsilon=0.5)
+        bound = 4.0 * 0.5 * 1.0**2  # the slack 4 eps r^2 at r = 1
+        check = validate_power_residual(
+            _band_tiles("jl-power", D, Dhat, 0.5, bound=bound), bound)
         band = band_columns("jl-power", D, Dhat, 0.5, bound=check.bound)
         assert_allclose(band["residual"], [0.5], atol=1e-15)
         assert_allclose(check.max_residual, 0.5, atol=1e-15)
@@ -215,14 +223,19 @@ class TestValidatePowerResidual:
     def test_residual_beyond_slack_counts_against_fraction(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         Dhat = np.array([[0.0, 4.0], [4.0, 0.0]])
-        check = validate_power_residual(D, radius=1.0, Dhat=Dhat, epsilon=0.5)
+        bound = 4.0 * 0.5 * 1.0**2  # the slack 4 eps r^2 at r = 1
+        check = validate_power_residual(
+            _band_tiles("jl-power", D, Dhat, 0.5, bound=bound), bound)
         band = band_columns("jl-power", D, Dhat, 0.5, bound=check.bound)
         assert_allclose(band["residual"], [2.5], atol=1e-15)
         assert band["violated"].tolist() == [True]
         assert check.fraction_within == 0.0
 
     def test_single_point_matrix(self):
-        check = validate_power_residual(np.zeros((1, 1)), 0.5, np.zeros((1, 1)), 0.5)
+        bound = 4.0 * 0.5 * 0.5**2  # the slack 4 eps r^2 at r = 0.5
+        check = validate_power_residual(
+            _band_tiles("jl-power", np.zeros((1, 1)), np.zeros((1, 1)), 0.5, bound=bound),
+            bound)
         assert check.max_residual == 0.0
         assert check.fraction_within == 1.0
 
@@ -324,6 +337,8 @@ class TestRelationalKMeans:
             relational_kmeans(D, 6)
         with pytest.raises(DissimilarityError, match="restarts"):
             relational_kmeans(D, 2, restarts=0)
+        with pytest.raises(DissimilarityError, match="seed must be nonnegative, got -1"):
+            relational_kmeans(D, 2, seed=-1)
 
 
 class TestKMeansProjected:
@@ -355,8 +370,13 @@ class TestKMeansProjected:
             kmeans_projected(D, X, 0)
         with pytest.raises(DissimilarityError, match="restarts"):
             kmeans_projected(D, X, 2, restarts=0)
+        with pytest.raises(DissimilarityError, match="seed must be nonnegative, got -1"):
+            kmeans_projected(D, X, 2, seed=-1)
+        with pytest.raises(DissimilarityError, match="square"):
+            kmeans_projected(D[:, :-1], X, 2)
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("D", [
     gen_simplex(SimplexSpec(300, seed=0)),
     gen_balls(BallSpec(300, seed=0)),

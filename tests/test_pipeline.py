@@ -12,6 +12,7 @@ from dissimjl import pipeline
 from dissimjl import (
     METHODS,
     BallSpec,
+    DissimilarityError,
     NumericalError,
     ProjectionConfig,
     SimplexSpec,
@@ -53,6 +54,7 @@ def test_coords_match_route_branch(method):
     assert res.coords.shape[0] == 30
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("D", [
     gen_simplex(SimplexSpec(300, seed=0)),
     gen_balls(BallSpec(300, seed=1)),
@@ -130,6 +132,7 @@ def test_scaling_the_input_scales_every_tolerance(D):
 
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("method", METHODS)
 def test_view_and_copy_of_the_input_give_the_same_run(method):
     # a canonical array is validated as a view, its Fortran-order copy
@@ -142,6 +145,15 @@ def test_view_and_copy_of_the_input_give_the_same_run(method):
         assert not np.shares_memory(copy.matrix.entries, D.entries)
         assert view.reconstructed.tobytes() == copy.reconstructed.tobytes()
         assert report_dict(view) == report_dict(copy)
+
+
+@pytest.mark.parametrize("method", ["jl", "jl-pq"])
+def test_radius_override_off_the_power_route_is_a_data_error(method):
+    # only jl-power has a radius to override
+    D = gen_simplex(SimplexSpec(30, seed=1))
+    with pytest.raises(DissimilarityError, match=f"jl-power only, not {method}$"):
+        run_projection(D, method, radius_override=3.0)
+
 
 @given(kind=st.sampled_from(["hollow", "simplex", "balls"]),
        n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))

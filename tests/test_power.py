@@ -338,6 +338,7 @@ POWER_BRANCHES = {"simplex": "cholesky", "balls": "cholesky", "random": "cholesk
                   "grid": "eigh", "simplex-alpha-0": "eigh", "zero": "eigh"}
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_both_lapack_routes_give_numpys_centers(name, lapack_route):
     # in B's own buffer or through the np.linalg fallback: eigvalsh's

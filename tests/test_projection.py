@@ -242,6 +242,7 @@ class TestProject:
         assert np.array_equal(proj.centers, classical)
 
 
+@pytest.mark.one_blas_thread
 class TestReconstruct:
     def test_plain_coordinates(self):
         X = np.random.default_rng(10).standard_normal((7, 4))

@@ -45,6 +45,7 @@ from dissimjl import (
     validate_pq_bound,
 )
 from dissimjl import core
+from dissimjl.evaluate import _band_tiles
 
 from conftest import (
     band_columns,
@@ -58,6 +59,8 @@ from conftest import (
     ref_squared_distances,
     ref_validate,
 )
+
+pytestmark = pytest.mark.one_blas_thread
 
 T = 5
 SIZES = (2, 3, T - 1, T, T + 1, 2 * T + 3)
@@ -304,7 +307,7 @@ def test_scoring_passes_match_whole_matrix(tiles, n):
             got = (stats.max_rel, stats.mean_rel, stats.median_rel, stats.excluded_pairs)
             assert repr(got) == repr(ref), name
             ref = ref_pq_bound(A, emb, Ah, 0.5, band_euclidean)
-            check = validate_pq_bound(Dm, emb, Ah, 0.5)
+            check = validate_pq_bound(_band_tiles("jl-pq", Dm, Ah, 0.5, emb=emb))
             got = (check.violation_rate, check.excluded_pairs)
             assert repr(got) == repr(ref_pq_summary(*ref[3:])), name
             cols = band_columns("jl-pq", Dm, Ah, 0.5, emb=emb)
@@ -312,7 +315,9 @@ def test_scoring_passes_match_whole_matrix(tiles, n):
                 assert same(cols[col], ref_a), (name, col)
             assert_pq_near_whole(A, emb, Ah, 0.5, cols)
             ref = ref_power_residual(A, Ah, 0.5)
-            check = validate_power_residual(Dm, 0.7, Ah, 0.5)
+            bound = 4.0 * 0.5 * 0.7**2  # the slack 4 eps r^2 at r = 0.7
+            check = validate_power_residual(
+                _band_tiles("jl-power", Dm, Ah, 0.5, bound=bound), bound)
             got = (check.max_residual, check.fraction_within)
             assert repr(got) == repr(ref_power_summary(ref, check.bound)), name
             cols = band_columns("jl-power", Dm, Ah, 0.5, bound=check.bound)
@@ -350,7 +355,7 @@ def test_pq_bound_pass_holds_no_square_array():
     Dhat = reconstruct(emb)
     tracemalloc.start()
     try:
-        validate_pq_bound(Dm, emb, Dhat, 0.5)
+        validate_pq_bound(_band_tiles("jl-pq", Dm, Dhat, 0.5, emb=emb))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
