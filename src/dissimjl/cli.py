@@ -3,8 +3,9 @@
 Matrices travel as headerless CSV (n rows of n comma-separated values,
 written with 17 significant digits so float64 round-trips exactly).
 Reports are JSON with an embedded run manifest; per-pair validation
-records are CSV for external plotting.  Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.
+records are CSV for external plotting; a report shares stdout with no
+other output.  Exit codes: 0 success, 1 usage, 2 data error (an array
+too large to allocate included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from .datagen import (
 )
 from .evaluate import DEFAULT_RESTARTS, kmeans_projected, relational_kmeans
 from .pipeline import METHODS, _project, _scored, report_dict, run_projection
-from .projection import (
-    DEFAULT_DIM_CONSTANT,
-    DEFAULT_EPSILON,
-    ProjectionConfig,
-    reconstruct,
-)
+from .projection import DEFAULT_DIM_CONSTANT, DEFAULT_EPSILON, ProjectionConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -205,12 +201,9 @@ def cmd_validate(args) -> int:
     if args.sample is not None and args.sample < 1:
         raise DissimilarityError(f"--sample must be >= 1, got {args.sample}")
     result = _run_from_args(args, _project)
-    if args.identity_debug:
-        # bypass the projection: score the matrix against itself so the
-        # whole reporting path can be checked for spurious violations
-        Dhat = result.matrix.entries
-    else:
-        Dhat = reconstruct(result.projected)
+    rep = result.projected
+    if args.identity_debug:  # the exact unprojected representation: D up to rounding
+        rep = result.representation if result.method == "jl-power" else result.embedding
     n = result.matrix.n
     npairs = n * (n - 1) // 2
     if args.sample is not None and args.sample < npairs:
@@ -220,7 +213,7 @@ def cmd_validate(args) -> int:
         picked = np.arange(npairs)
     # one band pass writes the pair rows and scores the run
     with _stream(args.out_csv) as out:
-        result = _scored(result, Dhat, lambda tiles: _pair_rows(tiles, picked, out))
+        result = _scored(result, rep, lambda tiles: _pair_rows(tiles, picked, out))
     _write_report(args, "validate", started, report_dict(result))
     return EXIT_OK
 
@@ -326,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--identity-debug", action="store_true",
-        help="score the matrix against itself (pipeline check, zero violations)",
+        help="score the unprojected representation, which reproduces the matrix "
+        "up to rounding (a check of the reporting path: no violations expected)",
     )
     validate.add_argument("--out-csv", default=None, help="pair CSV path (default stdout)")
     validate.add_argument("--out-report", default=None, help="JSON path (default stdout)")
@@ -353,6 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stdout = (None, "-")  # validate's pair CSV defaults to stdout, project's matrix to none
+    if getattr(args, "out_report", "") in stdout and (
+            getattr(args, "out_csv", "") in stdout or getattr(args, "out_matrix", None) == "-"):
+        parser.error("the report and the pair CSV or matrix cannot share stdout: "
+                     "give --out-report a file")
     try:
         return args.func(args)
     except DissimilarityError as exc:
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # an unreadable file, or a size out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -36,8 +36,9 @@ class RunResult:
     """Everything a projection run produced.
 
     A run that is not scored (``_project``) has no reconstructed, stats
-    or checks: they are None.  The unprojected representation is
-    ``embedding`` on jl and jl-pq, ``representation`` on jl-power.
+    or checks: they are None.  The unprojected representation, which
+    ``validate --identity-debug`` scores, is ``embedding`` on jl (the signed
+    one it discards signs from) and jl-pq, ``representation`` on jl-power.
     """
 
     method: str
@@ -59,27 +60,29 @@ class RunResult:
         return self.projected if self.method == "jl" else self.projected.coords
 
 
-def _scored(result: RunResult, Dhat, through=None) -> RunResult:
-    """result with reconstruction Dhat, its stats and bound check redone.
+def _scored(result: RunResult, rep, through=None) -> RunResult:
+    """result scored on rep, a representation of its run: D-hat is
+    ``reconstruct(rep)``, and its stats and bound check are redone.
 
     The check is the route's fold over one band pass (``_band_tiles``):
     ``validate_pq_bound`` on jl-pq, ``validate_power_residual`` on
     jl-power.  through, if given, is a generator that reads the pass and
     yields each tile on, dropping it before it asks for the next; the fold
     then reads through's tiles, so through and the check share one pass
-    that holds one tile at a time.  On jl, which has no check, the pass
-    is read for through alone, and without through it is never formed.
+    that holds one tile at a time.  The pass is drained for through, which
+    on jl, with no check, reads it alone; without through jl never forms it.
     """
     D, epsilon, method = result.matrix, result.config.epsilon, result.method
     pq, power = method == "jl-pq", method == "jl-power"
+    Dhat = reconstruct(rep)
     bound = 4.0 * epsilon * result.representation.radius**2 if power else None
     tiles = _band_tiles(method, D, Dhat, epsilon, result.embedding, bound)
     if through is not None:
         tiles = through(tiles)
     pq_check = validate_pq_bound(tiles) if pq else None
     power_check = validate_power_residual(tiles, bound) if power else None
-    if method == "jl" and through is not None:
-        deque(tiles, maxlen=0)  # reads the pass and keeps no tile
+    if through is not None:
+        deque(tiles, maxlen=0)  # reads what no fold read, and keeps no tile
     stats = relative_error_stats(D, Dhat)
     return replace(result, reconstructed=Dhat, stats=stats,
                    pq_check=pq_check, power_check=power_check)
@@ -150,13 +153,13 @@ def run_projection(
     decomposition keeps the spectrum only: its eigenvectors are dropped
     once the representation is built.
 
-    This is ``_project`` followed by ``_scored`` on the reconstruction.
+    This is ``_project`` followed by ``_scored`` on the projection.
     The command line runs the parts it reports: ``validate`` scores
     through its pair row writer, so one band pass writes the rows and
     folds into the check, and ``kmeans`` scores nothing.
     """
     result = _project(D, method, config, radius_override)
-    return _scored(result, reconstruct(result.projected))
+    return _scored(result, result.projected)
 
 
 def report_dict(result: RunResult) -> dict:

@@ -30,6 +30,7 @@ from dissimjl import (
     gen_balls,
     gen_simplex,
     kmeans_projected,
+    reconstruct,
     relational_kmeans,
     report_dict,
     run_projection,
@@ -40,7 +41,7 @@ from dissimjl import (
 from dissimjl import cli, core, evaluate, projection
 from dissimjl.cli import main, read_matrix, write_matrix
 
-from conftest import ref_power_residual, ref_pq_bound
+from conftest import grid_hops, ref_power_residual, ref_pq_bound
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 METHODS = ["jl", "jl-pq", "jl-power"]
@@ -160,13 +161,18 @@ def reference_pair_csv(method, A, Dhat, emb, radius, epsilon):
 
 def library_pair_inputs(path, method, identity_debug):
     """What `validate` scores, rebuilt through the library API: the matrix,
-    the reconstruction, the embedding and the power radius."""
+    the reconstruction, the embedding and the power radius.  Under
+    --identity-debug the reconstruction is that of the unprojected
+    representation: the embedding on jl and jl-pq, the centers on jl-power."""
     D = validate_matrix(read_matrix(path))
     config = ProjectionConfig(
         epsilon=DEFAULT_EPSILON, dim_constant=DEFAULT_DIM_CONSTANT, seed=0
     )
     result = run_projection(D, method, config)
-    Dhat = D.entries if identity_debug else result.reconstructed
+    Dhat = result.reconstructed
+    if identity_debug:
+        power = method == "jl-power"
+        Dhat = reconstruct(result.representation if power else result.embedding)
     radius = None if result.representation is None else result.representation.radius
     return D.entries, Dhat, result.embedding, radius
 
@@ -402,7 +408,8 @@ class TestValidate:
                      "--out-report", str(tmp_path / "r.json")]) == 2
 
     def test_sample_checked_before_reading(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "no.csv"), "--sample", "0"]) == 2
+        assert main(["validate", str(tmp_path / "no.csv"), "--sample", "0",
+                     "--out-report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "--sample must be >= 1" in err
         assert "cannot read" not in err
@@ -415,10 +422,48 @@ class TestValidate:
                      "--out-csv", str(csv_path),
                      "--out-report", str(report_path)]) == 0
         report = load_json(str(report_path))
-        assert report["stats"]["max_rel"] == 0.0
+        assert report["stats"]["max_rel"] <= 1e-9  # the embedding, exact up to rounding
         assert report["bounds"]["pq_violation_rate"] == 0.0
         rows = csv_path.read_text().strip().splitlines()[1:]
         assert all(row.rsplit(",", 1)[1] == "0" for row in rows)
+
+
+@pytest.fixture(scope="module")
+def identity_inputs(tmp_path_factory):
+    """Six CSV inputs of `validate --identity-debug`, by name: two generated
+    ones, a Euclidean simplex (alpha 0), p = 0 (negated squared distances),
+    the 8 x 8 grid (Euclidean, at r = 0) and low-rank points in R^5."""
+    root = tmp_path_factory.mktemp("identity")
+    paths = {name: str(root / f"{name}.csv") for name in
+             ("simplex", "balls", "euclidean", "negated", "grid", "points")}
+    for name, flags in (("simplex", []), ("balls", []), ("euclidean", ["--alpha", "0"])):
+        kind = "ball" if name == "balls" else "simplex"
+        assert main(["gen", kind, "--n", "300", *flags, "--out", paths[name]]) == 0
+    for name, sign, dim in (("negated", -1.0, 10), ("points", 1.0, 5)):
+        X = np.random.default_rng(5).standard_normal((300, dim))
+        write_matrix(paths[name], sign * squared_distances(X))
+    write_matrix(paths["grid"], grid_hops(8))
+    return paths
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", ["simplex", "balls", "euclidean", "negated", "grid", "points"])
+def test_identity_debug_scores_the_unprojected_representation(
+    name, method, identity_inputs, tmp_path
+):
+    # the representation reproduces D up to rounding: no relative error
+    # above 1e-9, and no violation of a band of positive width.  A band of
+    # zero width, jl's at a pair with D == 0 (or jl-power's at r = 0), flags
+    # any rounding of that pair's D-hat: balls' zero pairs show it on jl
+    text = validate_csv(identity_inputs[name], tmp_path, "--method", method,
+                        "--identity-debug")
+    report = load_json(str(tmp_path / "r.json"))
+    assert report["stats"]["max_rel"] <= 1e-9
+    assert report["bounds"].get("pq_violation_rate", 0.0) == 0.0
+    assert report["bounds"].get("fraction_within", 1.0) == 1.0
+    flagged = [row.split(",") for row in text.splitlines()[1:] if row.endswith(",1")]
+    assert all(float(row[2]) == 0.0 for row in flagged)
+    assert bool(flagged) == (name == "balls" and method == "jl")
 
 
 @pytest.mark.one_blas_thread
@@ -549,8 +594,7 @@ class TestValidateOnePass:
                              evaluate.relative_error_stats, projection.reconstruct)
         flags = ["--method", method] + ["--identity-debug"] * identity_debug
         validate_csv(simplex_csv, tmp_path, *flags)
-        assert counts == {"_band_tiles": 1, "relative_error_stats": 1,
-                          "reconstruct": 0 if identity_debug else 1}
+        assert counts == {"_band_tiles": 1, "relative_error_stats": 1, "reconstruct": 1}
 
 
 @pytest.mark.one_blas_thread
@@ -809,6 +853,8 @@ class TestExitCodes:
         argv = [command, str(empty), "--method", "jl"]
         if command == "kmeans":
             argv += ["--k", "2"]
+        if command == "validate":  # its pair CSV has stdout
+            argv += ["--out-report", str(tmp_path / "r.json")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's no-data warning included
             assert main(argv) == 2
@@ -858,12 +904,44 @@ class TestExitCodes:
           for command in ("project", "validate") for method in ("jl", "jl-pq")],
     ])
     def test_bad_parameter_is_one_line_data_error(
-        self, argv, message, simplex_csv, capsys
+        self, argv, message, simplex_csv, tmp_path, capsys
     ):
-        assert main([a.replace("{csv}", simplex_csv) for a in argv]) == 2
+        argv = [a.replace("{csv}", simplex_csv) for a in argv]
+        if argv[0] == "validate":  # its pair CSV has stdout
+            argv += ["--out-report", str(tmp_path / "r.json")]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{csv}", "--sample", "3"],
+        ["validate", "{csv}", "--out-csv", "-", "--out-report", "-"],
+        ["project", "{csv}", "--out-matrix", "-"],
+        ["project", "{csv}", "--out-matrix", "-", "--out-report", "-"],
+    ])
+    def test_two_outputs_on_stdout_are_a_usage_error(self, argv, tmp_path, capsys):
+        # the report would follow the pair rows or the matrix on stdout, and
+        # stdout would hold no valid JSON: refused before the matrix is read
+        argv = [a.replace("{csv}", str(tmp_path / "no.csv")) for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot share stdout" in captured.err
+        assert "cannot read" not in captured.err
+
+    def test_target_dimension_too_large_to_allocate(self, tmp_path, capsys):
+        # m = ceil(2 log2(6) / 1e-14), about 5.2e14 rows of the Gaussian map:
+        # numpy refuses its 3.67 PiB at once, so nothing is held
+        path = str(tmp_path / "s6.csv")
+        assert main(["gen", "simplex", "--n", "6", "--out", path]) == 0
+        assert main(["project", path, "--epsilon", "1e-7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "allocate" in captured.err
         assert captured.err.count("\n") == 1
 
     def test_version_action(self, capsys):

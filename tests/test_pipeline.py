@@ -32,6 +32,15 @@ from dissimjl import (
     validate_matrix,
 )
 
+from dissimjl.evaluate import (
+    ErrorStats,
+    PqBoundCheck,
+    _band_tiles,
+    relative_error_stats,
+    validate_power_residual,
+    validate_pq_bound,
+)
+
 from conftest import grid_hops, interval_matrices, random_hollow
 
 
@@ -153,6 +162,33 @@ def test_radius_override_off_the_power_route_is_a_data_error(method):
     D = gen_simplex(SimplexSpec(30, seed=1))
     with pytest.raises(DissimilarityError, match=f"jl-power only, not {method}$"):
         run_projection(D, method, radius_override=3.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("D", [
+    # the CLI tests' zeros_csv (most pairs exactly 0) and simplex_csv
+    gen_balls(BallSpec(14, dim=2, radius_min=0.8, radius_max=1.6, seed=2)),
+    gen_simplex(SimplexSpec(12, seed=1)),
+], ids=["zeros", "simplex"])
+def test_d_scored_against_itself_is_exact(D, method):
+    # the scoring folds on D-hat = D, which no representation produces: an
+    # exact-zero oracle of the checks and the stats, on every route
+    run = pipeline._project(D, method)
+    epsilon = run.config.epsilon
+    bound = 4.0 * epsilon * run.representation.radius**2 if method == "jl-power" else None
+
+    def tiles():
+        return _band_tiles(method, D, D.entries, epsilon, run.embedding, bound)
+
+    zeros = int(np.count_nonzero(np.triu(D.entries == 0.0, 1)))
+    assert (zeros > 0) == (D.n == 14)
+    assert not any(columns["violated"].any() for *_, columns in tiles())
+    if method == "jl-pq":
+        assert validate_pq_bound(tiles()) == PqBoundCheck(0.0, zeros)
+    elif method == "jl-power":
+        check = validate_power_residual(tiles(), bound)
+        assert (check.max_residual, check.fraction_within) == (0.0, 1.0)
+    assert relative_error_stats(D, D.entries) == ErrorStats(0.0, 0.0, 0.0, zeros)
 
 
 @given(kind=st.sampled_from(["hollow", "simplex", "balls"]),
