@@ -48,6 +48,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # each command's parser refuses a report sharing stdout, with its usage
+        parsed, extras = super().parse_known_args(args, namespace)
+        out = vars(parsed)  # validate's pair CSV defaults to stdout
+        if out.get("out_report", "") in (None, "-") and (
+                out.get("out_csv", "") in (None, "-") or out.get("out_matrix") == "-"):
+            self.error("the report and the pair CSV or matrix cannot share stdout: "
+                       "give --out-report a file")
+        return parsed, extras
+
 
 def read_matrix(path: str) -> np.ndarray:
     """Load a headerless CSV matrix; a file with no values is a data error."""
@@ -345,13 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    stdout = (None, "-")  # validate's pair CSV defaults to stdout, project's matrix to none
-    if getattr(args, "out_report", "") in stdout and (
-            getattr(args, "out_csv", "") in stdout or getattr(args, "out_matrix", None) == "-"):
-        parser.error("the report and the pair CSV or matrix cannot share stdout: "
-                     "give --out-report a file")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DissimilarityError as exc:

@@ -155,10 +155,10 @@ class GramDecomposition:
     """Eigendecomposition of a centered Gram matrix.
 
     Eigenvalues are in descending order with matching eigenvector
-    columns, or no eigenvectors (None) for a spectrum-only
-    decomposition.  The counts (p, q, zero_rank) partition n by
-    comparing each eigenvalue against the threshold tau: above +tau,
-    below -tau, or numerically zero.
+    columns (the solver's ascending output read reversed), or no
+    eigenvectors (None) for a spectrum-only decomposition.  The counts
+    (p, q, zero_rank) partition n by comparing each eigenvalue against
+    the threshold tau: above +tau, below -tau, or numerically zero.
     """
 
     eigenvalues: np.ndarray
@@ -182,10 +182,10 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         Symmetric matrix (checked within ``1e-8 * |B|_max``), typically
         the output of :func:`center_gram`.  LAPACK's ``dsyevd`` runs in
         B's own buffer, so with vectors a writeable C-contiguous float64
-        B is overwritten: its rows hold the eigenvectors in descending
-        order, and ``eigenvectors`` is the view B^T; pass ``B.copy()``
-        to keep it.  A read-only, non-C-contiguous or non-float64 B is
-        copied first and never written.
+        B is overwritten: its rows hold the eigenvectors in ascending
+        order, and ``eigenvectors`` is the reversed view B[::-1]^T;
+        pass ``B.copy()`` to keep it.  A read-only, non-C-contiguous or
+        non-float64 B is copied first and never written.
     vectors : bool
         False computes the eigenvalues alone (about half the time),
         leaves ``eigenvectors`` None, and leaves an exactly symmetric B
@@ -201,7 +201,7 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         The zero matrix has tau 0 and every eigenvalue counted as zero.
         Bit for bit, the spectrum and eigenvectors are those of
         ``np.linalg.eigh`` (or ``eigvalsh``) on exactly symmetric B,
-        stably sorted to descending order.
+        reversed: ``lam[::-1]`` and ``U[:, ::-1]``.
 
     Raises
     ------
@@ -216,12 +216,10 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         raise NumericalError("Gram matrix is not finite: centering overflowed")
     if _asymmetry(B) > 1e-8 * top:
         raise DissimilarityError("matrix is not symmetric")
-    lam = _syevd(B, vectors)
+    lam, U = _syevd(B, vectors)
     tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
     p = int(np.sum(lam > tau))
     q = int(np.sum(lam < -tau))
-    # B's rows are the eigenvectors: B^T is column-major, as eigh's own
-    U = B.T if vectors else None
     return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau)
 
 
@@ -267,15 +265,16 @@ def _lapacke():
 _COL_MAJOR = 102
 
 
-def _syevd(a: np.ndarray, vectors: bool) -> np.ndarray:
-    """Eigenvalues of a^T by LAPACK dsyevd in a's own buffer, stably
-    sorted to descending order (tied ones keep the solver's order).
+def _syevd(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(lam, U): the eigenvalues of a^T by LAPACK dsyevd in a's own buffer,
+    descending, and U's columns their eigenvectors (None without vectors).
 
-    a is square, C-ordered, float64 and writeable.  With vectors, a's
-    rows then hold the eigenvectors in that order, moved in place;
-    without, an exactly symmetric a is left as it was (any other gets
-    its lower triangle's mirror above the diagonal).  The ``np.linalg``
-    route gives the same bits on a copy of a^T.
+    a is square, C-ordered, float64 and writeable.  dsyevd leaves both in
+    ascending order, the eigenvectors in a's rows; they are read reversed,
+    with no data moved: U is a[::-1]^T.  Without vectors, an exactly
+    symmetric a is left as it was (any other gets its lower triangle's
+    mirror above the diagonal).  The ``np.linalg`` route gives the same
+    bits on a copy of a^T.
     """
     lapack = _lapacke()
     n = a.shape[0]
@@ -290,7 +289,7 @@ def _syevd(a: np.ndarray, vectors: bool) -> np.ndarray:
             raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     else:
         lam = np.empty(n)
-        diag = a.diagonal().copy()
+        diag = None if vectors else a.diagonal().copy()
         info = lapack[0](_COL_MAJOR, b"V" if vectors else b"N", b"L", n, a, n, lam)
         if info:
             raise NumericalError(f"eigendecomposition failed: dsyevd info {info}")
@@ -303,25 +302,7 @@ def _syevd(a: np.ndarray, vectors: bool) -> np.ndarray:
                 upper = np.triu_indices(r1 - r0, 1)
                 block[upper] = block.T[upper]
             a.flat[:: n + 1] = diag
-    order = np.argsort(-lam, kind="stable")
-    if vectors:
-        _permute_rows(a, order)
-    return lam[order]
-
-
-def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
-    """Put row order[k] of A at row k, in place: each cycle of the
-    permutation moves its rows along through one spare row."""
-    moved = order == np.arange(len(order))
-    for start in np.flatnonzero(~moved):
-        if moved[start]:
-            continue
-        spare, k = A[start].copy(), start
-        while order[k] != start:
-            A[k] = A[order[k]]
-            moved[k], k = True, order[k]
-        A[k] = spare
-        moved[k] = True
+    return lam[::-1], a[::-1].T if vectors else None
 
 
 def _potrf(a: np.ndarray) -> None:

@@ -108,6 +108,7 @@ def _project(
     if config is None:
         config = ProjectionConfig()
     Dm = D if isinstance(D, DissimilarityMatrix) else validate_matrix(D)
+    m = target_dim(Dm.n, config)  # before any eigendecomposition
     power = method == "jl-power"
     if power:
         dec, rep = decompose_power(center_gram(Dm), radius_override)
@@ -126,7 +127,7 @@ def _project(
         config=config,
         matrix=Dm,
         decomposition=dec,
-        out_dim=target_dim(Dm.n, config),
+        out_dim=m,
         projected=projected,
         reconstructed=None,
         stats=None,

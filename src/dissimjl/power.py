@@ -130,11 +130,11 @@ def decompose_power(
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
     Cholesky factor.  Then B is decomposed again, and the decomposition
-    holds its eigenvectors, B^T; the centers are a copy of them, scaled
-    by sqrt(lambda_k + 2r^2), without the directions where that is
+    holds its eigenvectors, B[::-1]^T; the centers are a copy of them,
+    scaled by sqrt(lambda_k + 2r^2), without the directions where that is
     within the tolerance of zero.  Bit for bit, spectrum and centers are
     those of ``np.linalg`` (eigvalsh, then cholesky or eigh) on exactly
-    symmetric B.
+    symmetric B, with eigh's order reversed.
     """
     B = _own_square(B)
     dec = decompose(B, vectors=False)

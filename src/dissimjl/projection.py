@@ -49,11 +49,16 @@ class ProjectionConfig:
 
 
 def target_dim(n: int, config: ProjectionConfig) -> int:
-    """ceil(c * log2(n) / eps^2), at least 1.  Needs n >= 2."""
+    """ceil(c * log2(n) / eps^2), at least 1.  Needs n >= 2, and m no
+    longer than the longest column of doubles numpy can address."""
     if n < 2:
         raise DissimilarityError(f"need at least two points, got n = {n}")
-    m = math.ceil(config.dim_constant * math.log2(n) / config.epsilon**2)
-    return max(1, m)
+    eps, c = config.epsilon, config.dim_constant
+    m = c * math.log2(n) / eps / eps  # not / eps^2, which underflows for a tiny eps
+    if m > np.iinfo(np.intp).max // 8:
+        raise DissimilarityError(f"epsilon {eps:g} and dim constant {c:g} give target "
+                                 f"dimension m = {m:.6g}, more than numpy can address")
+    return max(1, math.ceil(m))
 
 
 def gaussian_map(out_dim: int, in_dim: int, seed: int) -> np.ndarray:

@@ -930,6 +930,8 @@ class TestExitCodes:
         assert err.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        # the usage line is the command's own, not the top-level one
+        assert captured.err.startswith(f"usage: dissimjl {argv[0]} [-h]")
         assert "cannot share stdout" in captured.err
         assert "cannot read" not in captured.err
 
@@ -943,6 +945,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "allocate" in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["project", "validate", "kmeans"])
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "1e-9"], ["--epsilon", "1e-12"], ["--const", "1e300"],
+        ["--epsilon", "1e-300"],
+    ])
+    def test_target_dimension_numpy_cannot_address(self, command, flags, tmp_path, capsys):
+        # m above 2^60 - 1, or not finite: refused before any eigendecomposition
+        path = str(tmp_path / "s6.csv")
+        assert main(["gen", "simplex", "--n", "6", "--out", path]) == 0
+        extra = {"project": [], "validate": ["--out-report", str(tmp_path / "r.json")],
+                 "kmeans": ["--k", "2"]}[command]
+        assert main([command, path, *flags, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon ")
+        assert "dim constant" in captured.err and "m = " in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_version_action(self, capsys):
         with pytest.raises(SystemExit) as err:

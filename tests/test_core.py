@@ -51,6 +51,10 @@ class TestValidateMatrix:
         with pytest.raises(DissimilarityError, match="square"):
             validate_matrix(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DissimilarityError, match="matrix is empty"):
+            validate_matrix(np.zeros((0, 0)))
+
     def test_rejects_non_finite_naming_index(self):
         A = np.zeros((3, 3))
         A[1, 2] = A[2, 1] = np.nan
@@ -239,39 +243,37 @@ def bits(a):
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
-def test_descending_order_is_the_stable_sort_bitwise(name):
-    # tied eigenvalues keep their vectors in the solver's order, so a
-    # reversal would differ from the stable sort exactly on the tied inputs
+def test_descending_order_is_the_solver_order_reversed_bitwise(name):
+    # tied eigenvalues come with their vectors in reverse solver order:
+    # on the tied inputs this differs from a stable sort, and the tie
+    # order carries no meaning
     make, tied = ORDER_CASES[name]
     B = make()
     lam, U = np.linalg.eigh(B)
     assert bool(np.any(lam[:-1] == lam[1:])) == tied
-    order = np.argsort(-lam, kind="stable")
     dec = decompose(B.copy())
-    assert bits(dec.eigenvalues) == bits(lam[order])
-    assert bits(dec.eigenvectors) == bits(U[:, order])
+    assert bits(dec.eigenvalues) == bits(lam[::-1])
+    assert bits(dec.eigenvectors) == bits(U[:, ::-1])
     alone = np.linalg.eigvalsh(B)
-    assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(
-        alone[np.argsort(-alone, kind="stable")]
-    )
+    assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(alone[::-1])
 
 
 @pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
     # in B's own buffer or through the np.linalg fallback: eigh's and
-    # eigvalsh's bits, stably sorted
+    # eigvalsh's bits, reversed
     B = GRAM_CASES[name]()
     lam, U = np.linalg.eigh(B)
-    order = np.argsort(-lam, kind="stable")
-    dec = decompose(B.copy())
-    assert bits(dec.eigenvalues) == bits(lam[order])
-    assert bits(dec.eigenvectors) == bits(U[:, order])
-    assert dec.eigenvectors.flags.f_contiguous  # column-major, as eigh's
+    work = B.copy()
+    dec = decompose(work)
+    assert bits(dec.eigenvalues) == bits(lam[::-1])
+    assert bits(dec.eigenvectors) == bits(U[:, ::-1])
+    # each eigenvector is one contiguous row of B
+    assert dec.eigenvectors.strides[0] == 8
+    assert np.shares_memory(dec.eigenvectors, work)
     alone = np.linalg.eigvalsh(B)
-    assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(
-        alone[np.argsort(-alone, kind="stable")]
-    )
+    assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(alone[::-1])
 
 
 @pytest.mark.one_blas_thread
@@ -290,18 +292,41 @@ def test_eigenvalues_alone_leave_b_as_it_was(name, lapack_route):
 @in_place_lapack
 def test_factorizations_run_in_b_own_buffer(monkeypatch):
     # numpy's LAPACKE is found, so no route reaches np.linalg, and decompose
-    # leaves the eigenvectors, in descending order, in B's rows
+    # leaves the eigenvectors in B's rows, in eigh's own order
     B = center_gram(random_hollow(np.random.default_rng(7), 40))
     lam, U = np.linalg.eigh(B)
-    order = np.argsort(-lam, kind="stable")
     for name in ("eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)
     dec = decompose(B)
-    assert dec.eigenvectors.base is B
-    assert bits(B) == bits(U[:, order].T)
-    assert bits(dec.eigenvalues) == bits(lam[order])
+    assert np.shares_memory(dec.eigenvectors, B)
+    assert bits(B) == bits(U.T)
+    assert bits(dec.eigenvalues) == bits(lam[::-1])
     for method in METHODS:  # a call of np.linalg would raise
         run_projection(random_hollow(np.random.default_rng(7), 40), method)
+
+
+@pytest.mark.parametrize("factor", [decompose, decompose_power])
+@pytest.mark.parametrize("shape,message", [((3, 4), "square"), ((4,), "square"),
+                                           ((0, 0), "matrix is empty")])
+def test_decomposition_of_a_non_square_or_empty_b_is_a_data_error(factor, shape, message):
+    with pytest.raises(DissimilarityError, match=message):
+        factor(np.zeros(shape))
+
+
+def test_np_linalg_failure_is_a_numerical_error(monkeypatch):
+    # the fallback route turns numpy's LinAlgError into the library's error
+    monkeypatch.setattr(core, "_lapacke", lambda: None)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    B = center_gram(random_hollow(np.random.default_rng(9), 12))
+    with pytest.raises(NumericalError, match="eigendecomposition failed: Eigenvalues"):
+        decompose(B.copy())
+    # a matrix with a negative eigenvalue has no Cholesky factor
+    with pytest.raises(NumericalError, match="Cholesky factorization failed"):
+        core._potrf(B.copy())
 
 
 def test_lapack_failure_is_a_numerical_error(monkeypatch):

@@ -164,6 +164,22 @@ def test_radius_override_off_the_power_route_is_a_data_error(method):
         run_projection(D, method, radius_override=3.0)
 
 
+def test_unknown_method_is_a_data_error_naming_every_method():
+    with pytest.raises(DissimilarityError, match="unknown method 'bogus'") as err:
+        run_projection(gen_simplex(SimplexSpec(6, seed=0)), "bogus")
+    assert all(method in str(err.value) for method in METHODS)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_target_dimension_is_checked_before_any_eigendecomposition(method, monkeypatch):
+    # centering or either builder, if reached, would fail on calling None
+    for stage in ("center_gram", "decompose", "decompose_power"):
+        monkeypatch.setattr(pipeline, stage, None)
+    config = ProjectionConfig(epsilon=1e-9)
+    with pytest.raises(DissimilarityError, match="target dimension"):
+        run_projection(gen_simplex(SimplexSpec(6, seed=0)), method, config)
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("D", [
     # the CLI tests' zeros_csv (most pairs exactly 0) and simplex_csv

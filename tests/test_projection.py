@@ -69,6 +69,22 @@ class TestTargetDim:
         loose = target_dim(500, ProjectionConfig(epsilon=0.8))
         assert tight > loose
 
+    @pytest.mark.parametrize("eps,c", [
+        (1e-9, 2.0), (1e-12, 2.0), (0.5, 1e300), (1e-160, 2.0), (1e-300, 2.0),
+    ])
+    def test_dimension_numpy_cannot_address_is_a_data_error(self, eps, c):
+        # eps^2 would underflow at 1e-160 (subnormal) and 1e-300 (zero)
+        with pytest.raises(DissimilarityError, match=r"^epsilon .* dim constant .* m = "):
+            target_dim(6, ProjectionConfig(epsilon=eps, dim_constant=c))
+
+    def test_largest_dimension_is_the_longest_column_numpy_addresses(self):
+        # at n = 2 and eps = 1/2, m = 4c exactly; numpy indexes up to 2^63 - 1
+        # bytes, so a column holds at most 2^60 - 1 doubles
+        below = ProjectionConfig(epsilon=0.5, dim_constant=2.0**58 - 64)
+        assert target_dim(2, below) == 2**60 - 256
+        with pytest.raises(DissimilarityError, match="more than numpy can address"):
+            target_dim(2, ProjectionConfig(epsilon=0.5, dim_constant=2.0**58))
+
     @pytest.mark.parametrize("n", [0, 1, -3])
     def test_too_few_points(self, n):
         with pytest.raises(DissimilarityError, match="two points"):
