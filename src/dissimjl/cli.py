@@ -3,9 +3,9 @@
 Matrices travel as headerless CSV (n rows of n comma-separated values,
 written with 17 significant digits so float64 round-trips exactly).
 Reports are JSON with an embedded run manifest; per-pair validation
-records are CSV for external plotting; a report shares stdout with no
-other output.  Exit codes: 0 success, 1 usage, 2 data error (an array
-too large to allocate included), 3 numerical failure.
+records are CSV for external plotting; a report shares neither stdout
+nor a file with another output.  Exit codes: 0 success, 1 usage, 2 data
+error (an array too large to allocate included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -49,13 +50,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
-        # each command's parser refuses a report sharing stdout, with its usage
+        # each command's parser refuses a report sharing stdout or a file
+        # with the pair CSV or matrix, with its usage, before any is opened
         parsed, extras = super().parse_known_args(args, namespace)
-        out = vars(parsed)  # validate's pair CSV defaults to stdout
-        if out.get("out_report", "") in (None, "-") and (
-                out.get("out_csv", "") in (None, "-") or out.get("out_matrix") == "-"):
-            self.error("the report and the pair CSV or matrix cannot share stdout: "
-                       "give --out-report a file")
+        out = vars(parsed)  # validate's pair CSV defaults to stdout; "" is no output
+        report, rows = ("-" if path in (None, "-") else path and os.path.realpath(path)
+                        for path in (out.get("out_report", ""),
+                                     out.get("out_csv", out.get("out_matrix") or "")))
+        if report and report == rows:
+            self.error("the report and the pair CSV or matrix cannot share " + (
+                "stdout: give --out-report a file" if report == "-" else f"the file {report}"))
         return parsed, extras
 
 

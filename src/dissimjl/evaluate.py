@@ -72,16 +72,16 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     "reconstructed", then the route's pair CSV columns: its band and a
     "violated" flag.
 
-    - jl-pq (emb): the band around D_ij has half-width epsilon times the
-      Euclidean interval P + Q, epsilon * factor * |D_ij|.  P - Q is D, so
+    - jl and jl-pq: the band D_ij -/+ epsilon w_ij, for w_ij the pair's
+      Euclidean interval: |D_ij| on jl, at distortion factor 1, and P + Q
+      on jl-pq, whose "factor" column is (P + Q) / |D_ij|.  P - Q is D, so
       P + Q comes from ``_upper_distances`` of the smaller signature part
       alone: one band product per _BLOCK rows, and no n x n array.  Pairs
-      with D_ij == 0, which ``relative_error_stats`` excludes, are
-      excluded here too, never violated.
+      with D_ij == 0, which ``relative_error_stats`` excludes, have no
+      factor and are never violated on either route.
     - jl-power (bound): the "residual" beyond the multiplicative band,
       max(0, |Dhat_ij - D_ij| - epsilon |D_ij|), against the additive
       slack "bound".
-    - jl: the band D_ij -/+ epsilon |D_ij|.
 
     The pass keeps no reference to a tile it has yielded, so a consumer
     that drops each tile before asking for the next holds one at a time.
@@ -98,40 +98,25 @@ def _band_tiles(method, D, Dhat, epsilon, emb=None, bound=None):
     for block, pairs, tri in _upper_rows(A.shape[0]):
         d, dh = A[block][tri], Ah[block][tri]
         columns = {"dissimilarity": d, "reconstructed": dh}
-        if method == "jl-pq":
-            columns.update(_pq_columns(d, dh, next(part), sign, epsilon))
-        elif method == "jl-power":
+        if method == "jl-power":
             residual = np.maximum(0.0, np.abs(dh - d) - epsilon * np.abs(d))
             columns.update(residual=residual, bound=np.full(d.size, bound),
                            violated=residual > bound)
             del residual
         else:
-            half = epsilon * np.abs(d)
-            columns.update(band_lower=d - half, band_upper=d + half,
-                           violated=np.abs(dh - d) > half)
-            del half
+            w = np.abs(d)  # the Euclidean interval at distortion factor 1
+            usable = w != 0.0
+            if method == "jl-pq":  # P + Q: 2Q + D or 2P - D, raised to |D| so no band inverts
+                w = np.maximum(2.0 * next(part) + sign * d, w)
+                columns["factor"] = np.divide(w, np.abs(d), out=np.full(d.size, np.inf),
+                                              where=usable)
+            half = np.multiply(w, epsilon, out=w)
+            lower, upper = d - half, np.add(d, half, out=half)
+            columns.update(band_lower=lower, band_upper=upper,
+                           violated=((dh < lower) | (dh > upper)) & usable)
+            del w, half, lower, upper, usable
         yield block, pairs, tri, columns
         del d, dh, columns  # hold no tile while forming the next
-
-
-def _pq_columns(d, dh, x, sign, epsilon):
-    """jl-pq's band columns from a tile's D and, consumed, the squared
-    intervals x of its smaller part: Q with sign +1, P with sign -1.
-
-    P + Q = 2x + sign D, raised to |D| where rounding leaves it below, so
-    no band inverts; the factor is (P + Q) / |D|, infinite where D is 0.
-    Temporaries are overwritten once spent: a few tile vectors are held.
-    """
-    usable = d != 0.0
-    euv = np.multiply(x, 2.0, out=x)  # exact
-    euv += sign * d
-    np.maximum(euv, np.abs(d), out=euv)  # P + Q >= |P - Q| = |D|
-    factor = np.divide(euv, np.abs(d), out=np.full(d.size, np.inf), where=usable)
-    half = np.multiply(euv, epsilon, out=euv)
-    lower = d - half
-    upper = np.add(d, half, out=half)
-    violated = ((dh < lower) | (dh > upper)) & usable
-    return dict(factor=factor, band_lower=lower, band_upper=upper, violated=violated)
 
 
 @dataclass(frozen=True)

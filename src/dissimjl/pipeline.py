@@ -25,7 +25,7 @@ from .evaluate import (
     validate_pq_bound,
 )
 from .power import decompose_power
-from .projection import ProjectionConfig, project, reconstruct, target_dim
+from .projection import ProjectionConfig, _too_large, project, reconstruct, target_dim
 from .pqspace import PseudoEuclideanEmbedding, embed_pq
 
 METHODS = ("jl", "jl-pq", "jl-power")
@@ -117,11 +117,14 @@ def _project(
         rep = embed_pq(dec)
     # the representation copied all the run reads of the eigenvectors
     dec = replace(dec, eigenvectors=None)
-    if method == "jl":  # the one part of signs-discarded coordinates, kept as rows
-        X = rep.coords
-        projected = project(PseudoEuclideanEmbedding(X, X[:, :0]), config).pos_coords
-    else:
-        projected = project(rep, config)
+    try:
+        if method == "jl":  # the one part of signs-discarded coordinates, kept as rows
+            X = rep.coords
+            projected = project(PseudoEuclideanEmbedding(X, X[:, :0]), config).pos_coords
+        else:
+            projected = project(rep, config)
+    except MemoryError as exc:  # an m within target_dim's limit may still not fit
+        raise _too_large(config, m, "too large to allocate") from exc
     return RunResult(
         method=method,
         config=config,

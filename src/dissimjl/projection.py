@@ -56,9 +56,14 @@ def target_dim(n: int, config: ProjectionConfig) -> int:
     eps, c = config.epsilon, config.dim_constant
     m = c * math.log2(n) / eps / eps  # not / eps^2, which underflows for a tiny eps
     if m > np.iinfo(np.intp).max // 8:
-        raise DissimilarityError(f"epsilon {eps:g} and dim constant {c:g} give target "
-                                 f"dimension m = {m:.6g}, more than numpy can address")
+        raise _too_large(config, m, "more than numpy can address")
     return max(1, math.ceil(m))
+
+
+def _too_large(config: ProjectionConfig, m, why: str) -> DissimilarityError:
+    """The error for a target dimension m too large, naming what set it."""
+    return DissimilarityError(f"epsilon {config.epsilon:g} and dim constant "
+                              f"{config.dim_constant:g} give target dimension m = {m:.6g}, {why}")
 
 
 def gaussian_map(out_dim: int, in_dim: int, seed: int) -> np.ndarray:

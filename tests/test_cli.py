@@ -150,7 +150,7 @@ def reference_pair_csv(method, A, Dhat, emb, radius, epsilon):
         else:
             half = epsilon * abs(d)
             floats = [d - half, d + half]
-            flag = abs(dh - d) > half
+            flag = abs(dh - d) > half and d != 0
         lines.append(",".join(
             [str(int(i)), str(int(j))]
             + ["%.10g" % float(v) for v in [d, dh, ratio] + floats]
@@ -159,14 +159,14 @@ def reference_pair_csv(method, A, Dhat, emb, radius, epsilon):
     return "\n".join(lines) + "\n"
 
 
-def library_pair_inputs(path, method, identity_debug):
-    """What `validate` scores, rebuilt through the library API: the matrix,
-    the reconstruction, the embedding and the power radius.  Under
-    --identity-debug the reconstruction is that of the unprojected
+def library_pair_inputs(path, method, identity_debug, seed=0):
+    """What `validate --seed seed` scores, rebuilt through the library API:
+    the matrix, the reconstruction, the embedding and the power radius.
+    Under --identity-debug the reconstruction is that of the unprojected
     representation: the embedding on jl and jl-pq, the centers on jl-power."""
     D = validate_matrix(read_matrix(path))
     config = ProjectionConfig(
-        epsilon=DEFAULT_EPSILON, dim_constant=DEFAULT_DIM_CONSTANT, seed=0
+        epsilon=DEFAULT_EPSILON, dim_constant=DEFAULT_DIM_CONSTANT, seed=seed
     )
     result = run_projection(D, method, config)
     Dhat = result.reconstructed
@@ -452,18 +452,54 @@ def test_identity_debug_scores_the_unprojected_representation(
     name, method, identity_inputs, tmp_path
 ):
     # the representation reproduces D up to rounding: no relative error
-    # above 1e-9, and no violation of a band of positive width.  A band of
-    # zero width, jl's at a pair with D == 0 (or jl-power's at r = 0), flags
-    # any rounding of that pair's D-hat: balls' zero pairs show it on jl
+    # above 1e-9, and no violated pair.  jl and jl-pq never flag a pair with
+    # D == 0, whose band has zero width: balls' zero pairs show it
     text = validate_csv(identity_inputs[name], tmp_path, "--method", method,
                         "--identity-debug")
     report = load_json(str(tmp_path / "r.json"))
     assert report["stats"]["max_rel"] <= 1e-9
     assert report["bounds"].get("pq_violation_rate", 0.0) == 0.0
     assert report["bounds"].get("fraction_within", 1.0) == 1.0
-    flagged = [row.split(",") for row in text.splitlines()[1:] if row.endswith(",1")]
-    assert all(float(row[2]) == 0.0 for row in flagged)
-    assert bool(flagged) == (name == "balls" and method == "jl")
+    assert not [row for row in text.splitlines()[1:] if row.endswith(",1")]
+
+
+@pytest.mark.parametrize("identity_debug", [False, True])
+def test_jl_band_is_the_signed_band_at_factor_one(identity_debug, tmp_path):
+    # squared distances of points in R^5, one point twice: q = 0, so jl-pq's
+    # interval P + Q is |D| (factor 1) and both routes project the same rows;
+    # their one D == 0 pair, which the sketch moves off 0, is excluded on both
+    X = np.random.default_rng(5).standard_normal((300, 5))
+    X[1] = X[2]
+    path = str(tmp_path / "twice.csv")
+    write_matrix(path, squared_distances(X))
+    flags = ["--identity-debug"] * identity_debug
+    jl = validate_csv(path, tmp_path, "--method", "jl", *flags)
+    rows = [line.split(",") for line in
+            validate_csv(path, tmp_path, "--method", "jl-pq", *flags).splitlines()]
+    at = rows[0].index("factor")
+    assert {row[at] for row in rows[1:]} == {"1", "inf"}
+    zero = [row for row in rows[1:] if float(row[2]) == 0.0]
+    assert len(zero) == 1 and (identity_debug or float(zero[0][3]) != 0.0)
+    assert jl == "".join(",".join(row[:at] + row[at + 1:]) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("balls_seed,seed", [(0, 0), (1, 3), (2, 7)])
+def test_no_zero_pair_leaves_the_multiplicative_band(balls_seed, seed, tmp_path):
+    # jl and jl-pq exclude D == 0 pairs, whose band has zero width, however a
+    # sketch moves them; jl-power's additive check still reads them
+    path = str(tmp_path / "balls.csv")
+    assert main(["gen", "ball", "--n", "300", "--seed", str(balls_seed),
+                 "--out", path]) == 0
+    for method in METHODS:
+        text = validate_csv(path, tmp_path, "--method", method, "--seed", str(seed))
+        zero = [row.split(",") for row in text.splitlines()[1:]
+                if float(row.split(",")[2]) == 0.0]
+        assert any(float(row[3]) != 0.0 for row in zero)  # the sketch moved them
+        if method == "jl-power":
+            assert text == reference_pair_csv(
+                method, *library_pair_inputs(path, method, False, seed), DEFAULT_EPSILON)
+        else:
+            assert not any(row[-1] == "1" for row in zero)
 
 
 @pytest.mark.one_blas_thread
@@ -935,16 +971,44 @@ class TestExitCodes:
         assert "cannot share stdout" in captured.err
         assert "cannot read" not in captured.err
 
-    def test_target_dimension_too_large_to_allocate(self, tmp_path, capsys):
-        # m = ceil(2 log2(6) / 1e-14), about 5.2e14 rows of the Gaussian map:
-        # numpy refuses its 3.67 PiB at once, so nothing is held
-        path = str(tmp_path / "s6.csv")
-        assert main(["gen", "simplex", "--n", "6", "--out", path]) == 0
-        assert main(["project", path, "--epsilon", "1e-7"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{csv}", "--sample", "5", "--out-csv", "same.out",
+         "--out-report", "same.out"],
+        ["validate", "{csv}", "--out-csv", "same.out", "--out-report", "./same.out"],
+        ["project", "{csv}", "--out-matrix", "same.out", "--out-report", "same.out"],
+        ["project", "{csv}", "--out-matrix", "same.out", "--out-report", "./same.out"],
+    ])
+    def test_two_outputs_on_one_file_are_a_usage_error(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        # the report would overwrite the pair rows or the matrix: refused
+        # before the matrix is read or any file is opened
+        monkeypatch.chdir(tmp_path)
+        argv = [a.replace("{csv}", "no.csv") for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "allocate" in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"usage: dissimjl {argv[0]} [-h]")
+        assert f"cannot share the file {tmp_path / 'same.out'}\n" in captured.err
+        assert "cannot read" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_target_dimension_too_large_to_allocate(self, tmp_path, capsys):
+        # m = ceil(2 log2(6) / 1e-14), about 5.2e14 rows of the Gaussian map:
+        # numpy refuses its 3.67 PiB at once, so nothing is held; the error
+        # names the parameters that set m, in target_dim's words
+        path = str(tmp_path / "s6.csv")
+        assert main(["gen", "simplex", "--n", "6", "--out", path]) == 0
+        for command, extra in (("project", []), ("kmeans", ["--k", "2"]),
+                               ("validate", ["--out-report", str(tmp_path / "r.json")])):
+            assert main([command, path, "--epsilon", "1e-7", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: epsilon 1e-07 and dim constant 2 give target "
+                                    "dimension m = 5.16993e+14, too large to allocate\n")
+            assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("command", ["project", "validate", "kmeans"])
     @pytest.mark.parametrize("flags", [
@@ -985,14 +1049,14 @@ def test_import_loads_no_scipy():
 def test_scoring_loads_no_numpy_ma(simplex_csv, tmp_path):
     # np.median and np.unique reach numpy.ma on their first call; the error
     # stats and the k-means cost use neither, so no command pays that import
-    sink = str(tmp_path / "out")
+    sink, rows = str(tmp_path / "out"), str(tmp_path / "rows")  # a report has a file of its own
     probe = (
         "import sys; from dissimjl.cli import main\n"
         "for m in ('jl', 'jl-pq', 'jl-power'):\n"
         f"    assert main(['project', {simplex_csv!r}, '--method', m,"
-        f" '--out-report', {sink!r}, '--out-matrix', {sink!r}]) == 0\n"
+        f" '--out-report', {sink!r}, '--out-matrix', {rows!r}]) == 0\n"
         f"    assert main(['validate', {simplex_csv!r}, '--method', m,"
-        f" '--out-report', {sink!r}, '--out-csv', {sink!r}]) == 0\n"
+        f" '--out-report', {sink!r}, '--out-csv', {rows!r}]) == 0\n"
         f"    assert main(['kmeans', {simplex_csv!r}, '--method', m,"
         f" '--k', '3', '--out-report', {sink!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)"
