@@ -51,16 +51,29 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         # each command's parser refuses a report sharing stdout or a file
-        # with the pair CSV or matrix, with its usage, before any is opened
+        # with the pair CSV or matrix, with its usage, before any is opened:
+        # by path, or by (device, inode) where a path exists or is stdout
         parsed, extras = super().parse_known_args(args, namespace)
         out = vars(parsed)  # validate's pair CSV defaults to stdout; "" is no output
+        paths = out.get("out_report", ""), out.get("out_csv", out.get("out_matrix") or "")
         report, rows = ("-" if path in (None, "-") else path and os.path.realpath(path)
-                        for path in (out.get("out_report", ""),
-                                     out.get("out_csv", out.get("out_matrix") or "")))
-        if report and report == rows:
+                        for path in paths)
+        ids = [_file_id(path) for path in paths]
+        if report and rows and (report == rows or ids[0] is not None and ids[0] == ids[1]):
             self.error("the report and the pair CSV or matrix cannot share " + (
-                "stdout: give --out-report a file" if report == "-" else f"the file {report}"))
+                "stdout: give --out-report a file" if report == "-" else
+                "stdout" if rows == "-" else f"the file {report}"))
         return parsed, extras
+
+
+def _file_id(path: str | None):
+    """(st_dev, st_ino) of the file at path, or of stdout for None or "-";
+    None where there is none (yet)."""
+    try:
+        st = os.fstat(1) if path in (None, "-") else os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
 
 
 def read_matrix(path: str) -> np.ndarray:

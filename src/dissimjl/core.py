@@ -187,9 +187,9 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         pass ``B.copy()`` to keep it.  A read-only, non-C-contiguous or
         non-float64 B is copied first and never written.
     vectors : bool
-        False computes the eigenvalues alone (about half the time),
-        leaves ``eigenvectors`` None, and leaves an exactly symmetric B
-        as it was, bit for bit.  The eigenvalues agree with the full
+        False computes the eigenvalues alone (about half the time) by
+        ``np.linalg.eigvalsh`` on a copy of B^T, leaves ``eigenvectors``
+        None, and never writes B.  The eigenvalues agree with the full
         decomposition's to rounding, and so do (p, q, zero_rank) and
         tau.
 
@@ -200,8 +200,8 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         spectrum, so scaling B scales tau and keeps (p, q, zero_rank).
         The zero matrix has tau 0 and every eigenvalue counted as zero.
         Bit for bit, the spectrum and eigenvectors are those of
-        ``np.linalg.eigh`` (or ``eigvalsh``) on exactly symmetric B,
-        reversed: ``lam[::-1]`` and ``U[:, ::-1]``.
+        ``np.linalg.eigh`` on exactly symmetric B, reversed: ``lam[::-1]``
+        and ``U[:, ::-1]``; the spectrum alone is ``eigvalsh(B.T)[::-1]``.
 
     Raises
     ------
@@ -216,7 +216,10 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         raise NumericalError("Gram matrix is not finite: centering overflowed")
     if _asymmetry(B) > 1e-8 * top:
         raise DissimilarityError("matrix is not symmetric")
-    lam, U = _syevd(B, vectors)
+    try:
+        lam, U = _syevd(B) if vectors else (np.linalg.eigvalsh(B.T)[::-1], None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
     p = int(np.sum(lam > tau))
     q = int(np.sum(lam < -tau))
@@ -265,44 +268,26 @@ def _lapacke():
 _COL_MAJOR = 102
 
 
-def _syevd(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _syevd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, U): the eigenvalues of a^T by LAPACK dsyevd in a's own buffer,
-    descending, and U's columns their eigenvectors (None without vectors).
+    descending, and U's columns their eigenvectors.
 
     a is square, C-ordered, float64 and writeable.  dsyevd leaves both in
     ascending order, the eigenvectors in a's rows; they are read reversed,
-    with no data moved: U is a[::-1]^T.  Without vectors, an exactly
-    symmetric a is left as it was (any other gets its lower triangle's
-    mirror above the diagonal).  The ``np.linalg`` route gives the same
-    bits on a copy of a^T.
+    with no data moved: U is a[::-1]^T.  The ``np.linalg`` route gives the
+    same bits on a copy of a^T, and its LinAlgError reaches the caller.
     """
     lapack = _lapacke()
     n = a.shape[0]
     if lapack is None:
-        try:
-            if vectors:
-                lam, U = np.linalg.eigh(a.T)
-                a[...] = U.T
-            else:
-                lam = np.linalg.eigvalsh(a.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        lam, U = np.linalg.eigh(a.T)
+        a[...] = U.T
     else:
         lam = np.empty(n)
-        diag = None if vectors else a.diagonal().copy()
-        info = lapack[0](_COL_MAJOR, b"V" if vectors else b"N", b"L", n, a, n, lam)
+        info = lapack[0](_COL_MAJOR, b"V", b"L", n, a, n, lam)
         if info:
             raise NumericalError(f"eigendecomposition failed: dsyevd info {info}")
-        if not vectors:
-            # dsyevd destroyed a's upper triangle and diagonal and kept its
-            # strict lower triangle: mirror that back, band by band
-            for r0, r1 in _tiles(n, _BLOCK):
-                a[r0:r1, r1:] = a[r1:, r0:r1].T
-                block = a[r0:r1, r0:r1]
-                upper = np.triu_indices(r1 - r0, 1)
-                block[upper] = block.T[upper]
-            a.flat[:: n + 1] = diag
-    return lam[::-1], a[::-1].T if vectors else None
+    return lam[::-1], a[::-1].T
 
 
 def _potrf(a: np.ndarray) -> None:

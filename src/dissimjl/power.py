@@ -8,14 +8,14 @@ matrix is B + 2r^2 I do: it differs from Gram(E) = B + 2r^2 C (the
 constant-shift embedding of Roth et al., IEEE TPAMI 2003) only along
 the all-ones direction, which no center difference sees, so E is never
 formed and never decomposed.  :func:`decompose_power` is the one
-builder: it needs only B's eigenvalues to choose r, and takes the
-centers from one Cholesky factorization of B + 2r^2 I, or from B's
-eigenvectors where the radius leaves a direction at zero, each in B's
-own buffer through core's LAPACK wrappers.  It returns a
-``PseudoEuclideanEmbedding`` (centers, an empty negative part, r), the
-type ``projection.project`` maps.  The same bilinear form
-doubles as the closed-form silhouette gap of two isotropic Gaussian
-clusters, :func:`silhouette_gaussian`.
+builder: it needs only B's eigenvalues to choose r (``eigvalsh`` on a
+copy), and takes the centers from one Cholesky factorization of
+B + 2r^2 I, or from B's eigenvectors where the radius leaves a
+direction at zero, each in B's own buffer through core's LAPACK
+wrappers.  It returns a ``PseudoEuclideanEmbedding`` (centers, an empty
+negative part, r), the type ``projection.project`` maps.  The same
+bilinear form doubles as the closed-form silhouette gap of two isotropic
+Gaussian clusters, :func:`silhouette_gaussian`.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def decompose_power(
     B is the centered Gram matrix (the output of
     :func:`~dissimjl.core.center_gram`) and is overwritten, under the
     contract of :func:`~dissimjl.core.decompose`: pass ``B.copy()`` to
-    keep it.  First B's eigenvalues alone are computed; they give the
+    keep it.  First B's eigenvalues alone are computed, by
+    ``np.linalg.eigvalsh`` on a transient copy of B; they give the
     signature, tau and the radius.  The radius defaults to
     r^2 = -e_n / 2 + m, just above the minimum: the margin
     m = 1e-9 (e_1 - e_n) is the tolerance at which a direction is

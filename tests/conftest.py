@@ -62,24 +62,32 @@ def lapack_route(request, monkeypatch):
 
 @pytest.fixture()
 def lapack_calls(monkeypatch):
-    """Calls of each LAPACK routine the library factors B with, counted at
-    core's resolver: {"dsyevd V", "dsyevd N", "dpotrf"}, in the order of
-    the np.linalg calls they stand for (eigh, eigvalsh, cholesky)."""
+    """Calls of each routine the library factors B with: {"dsyevd V",
+    "eigvalsh", "dpotrf"}, in the order of the np.linalg calls that give
+    their bits (eigh, eigvalsh, cholesky).  The in-place LAPACK ones are
+    counted at core's resolver, with their JOBZ, and the spectrum alone
+    at np.linalg.eigvalsh."""
     real = core._lapacke()
     if real is None:
         pytest.skip("numpy exports no LAPACKE dsyevd and dpotrf here")
     syevd, potrf = real
-    calls = dict.fromkeys(("dsyevd V", "dsyevd N", "dpotrf"), 0)
+    eigvalsh = np.linalg.eigvalsh
+    calls = dict.fromkeys(("dsyevd V", "eigvalsh", "dpotrf"), 0)
 
     def counting_syevd(layout, jobz, *args):
         calls["dsyevd " + jobz.decode()] += 1
         return syevd(layout, jobz, *args)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
 
     def counting_potrf(*args):
         calls["dpotrf"] += 1
         return potrf(*args)
 
     monkeypatch.setattr(core, "_lapacke", lambda: (counting_syevd, counting_potrf))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     return calls
 
 

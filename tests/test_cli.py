@@ -738,8 +738,8 @@ class TestKMeans:
         ("jl", (1, 0, 0)), ("jl-pq", (1, 0, 0)), ("jl-power", (0, 1, 1)),
     ])
     def test_solver_calls(self, method, expected, simplex_csv, tmp_path, lapack_calls):
-        # (eigh, eigvalsh, cholesky), counted as the LAPACK routines that stand
-        # for them (dsyevd V, dsyevd N, dpotrf): the run's own, and nothing
+        # (eigh, eigvalsh, cholesky), counted as the routines that give their
+        # bits (dsyevd V, eigvalsh, dpotrf): the run's own, and nothing
         # more: the baseline clusters D's rows, so no route decomposes D twice
         assert main(["kmeans", simplex_csv, "--k", "3", "--method", method,
                      "--out-report", str(tmp_path / "km.json")]) == 0
@@ -994,6 +994,38 @@ class TestExitCodes:
         assert f"cannot share the file {tmp_path / 'same.out'}\n" in captured.err
         assert "cannot read" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{csv}", "--sample", "3", "--out-report", "/dev/stdout"],
+        ["project", "{csv}", "--out-matrix", "/dev/stdout"],
+    ])
+    def test_an_output_path_to_stdout_is_a_usage_error(self, argv, simplex_csv, tmp_path):
+        # /dev/stdout is the file on fd 1: the other output already goes there
+        argv = [a.replace("{csv}", simplex_csv) for a in argv]
+        sink = tmp_path / "f"
+        with open(sink, "w") as out:
+            run = subprocess.run([sys.executable, "-m", "dissimjl", *argv], stdout=out,
+                                 stderr=subprocess.PIPE, text=True, env=subprocess_env())
+        assert run.returncode == 1
+        assert run.stderr.startswith(f"usage: dissimjl {argv[0]} [-h]")
+        assert "cannot share stdout" in run.stderr
+        assert sink.read_text() == ""
+
+    def test_a_hard_link_to_the_pair_csv_is_a_usage_error(self, simplex_csv, tmp_path,
+                                                          capsys):
+        # two paths, one file: the report would overwrite the pair rows
+        rows, report = tmp_path / "a.csv", tmp_path / "b.json"
+        rows.touch()
+        os.link(rows, report)
+        with pytest.raises(SystemExit) as err:
+            main(["validate", simplex_csv, "--out-csv", str(rows), "--out-report",
+                  str(report)])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dissimjl validate [-h]")
+        assert f"cannot share the file {report}\n" in captured.err
+        assert rows.read_text() == ""
 
     def test_target_dimension_too_large_to_allocate(self, tmp_path, capsys):
         # m = ceil(2 log2(6) / 1e-14), about 5.2e14 rows of the Gaussian map:

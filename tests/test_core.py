@@ -279,9 +279,8 @@ def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
 @pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_eigenvalues_alone_leave_b_as_it_was(name, lapack_route):
-    # in place, dsyevd without vectors destroys B's upper triangle and
-    # diagonal; the wrapper mirrors the kept lower triangle back and
-    # restores the diagonal, so an exactly symmetric B is unchanged
+    # the spectrum alone is eigvalsh's, on numpy's own copy of B^T, on
+    # either route: B is never written
     B = GRAM_CASES[name]()
     before = B.copy()
     decompose(B, vectors=False)
@@ -289,13 +288,27 @@ def test_eigenvalues_alone_leave_b_as_it_was(name, lapack_route):
 
 
 @pytest.mark.one_blas_thread
+def test_eigenvalues_alone_leave_a_nearly_symmetric_b_as_it_was():
+    # B is symmetric only within the tolerance: (3, 7) is one ulp off its
+    # mirror.  The spectrum reads B's upper triangle, as eigvalsh(B.T) does,
+    # and B keeps both triangles, bit for bit
+    B = center_gram(gen_simplex(SimplexSpec(300, seed=2)))
+    B[3, 7] = np.nextafter(B[3, 7], np.inf)
+    before = B.copy()
+    dec = decompose(B, vectors=False)
+    assert bits(B) == bits(before)
+    assert bits(dec.eigenvalues) == bits(np.linalg.eigvalsh(B.T)[::-1])
+
+
+@pytest.mark.one_blas_thread
 @in_place_lapack
 def test_factorizations_run_in_b_own_buffer(monkeypatch):
-    # numpy's LAPACKE is found, so no route reaches np.linalg, and decompose
-    # leaves the eigenvectors in B's rows, in eigh's own order
+    # numpy's LAPACKE is found, so no factorization reaches np.linalg (the
+    # spectrum alone is eigvalsh's, on a copy), and decompose leaves the
+    # eigenvectors in B's rows, in eigh's own order
     B = center_gram(random_hollow(np.random.default_rng(7), 40))
     lam, U = np.linalg.eigh(B)
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in ("eigh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)
     dec = decompose(B)
     assert np.shares_memory(dec.eigenvectors, B)
@@ -330,21 +343,22 @@ def test_np_linalg_failure_is_a_numerical_error(monkeypatch):
 
 
 def test_lapack_failure_is_a_numerical_error(monkeypatch):
-    # a nonzero info from either routine (no convergence, or a leading minor
-    # that is not positive definite) raises, whatever B's contents are then
+    # a nonzero info from either in-place routine (no convergence, or a
+    # leading minor that is not positive definite) raises, whatever B's
+    # contents are then, and so does eigvalsh's LinAlgError on the spectrum
     monkeypatch.setattr(core, "_lapacke", lambda: (lambda *args: 3, lambda *args: 2))
     B = center_gram(random_hollow(np.random.default_rng(9), 12))
     with pytest.raises(NumericalError, match="eigendecomposition failed: dsyevd info 3"):
         decompose(B.copy())
-    with pytest.raises(NumericalError, match="eigendecomposition failed"):
-        decompose_power(B.copy())
-    def zero_spectrum(*args):
-        args[-1].fill(0.0)
-        return 0
-
-    monkeypatch.setattr(core, "_lapacke", lambda: (zero_spectrum, lambda *args: 2))
     with pytest.raises(NumericalError, match="Cholesky factorization failed: dpotrf info 2"):
         decompose_power(B.copy(), radius=3.0)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericalError, match="eigendecomposition failed: Eigenvalues"):
+        decompose_power(B.copy())
 
 
 @pytest.mark.one_blas_thread

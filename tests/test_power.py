@@ -443,7 +443,7 @@ class TestSingleEigendecomposition:
     or eigh after the eigenvalues where the radius leaves a direction at 0."""
 
     # (input, radius override, (eigh, eigvalsh, cholesky) calls), counted as
-    # the LAPACK routines that stand for them (dsyevd V, dsyevd N, dpotrf); "minimum"
+    # the routines that give their bits (dsyevd V, eigvalsh, dpotrf); "minimum"
     # overrides with power_radius, at which B + 2r^2 I is singular.  Full-rank
     # Euclidean input leaves only the all-ones direction null at r = 0, and
     # takes eigh like the grid's 50-fold null block

@@ -379,11 +379,12 @@ def test_validate_holds_no_square_array_on_canonical_input():
 
 @in_place_lapack
 def test_factorizations_hold_no_square_array():
-    # dsyevd and dpotrf run in B's own buffer, the descending reorder moves
-    # B's rows in place, and the centers are B: what is left is a tile of the
-    # input checks (0.13 of an n x n array at n = 1024), where eigh's output
-    # and the U[:, order] copy took 2.0.  LAPACK's workspace is malloc'd, out
-    # of tracemalloc's view
+    # dsyevd and dpotrf run in B's own buffer, the descending order is a
+    # reversed view of B's rows, and the centers are B: what is left is a
+    # tile of the input checks (0.13 of an n x n array at n = 1024), where
+    # eigh's output and the U[:, order] copy took 2.0.  LAPACK's workspace,
+    # and eigvalsh's transient copy of B for decompose_power's spectrum,
+    # are malloc'd inside numpy's linalg, out of tracemalloc's view
     n = 1024
     for build in (decompose, decompose_power):
         B = center_gram(gen_balls(BallSpec(n, seed=1)))
