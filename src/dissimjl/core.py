@@ -8,6 +8,7 @@ eigenstructure of the doubly centered Gram matrix B = -CDC/2.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 from dataclasses import dataclass
@@ -152,13 +153,18 @@ def center_gram(D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramDecomposition:
-    """Eigendecomposition of a centered Gram matrix.
+    """Spectrum of a centered Gram matrix B, with factors of its parts.
 
-    Eigenvalues are in descending order with matching eigenvector
-    columns (the solver's ascending output read reversed), or no
-    eigenvectors (None) for a spectrum-only decomposition.  The counts
-    (p, q, zero_rank) partition n by comparing each eigenvalue against
-    the threshold tau: above +tau, below -tau, or numerically zero.
+    Eigenvalues are in descending order.  The counts (p, q, zero_rank)
+    partition n by comparing each eigenvalue against the threshold tau:
+    above +tau, below -tau, or numerically zero.  A full decomposition
+    holds matching eigenvector columns (the solver's ascending output
+    read reversed) and ``factors`` None.  A sliced one holds
+    ``eigenvectors`` None and ``factors`` (P, N), n x p' and n x q', with
+    P P^T - N N^T = B to rounding: the smaller signature part's
+    eigenvectors scaled by sqrt(|lambda|), and a pivoted Cholesky factor
+    of the larger part, whose width may exceed its count by a direction
+    of rounding noise.  A spectrum-only decomposition holds neither.
     """
 
     eigenvalues: np.ndarray
@@ -167,6 +173,7 @@ class GramDecomposition:
     q: int
     zero_rank: int
     tau: float
+    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -180,18 +187,17 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     ----------
     B : array_like
         Symmetric matrix (checked within ``1e-8 * |B|_max``), typically
-        the output of :func:`center_gram`.  LAPACK's ``dsyevd`` runs in
-        B's own buffer, so with vectors a writeable C-contiguous float64
-        B is overwritten: its rows hold the eigenvectors in ascending
-        order, and ``eigenvectors`` is the reversed view B[::-1]^T;
-        pass ``B.copy()`` to keep it.  A read-only, non-C-contiguous or
-        non-float64 B is copied first and never written.
+        the output of :func:`center_gram`.  With vectors, LAPACK works
+        in B's own buffer, so a writeable C-contiguous float64 B is
+        overwritten (pass ``B.copy()`` to keep it), and a read-only,
+        non-C-contiguous or non-float64 B is copied first and never
+        written.
     vectors : bool
         False computes the eigenvalues alone (about half the time) by
-        ``np.linalg.eigvalsh`` on a copy of B^T, leaves ``eigenvectors``
-        None, and never writes B.  The eigenvalues agree with the full
-        decomposition's to rounding, and so do (p, q, zero_rank) and
-        tau.
+        ``np.linalg.eigvalsh`` on numpy's own copy of B^T, with neither
+        eigenvectors nor factors, and never writes B.  The eigenvalues
+        agree with the full decomposition's to rounding, and so do
+        (p, q, zero_rank) and tau.
 
     Returns
     -------
@@ -199,9 +205,23 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         With ``tau = DEFAULT_TAU_REL * |lambda|_max``, relative to the
         spectrum, so scaling B scales tau and keeps (p, q, zero_rank).
         The zero matrix has tau 0 and every eigenvalue counted as zero.
-        Bit for bit, the spectrum and eigenvectors are those of
-        ``np.linalg.eigh`` on exactly symmetric B, reversed: ``lam[::-1]``
-        and ``U[:, ::-1]``; the spectrum alone is ``eigvalsh(B.T)[::-1]``.
+        B is reduced to tridiagonal form once (``dsytrd``), and a Sturm
+        count of its signature picks one of two branches.  Where the
+        smaller part, min(p, q), is at most a fixed share of n (simplex
+        input, Euclidean input, its negation), the decomposition is
+        sliced: the eigenvalues come from ``dsterf``, the smaller part's
+        eigenvectors alone from ``dstebz`` and ``dstein``, and the larger
+        part is a pivoted Cholesky factor (``dpstrf``) of the rest of B,
+        so the factors reproduce B to rounding.  Both stay in B's own
+        buffer, unless together they are at most n/2 wide: then they are
+        copied out, and B's buffer can be freed.
+        Any other input, and any input on the ``np.linalg`` route, takes
+        the full branch: its rows of B hold the eigenvectors in
+        ascending order, and ``eigenvectors`` is the reversed view
+        B[::-1]^T.  Bit for bit, its spectrum and eigenvectors are those
+        of ``np.linalg.eigh`` on exactly symmetric B, reversed:
+        ``lam[::-1]`` and ``U[:, ::-1]``; the spectrum alone is
+        ``eigvalsh(B.T)[::-1]``.
 
     Raises
     ------
@@ -210,27 +230,36 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     NumericalError
         If B is not finite, or the eigensolver does not converge.
     """
-    B = _own_square(B)
+    return _decomposition(B, vectors)
+
+
+def _decomposition(B, vectors: bool = True, sliced: bool = True) -> GramDecomposition:
+    """:func:`decompose`, where sliced=False takes the full branch on any input."""
+    B = _own_square(B) if vectors else _square(np.asarray(B, dtype=np.float64))
     top = _abs_max(B)
     if not np.isfinite(top):
         raise NumericalError("Gram matrix is not finite: centering overflowed")
     if _asymmetry(B) > 1e-8 * top:
         raise DissimilarityError("matrix is not symmetric")
     try:
-        lam, U = _syevd(B) if vectors else (np.linalg.eigvalsh(B.T)[::-1], None)
+        if vectors:
+            lam, U, factors = _factor(B, top, sliced)
+        else:
+            lam, U, factors = np.linalg.eigvalsh(B.T)[::-1], None, None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    tau, p, q = _bucket(lam)
+    return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau, factors)
+
+
+def _bucket(lam: np.ndarray) -> tuple[float, int, int]:
+    """(tau, p, q) of a spectrum."""
     tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
-    p = int(np.sum(lam > tau))
-    q = int(np.sum(lam < -tau))
-    return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau)
+    return tau, int(np.sum(lam > tau)), int(np.sum(lam < -tau))
 
 
-def _own_square(B) -> np.ndarray:
-    """B as a nonempty square array that LAPACK may factor in place: B
-    itself if it is writeable, C-contiguous and float64, else a C-ordered
-    float64 copy.  Raises DissimilarityError on any other shape."""
-    B = np.require(B, dtype=np.float64, requirements=["C", "W", "E"])
+def _square(B: np.ndarray) -> np.ndarray:
+    """B, a nonempty square array, or DissimilarityError."""
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DissimilarityError(f"expected a square matrix, got shape {B.shape}")
     if B.size == 0:
@@ -238,56 +267,292 @@ def _own_square(B) -> np.ndarray:
     return B
 
 
+def _own_square(B) -> np.ndarray:
+    """B as a nonempty square array that LAPACK may factor in place: B
+    itself if it is writeable, C-contiguous and float64, else a C-ordered
+    float64 copy.  Raises DissimilarityError on any other shape."""
+    return _square(np.require(B, dtype=np.float64, requirements=["C", "W", "E"]))
+
+
+# A signature part of at most this share of n is sliced off.  At n = 2000
+# the slice and the full branch cost the same near 0.16: the smaller part of
+# simplex input is 0.10 of n, of balls 0.41 (BENCH_spectrum_slice.json)
+_SLICE_SHARE = 0.15
+
+# The LAPACK and CBLAS symbols core calls, by routine.  dstedc and dormtr
+# are the _work forms, which take the workspace dsyevd gives them
+_SYMBOLS = {
+    name: f"scipy_{symbol}64_" for name, symbol in (
+        ("dsytrd", "LAPACKE_dsytrd"), ("dsterf", "LAPACKE_dsterf"),
+        ("dstebz", "LAPACKE_dstebz"), ("dstein", "LAPACKE_dstein"),
+        ("dstedc", "LAPACKE_dstedc_work"), ("dormtr", "LAPACKE_dormtr_work"),
+        ("dsyrk", "cblas_dsyrk"), ("dpstrf", "LAPACKE_dpstrf"),
+        ("dpotrf", "LAPACKE_dpotrf"),
+    )
+}
+
+
 @functools.cache
 def _lapacke():
-    """(dsyevd, dpotrf) from the LAPACKE inside numpy's own OpenBLAS, or None.
+    """{name: routine} from the LAPACKE and CBLAS inside numpy's own
+    OpenBLAS, or None.
 
     numpy's wheels link linalg against an ILP64 OpenBLAS whose symbols
     carry a ``scipy_`` prefix and a ``64_`` suffix; ``dlsym`` on
     ``_umath_linalg`` finds them among its dependencies.  Where numpy
     links another LAPACK, or exports none, the callers take the
-    ``np.linalg`` route, which runs the same routines on a copy.
+    ``np.linalg`` route, which runs eigh and cholesky on a copy.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        syevd, potrf = lib.scipy_LAPACKE_dsyevd64_, lib.scipy_LAPACKE_dpotrf64_
-    except (AttributeError, OSError):
+        found = {name: getattr(lib, symbol) for name, symbol in _SYMBOLS.items()}
+        _heap()
+    except (AttributeError, OSError, TypeError):
         return None
-    mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    layout, char, lint = ctypes.c_int, ctypes.c_char, ctypes.c_int64
-    syevd.argtypes = [layout, char, char, lint, mat, lint, vec]
-    potrf.argtypes = [layout, char, lint, mat, lint]
-    syevd.restype = potrf.restype = lint
-    return syevd, potrf
+    m = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    v = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    iv = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    e, c, n, d = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_double
+    argtypes = {
+        "dsytrd": [e, c, n, m, n, v, v, v],
+        "dsterf": [n, v, v],
+        "dstebz": [c, c, n, d, d, n, n, d, v, v, iv, iv, v, iv, iv],
+        "dstein": [e, n, v, v, n, v, iv, iv, m, n, iv],
+        "dstedc": [e, c, n, v, v, m, n, v, n, iv, n],
+        "dormtr": [e, c, c, c, n, n, m, n, v, m, n, v, n],
+        "dsyrk": [e, e, e, n, n, d, m, n, d, m, n],
+        "dpstrf": [e, c, n, m, n, iv, iv, d],
+        "dpotrf": [e, c, n, m, n],
+    }
+    for name, routine in found.items():
+        routine.argtypes = argtypes[name]
+        routine.restype = None if name == "dsyrk" else n
+    return found
+
+
+@functools.cache
+def _heap():
+    """(malloc, free) of the C library."""
+    libc = ctypes.CDLL(None)
+    malloc, free = libc.malloc, libc.free
+    malloc.argtypes, malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+    free.argtypes, free.restype = [ctypes.c_void_p], None
+    return malloc, free
+
+
+@contextlib.contextmanager
+def _workspace(count: int):
+    """count doubles of LAPACK workspace, freed on exit.
+
+    Taken from the C heap, as LAPACKE takes its own: like that, it is
+    out of tracemalloc's view, and freed above glibc's mmap threshold,
+    it goes back to the system.
+    """
+    malloc, free = _heap()
+    address = malloc(max(count, 1) * 8)
+    if not address:
+        raise MemoryError(f"cannot allocate {count} doubles of LAPACK workspace")
+    try:
+        yield np.ctypeslib.as_array((ctypes.c_double * count).from_address(address))
+    finally:
+        free(address)
 
 
 # LAPACK_COL_MAJOR: LAPACKE reads a C-ordered a as its transpose, in place,
 # where row-major layout would make it transpose a into a copy.  Its lower
 # triangle (UPLO "L", as numpy's) is then a's upper one
 _COL_MAJOR = 102
+_CBLAS_UPPER, _CBLAS_NO_TRANS = 121, 111
 
 
-def _syevd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, U): the eigenvalues of a^T by LAPACK dsyevd in a's own buffer,
-    descending, and U's columns their eigenvectors.
+def _call(lapack, name: str, *args) -> None:
+    """lapack[name](*args), raising NumericalError on a nonzero info."""
+    info = lapack[name](*args)
+    if info:
+        raise NumericalError(f"eigendecomposition failed: {name} info {info}")
 
-    a is square, C-ordered, float64 and writeable.  dsyevd leaves both in
-    ascending order, the eigenvectors in a's rows; they are read reversed,
-    with no data moved: U is a[::-1]^T.  The ``np.linalg`` route gives the
-    same bits on a copy of a^T, and its LinAlgError reaches the caller.
+
+def _factor(a: np.ndarray, top: float, sliced: bool):
+    """(lam, U, factors) of a^T, descending, in a's own buffer.
+
+    a is square, C-ordered, float64, writeable and finite, with top its
+    largest magnitude.  dsytrd reduces it to a tridiagonal T in its upper
+    triangle, as dsyevd does, scaled first as dsyevd scales.  With sliced,
+    a Sturm count of T's signature may take the slice branch
+    (:func:`_slice`); otherwise, or where the slice fails, dstedc and
+    dormtr finish dsyevd's own steps, with its workspace sizes: lam and
+    the eigenvectors U = a[::-1]^T are its bits, and factors is None.
+    The ``np.linalg`` route runs eigh on a copy of a^T, with the same
+    bits, and its LinAlgError reaches the caller.
     """
     lapack = _lapacke()
-    n = a.shape[0]
     if lapack is None:
         lam, U = np.linalg.eigh(a.T)
         a[...] = U.T
-    else:
-        lam = np.empty(n)
-        info = lapack[0](_COL_MAJOR, b"V", b"L", n, a, n, lam)
-        if info:
-            raise NumericalError(f"eigendecomposition failed: dsyevd info {info}")
-    return lam[::-1], a[::-1].T
+        return lam[::-1], a[::-1].T, None
+    n = a.shape[0]
+    diag = a.diagonal().copy()
+    sigma = _scale(a, top)
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    _call(lapack, "dsytrd", _COL_MAJOR, b"L", n, a, n, d, e, tau)
+    if sliced and _smaller_part(d, e) <= _SLICE_SHARE * n:
+        found = _slice(lapack, a, (d, e, tau), diag, sigma)
+        if found is not None:
+            return found
+    iwork = np.empty(3 + 5 * n, np.int64)
+    with _workspace(2 * n * n + 4 * n + 1) as work:
+        z, work = work[:n * n].reshape(n, n), work[n * n:]
+        _call(lapack, "dstedc", _COL_MAJOR, b"I", n, d, e, z, n, work, work.size,
+              iwork, iwork.size)
+        _call(lapack, "dormtr", _COL_MAJOR, b"L", b"L", b"N", n, n, a, n, tau, z, n,
+              work, work.size)
+        a[...] = z
+    if sigma != 1.0:
+        d *= 1.0 / sigma
+    return d[::-1], a[::-1].T, None
+
+
+def _scale(a: np.ndarray, top: float) -> float:
+    """dsyevd's scale sigma of a, applied to a's upper triangle, which
+    dsytrd reads: a matrix whose largest magnitude lies outside
+    [sqrt(s), 1/sqrt(s)], with s the safe minimum over the precision, is
+    brought to that bound.  1.0 for any other matrix, left as it is."""
+    n = a.shape[0]
+    small = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+    low, high = np.sqrt(small), np.sqrt(1.0 / small)
+    if n == 1 or low <= top <= high or top == 0.0:
+        return 1.0
+    sigma = (low if top < low else high) / top
+    for rows, cols in _blocks(n):
+        block = a[rows, cols]
+        if rows == cols:
+            block[np.triu_indices(block.shape[0])] *= sigma
+        else:
+            block *= sigma
+    return sigma
+
+
+def _smaller_part(d: np.ndarray, e: np.ndarray) -> int:
+    """min(p, q) of the tridiagonal with diagonal d and off-diagonal e,
+    by Sturm counts in O(n) at -tau and +tau, with tau relative to the
+    Gershgorin bound, which lies between |lambda|_max and three times it."""
+    n = d.size
+    tau = DEFAULT_TAU_REL * _gershgorin(d, e)
+    diagonal, squares = d.tolist(), [0.0] + (e[:n - 1] ** 2).tolist()
+    pivmin = np.finfo(np.float64).tiny * max(1.0, max(squares))
+
+    def below(x):  # eigenvalues below x: the negative pivots of T - x I
+        count, pivot = 0, 1.0
+        for di, ei2 in zip(diagonal, squares):
+            pivot = di - x - ei2 / pivot
+            if abs(pivot) < pivmin:
+                pivot = -pivmin
+            count += pivot < 0.0
+        return count
+
+    return min(n - below(tau), below(-tau))
+
+
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> float:
+    """max_i |d_i| + |e_(i-1)| + |e_i|: no eigenvalue of the tridiagonal
+    (d, e) is larger in magnitude."""
+    off = np.abs(e[:d.size - 1])
+    radius = np.abs(d)
+    radius[1:] += off
+    radius[:-1] += off
+    return float(radius.max())
+
+
+def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
+    """(lam, None, (pos, neg)) of a^T from its tridiagonal form, or None
+    where dstebz or dstein fail.
+
+    (d, e, tau) and the upper triangle of a are dsytrd's output, of a
+    scaled by sigma, and a's strict lower triangle is untouched; diag is
+    a's own diagonal.  The eigenvalues come from dsterf.  The k vectors
+    of the smaller part (the positive one on a tie) come from dstebz and
+    dstein, back-transformed by dormtr, and F is them scaled by
+    sqrt(|lambda|).  dsyrk forms F F^T -+ a in a's lower triangle, with
+    the sign that leaves the larger part, and dpstrf factors it there
+    (:func:`_pstrf`): F and that factor reproduce a.  d, e and tau are
+    left as they were, so a failure can go on to the full branch.
+    """
+    d, e, tau = tridiagonal
+    n = d.size
+    w = d.copy()
+    _call(lapack, "dsterf", n, w, e.copy())  # dsterf overwrites both
+    cut, p, q = _bucket(w)  # of a scaled by sigma
+    positive = p <= q
+    k = min(p, q)
+    f = np.empty((k, n))  # F^T: dstein's column-major n x k
+    if k:
+        # bisection over (cut, 2g] or (-2g, -cut], g the Gershgorin bound: by
+        # value, since dstebz by index writes past its workspace on ties
+        outer = 2.0 * _gershgorin(d, e)
+        low, high = (cut, outer) if positive else (-outer, -cut)
+        found, blocks = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        vals, iblock, isplit = np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)
+        if (lapack["dstebz"](b"V", b"B", n, low, high, 0, 0, 0.0, d, e, found, blocks,
+                             vals, iblock, isplit) or found[0] != k
+                or lapack["dstein"](_COL_MAJOR, n, d, e, k, vals, iblock, isplit, f, n,
+                                    np.empty(k, np.int64))):
+            return None
+        # dormqr's optimal workspace at its largest block, 64 reflectors:
+        # 64 doubles per column of F^T, and its 65 x 64 block reflector
+        work = np.empty(64 * (k + 65))
+        _call(lapack, "dormtr", _COL_MAJOR, b"L", b"L", b"N", n, k, a, n, tau, f, n,
+              work, work.size)
+        f *= np.sqrt(np.abs(vals[:k]) * (1.0 / sigma))[:, None]
+    if sigma != 1.0:
+        w *= 1.0 / sigma
+    a.flat[:: n + 1] = diag
+    lapack["dsyrk"](_COL_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, n, k, 1.0, f, n,
+                    -1.0 if positive else 1.0, a, n)
+    # what dpstrf leaves unfactored has trace at most tau: the full branch's
+    # bound on the eigenvalues it counts as zero
+    larger = _pstrf(lapack, a, cut * (1.0 / sigma) / n)
+    r = larger.shape[1]
+    if 2 * (r + k) <= n:  # a narrow representation is copied out, so B can go
+        larger = larger.copy()
+    elif r + k <= n:  # the smaller part fits beside the larger, in a's own buffer
+        a[:, r:r + k] = f.T
+        f = a[:, r:r + k].T
+    return w[::-1], None, (f.T, larger) if positive else (larger, f.T)
+
+
+def _pstrf(lapack, a: np.ndarray, tol: float) -> np.ndarray:
+    """G, n x rank, with G G^T = a's lower triangle mirrored, by dpstrf
+    with pivoting, in a's own buffer: G is a view of a's leading columns.
+
+    dpstrf stops at the rank where the largest pivot left is at most tol.
+    It leaves the factor L, with P^T a P = L L^T, in a's lower triangle;
+    the strict upper part of its columns is zeroed, and row k moves to
+    row piv[k] (point piv[k]'s row of G = P L), one cycle of the
+    permutation at a time.
+    """
+    n = a.shape[0]
+    piv, rank = np.empty(n, np.int64), np.zeros(1, np.int64)
+    info = lapack["dpstrf"](_COL_MAJOR, b"U", n, a, n, piv, rank, tol)
+    if info < 0:
+        raise NumericalError(f"eigendecomposition failed: dpstrf info {info}")
+    r = int(rank[0])
+    for r0, r1 in _tiles(r, _BLOCK):
+        a[r0:r1, r1:r] = 0.0
+        block = a[r0:r1, r0:r1]
+        block[np.triu_indices(r1 - r0, 1)] = 0.0
+    dest = (piv - 1).tolist()
+    for start in range(n):
+        if dest[start] < 0:
+            continue
+        carried, k = a[start, :r].copy(), dest[start]
+        dest[start] = -1
+        while k != start:
+            held = a[k, :r].copy()
+            a[k, :r] = carried
+            carried = held
+            dest[k], k = -1, dest[k]
+        a[start, :r] = carried
+    return a[:, :r]
 
 
 def _potrf(a: np.ndarray) -> None:
@@ -305,7 +570,7 @@ def _potrf(a: np.ndarray) -> None:
             raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
         return
     n = a.shape[0]
-    info = lapack[1](_COL_MAJOR, b"L", n, a, n)
+    info = lapack["dpotrf"](_COL_MAJOR, b"L", n, a, n)
     if info:
         raise NumericalError(f"Cholesky factorization failed: dpotrf info {info}")
     # dpotrf left L^T in a's upper triangle and diagonal: move it to the

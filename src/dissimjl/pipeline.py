@@ -115,8 +115,8 @@ def _project(
     else:
         dec = decompose(center_gram(Dm))
         rep = embed_pq(dec)
-    # the representation copied all the run reads of the eigenvectors
-    dec = replace(dec, eigenvectors=None)
+    # the representation holds all the run reads of the eigenvectors or factors
+    dec = replace(dec, eigenvectors=None, factors=None)
     try:
         if method == "jl":  # the one part of signs-discarded coordinates, kept as rows
             X = rep.coords

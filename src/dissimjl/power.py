@@ -29,6 +29,7 @@ from .core import (
     DEFAULT_TAU_REL,
     DissimilarityError,
     GramDecomposition,
+    _decomposition,
     _own_square,
     _potrf,
     decompose,
@@ -130,8 +131,9 @@ def decompose_power(
 
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
-    Cholesky factor.  Then B is decomposed again, and the decomposition
-    holds its eigenvectors, B[::-1]^T; the centers are a copy of them,
+    Cholesky factor.  Then B is decomposed again, on decompose's full
+    branch whatever its signature, and the decomposition holds its
+    eigenvectors, B[::-1]^T; the centers are a copy of them,
     scaled by sqrt(lambda_k + 2r^2), without the directions where that is
     within the tolerance of zero.  Bit for bit, spectrum and centers are
     those of ``np.linalg`` (eigvalsh, then cholesky or eigh) on exactly
@@ -149,7 +151,7 @@ def decompose_power(
     r = abs(float(r))  # -0.0 passes every check; the report shows +0.0
     if mu.min() <= tol:
         # mu and its drop tolerance from the full spectrum, not the first one
-        dec = decompose(B)
+        dec = _decomposition(B, sliced=False)
         mu, tol = _shifted_spectrum(dec, r)
         keep = mu > tol
         centers = dec.eigenvectors[:, keep]

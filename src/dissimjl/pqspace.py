@@ -71,10 +71,18 @@ class PseudoEuclideanEmbedding:
 
 
 def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
-    """Coordinates sqrt(|lambda_k|) * U[:, k], split by eigenvalue sign.
+    """Coordinates of the signature parts of a decomposition.
 
-    Columns with |lambda| <= tau are dropped, so the output has exactly
-    p positive and q negative coordinates.
+    A sliced decomposition's factors (P, N) are wrapped as they are, with
+    no copy: a pivoted Cholesky factor of the larger part, and the
+    smaller part's scaled eigenvectors, both in B's own buffer where they
+    fit.  The factor may be one column wider than its count, by a
+    direction of rounding noise.
+    Otherwise the coordinates are sqrt(|lambda_k|) * U[:, k], split by
+    eigenvalue sign, with the columns where |lambda| <= tau dropped: exactly
+    p positive and q negative coordinates.  Either is exact to rounding,
+    and one is the other rotated within each part, which a Gaussian map
+    cannot tell apart.
 
     Args:
         dec: decomposition of the centered Gram matrix.
@@ -83,6 +91,8 @@ def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
         PseudoEuclideanEmbedding with radius 0 whose signed intervals
         reproduce the dissimilarity matrix behind ``dec``.
     """
+    if dec.factors is not None:
+        return PseudoEuclideanEmbedding(*dec.factors)
     lam, U = dec.eigenvalues, dec.eigenvectors
     if U is None:
         raise DissimilarityError("the decomposition holds no eigenvectors")

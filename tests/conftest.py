@@ -24,6 +24,8 @@ band products for a bitwise one.  Either way a pair is excluded exactly
 where D is zero.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -61,34 +63,51 @@ def lapack_route(request, monkeypatch):
 
 
 @pytest.fixture()
+def full_branch(monkeypatch):
+    """decompose takes its full branch on every input, as on a signature
+    with no part small enough to slice: its eigenvectors are then eigh's,
+    bit for bit."""
+    monkeypatch.setattr(core, "_SLICE_SHARE", -1.0)
+
+
+# the routines each branch of decompose calls once, the slice's vectors of
+# a nonempty smaller part, and those of the spectrum alone and of
+# decompose_power's Cholesky centers
+CALLS = {
+    "full": Counter(dsytrd=1, dstedc=1, dormtr=1),
+    "slice": Counter(dsytrd=1, dsterf=1, dsyrk=1, dpstrf=1),
+    "vectors": Counter(dstebz=1, dstein=1, dormtr=1),
+    "eigvalsh": Counter(eigvalsh=1),
+    "cholesky": Counter(dpotrf=1),
+}
+
+
+def calls(*kinds):
+    """The LAPACK calls of the given kinds of CALLS, together."""
+    return sum((CALLS[kind] for kind in kinds), Counter())
+
+
+@pytest.fixture()
 def lapack_calls(monkeypatch):
-    """Calls of each routine the library factors B with: {"dsyevd V",
-    "eigvalsh", "dpotrf"}, in the order of the np.linalg calls that give
-    their bits (eigh, eigvalsh, cholesky).  The in-place LAPACK ones are
-    counted at core's resolver, with their JOBZ, and the spectrum alone
-    at np.linalg.eigvalsh."""
+    """A Counter of the calls of each routine the library factors B with:
+    core's LAPACK and CBLAS routines by name, counted at the resolver, and
+    np.linalg.eigvalsh, which gives the spectrum alone."""
     real = core._lapacke()
     if real is None:
-        pytest.skip("numpy exports no LAPACKE dsyevd and dpotrf here")
-    syevd, potrf = real
+        pytest.skip("numpy exports no LAPACKE routines here")
     eigvalsh = np.linalg.eigvalsh
-    calls = dict.fromkeys(("dsyevd V", "eigvalsh", "dpotrf"), 0)
+    counts = Counter()
 
-    def counting_syevd(layout, jobz, *args):
-        calls["dsyevd " + jobz.decode()] += 1
-        return syevd(layout, jobz, *args)
+    def counting(name, routine):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+        return call
 
-    def counting_eigvalsh(*args, **kwargs):
-        calls["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
-
-    def counting_potrf(*args):
-        calls["dpotrf"] += 1
-        return potrf(*args)
-
-    monkeypatch.setattr(core, "_lapacke", lambda: (counting_syevd, counting_potrf))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    return calls
+    monkeypatch.setattr(core, "_lapacke", lambda: {
+        name: counting(name, routine) for name, routine in real.items()})
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+    return counts
 
 
 def random_hollow(rng, n, scale=1.0):
@@ -290,10 +309,11 @@ def euclideanize(D, radius):
 def recover_centers(E):
     """Classical scaling of a Euclidean squared-distance matrix.
 
-    Keeps the eigenvalues above tau; raises DissimilarityError if one
-    lies below -10 tau, i.e. E is not Euclidean.
+    Keeps the eigenvalues above tau of decompose's full branch, eigh's
+    bits, which slicing would skip on Euclidean E; raises
+    DissimilarityError if one lies below -10 tau, i.e. E is not Euclidean.
     """
-    dec = decompose(center_gram(E))
+    dec = core._decomposition(center_gram(E), sliced=False)
     mu = dec.eigenvalues
     if mu.min() < -10.0 * dec.tau:
         raise DissimilarityError(

@@ -41,7 +41,7 @@ from dissimjl import (
 from dissimjl import cli, core, evaluate, projection
 from dissimjl.cli import main, read_matrix, write_matrix
 
-from conftest import grid_hops, ref_power_residual, ref_pq_bound
+from conftest import calls, grid_hops, ref_power_residual, ref_pq_bound
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 METHODS = ["jl", "jl-pq", "jl-power"]
@@ -430,24 +430,30 @@ class TestValidate:
 
 @pytest.fixture(scope="module")
 def identity_inputs(tmp_path_factory):
-    """Six CSV inputs of `validate --identity-debug`, by name: two generated
-    ones, a Euclidean simplex (alpha 0), p = 0 (negated squared distances),
-    the 8 x 8 grid (Euclidean, at r = 0) and low-rank points in R^5."""
+    """Eight CSV inputs of `validate --identity-debug`, by name: two generated
+    ones, simplices at alpha 0.2 and 0 (Euclidean), p = 0 (negated squared
+    distances in R^10 and R^5), the 8 x 8 grid (Euclidean, at r = 0) and
+    low-rank points in R^5.  All but balls are sliced on jl and jl-pq."""
     root = tmp_path_factory.mktemp("identity")
     paths = {name: str(root / f"{name}.csv") for name in
-             ("simplex", "balls", "euclidean", "negated", "grid", "points")}
-    for name, flags in (("simplex", []), ("balls", []), ("euclidean", ["--alpha", "0"])):
+             ("simplex", "balls", "alpha-0.2", "euclidean", "negated", "negated-points",
+              "grid", "points")}
+    for name, flags in (("simplex", []), ("balls", []), ("alpha-0.2", ["--alpha", "0.2"]),
+                        ("euclidean", ["--alpha", "0"])):
         kind = "ball" if name == "balls" else "simplex"
         assert main(["gen", kind, "--n", "300", *flags, "--out", paths[name]]) == 0
-    for name, sign, dim in (("negated", -1.0, 10), ("points", 1.0, 5)):
+    for name, sign, dim in (("negated", -1.0, 10), ("negated-points", -1.0, 5),
+                            ("points", 1.0, 5)):
         X = np.random.default_rng(5).standard_normal((300, dim))
         write_matrix(paths[name], sign * squared_distances(X))
     write_matrix(paths["grid"], grid_hops(8))
     return paths
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("name", ["simplex", "balls", "euclidean", "negated", "grid", "points"])
+@pytest.mark.parametrize("name", ["simplex", "balls", "alpha-0.2", "euclidean", "negated",
+                                  "negated-points", "grid", "points"])
 def test_identity_debug_scores_the_unprojected_representation(
     name, method, identity_inputs, tmp_path
 ):
@@ -464,10 +470,12 @@ def test_identity_debug_scores_the_unprojected_representation(
 
 
 @pytest.mark.parametrize("identity_debug", [False, True])
-def test_jl_band_is_the_signed_band_at_factor_one(identity_debug, tmp_path):
+def test_jl_band_is_the_signed_band_at_factor_one(identity_debug, tmp_path, full_branch):
     # squared distances of points in R^5, one point twice: q = 0, so jl-pq's
     # interval P + Q is |D| (factor 1) and both routes project the same rows;
-    # their one D == 0 pair, which the sketch moves off 0, is excluded on both
+    # their one D == 0 pair, which the sketch moves off 0, is excluded on both.
+    # A sliced embedding gives the twin rows the same bits, which no sketch
+    # moves apart
     X = np.random.default_rng(5).standard_normal((300, 5))
     X[1] = X[2]
     path = str(tmp_path / "twice.csv")
@@ -507,8 +515,12 @@ class TestPairCsv:
     @pytest.mark.parametrize("identity_debug", [False, True])
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_reference_formatter(
-        self, method, identity_debug, zeros_csv, tmp_path
+        self, method, identity_debug, zeros_csv, tmp_path, full_branch
     ):
+        # the oracle's whole-product P + Q rounds apart from the band pass's
+        # one-part 2Q + D; on the full branch no printed digit shows it, but a
+        # sliced part whose rows coincide at a D == 0 pair prints 0 where the
+        # oracle prints 3.5e-18
         flags = ["--method", method] + ["--identity-debug"] * identity_debug
         expected = reference_pair_csv(
             method,
@@ -735,15 +747,16 @@ class TestKMeans:
         assert not any(counts.values())
 
     @pytest.mark.parametrize("method,expected", [
-        ("jl", (1, 0, 0)), ("jl-pq", (1, 0, 0)), ("jl-power", (0, 1, 1)),
+        ("jl", ("slice", "vectors")), ("jl-pq", ("slice", "vectors")),
+        ("jl-power", ("eigvalsh", "cholesky")),
     ])
     def test_solver_calls(self, method, expected, simplex_csv, tmp_path, lapack_calls):
-        # (eigh, eigvalsh, cholesky), counted as the routines that give their
-        # bits (dsyevd V, eigvalsh, dpotrf): the run's own, and nothing
-        # more: the baseline clusters D's rows, so no route decomposes D twice
+        # the run's own LAPACK calls (one sliced decomposition of the simplex,
+        # or its spectrum and one Cholesky factor), and nothing more: the
+        # baseline clusters D's rows, so no route decomposes D twice
         assert main(["kmeans", simplex_csv, "--k", "3", "--method", method,
                      "--out-report", str(tmp_path / "km.json")]) == 0
-        assert tuple(lapack_calls.values()) == expected
+        assert lapack_calls == calls(*expected)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_clustering_forms_no_square_matrix(self, method, tmp_path, monkeypatch):

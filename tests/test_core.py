@@ -8,10 +8,12 @@ from dissimjl import (
     DissimilarityError,
     DissimilarityMatrix,
     NumericalError,
+    ProjectionConfig,
     SimplexSpec,
     center_gram,
     decompose,
     decompose_power,
+    embed_pq,
     gen_simplex,
     run_projection,
     squared_distances,
@@ -25,6 +27,7 @@ from conftest import (
     ORDER_CASES,
     copy_cases,
     dense_gram_oracle,
+    grid_hops,
     in_place_lapack,
     pairwise_sq_oracle,
     random_hollow,
@@ -243,10 +246,10 @@ def bits(a):
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
-def test_descending_order_is_the_solver_order_reversed_bitwise(name):
+def test_descending_order_is_the_solver_order_reversed_bitwise(name, full_branch):
     # tied eigenvalues come with their vectors in reverse solver order:
     # on the tied inputs this differs from a stable sort, and the tie
-    # order carries no meaning
+    # order carries no meaning.  Simplex, grid and zero input would slice
     make, tied = ORDER_CASES[name]
     B = make()
     lam, U = np.linalg.eigh(B)
@@ -260,9 +263,9 @@ def test_descending_order_is_the_solver_order_reversed_bitwise(name):
 
 @pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
-def test_both_lapack_routes_give_numpys_bits(name, lapack_route):
-    # in B's own buffer or through the np.linalg fallback: eigh's and
-    # eigvalsh's bits, reversed
+def test_both_lapack_routes_give_numpys_bits(name, lapack_route, full_branch):
+    # in B's own buffer or through the np.linalg fallback, on the full
+    # branch: eigh's and eigvalsh's bits, reversed
     B = GRAM_CASES[name]()
     lam, U = np.linalg.eigh(B)
     work = B.copy()
@@ -318,6 +321,102 @@ def test_factorizations_run_in_b_own_buffer(monkeypatch):
         run_projection(random_hollow(np.random.default_rng(7), 40), method)
 
 
+POINTS = np.random.default_rng(5).standard_normal((300, 5))
+
+# inputs whose smaller signature part is sliced off, with (p, q): the part
+# is empty on all but the default simplex (alpha 6)
+SLICE_CASES = {
+    "simplex": (lambda: gen_simplex(SimplexSpec(300, seed=0)), (29, 270)),
+    "simplex-alpha-0.2": (lambda: gen_simplex(SimplexSpec(300, alpha=0.2, seed=0)), (299, 0)),
+    "simplex-alpha-0": (lambda: gen_simplex(SimplexSpec(300, alpha=0.0, seed=0)), (299, 0)),
+    "grid": (lambda: grid_hops(8), (14, 0)),
+    "points": (lambda: validate_matrix(squared_distances(POINTS)), (5, 0)),
+    "negated": (lambda: validate_matrix(-squared_distances(POINTS)), (0, 5)),
+}
+
+
+@pytest.mark.one_blas_thread
+@in_place_lapack
+class TestSlice:
+    @pytest.mark.parametrize("name", sorted(SLICE_CASES))
+    def test_factors_reproduce_d(self, name):
+        # P P^T - N N^T is B to rounding, so every pair of the unprojected
+        # embedding is D's within 1e-9 relative; the smaller part is its
+        # count of eigenvectors wide, and both live in B's buffer unless
+        # together they are at most n/2 wide
+        make, signature = SLICE_CASES[name]
+        D = as_array(make())
+        B = center_gram(D)
+        alone = np.linalg.eigvalsh(B)
+        dec = decompose(B)
+        assert (dec.p, dec.q) == signature and dec.p + dec.q + dec.zero_rank == dec.n
+        assert dec.eigenvectors is None and dec.factors is not None
+        # the spectrum is dsterf's after dsytrd: eigvalsh's own steps and bits
+        assert bits(dec.eigenvalues) == bits(alone[::-1])
+        emb = embed_pq(dec)
+        smaller, larger = sorted((emb.pos_coords, emb.neg_coords), key=lambda x: x.shape[1])
+        assert smaller.shape[1] == min(dec.p, dec.q)
+        assert larger.shape[1] - max(dec.p, dec.q) in (0, 1)
+        assert np.shares_memory(larger, B) == (2 * (emb.p + emb.q) > dec.n)
+        signed = squared_distances(emb.pos_coords) - squared_distances(emb.neg_coords)
+        scale = np.abs(D).max()
+        nonzero = D != 0.0
+        assert (np.abs(signed - D)[nonzero] / np.abs(D[nonzero])).max() <= 1e-9
+        assert np.abs(signed[~nonzero]).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_a_b_beyond_dsyevds_range_is_scaled_as_dsyevd_scales(self, scale):
+        # below 1e-146 or above 1e146 dsyevd reduces a scaled copy: the full
+        # branch keeps eigh's bits, and the slice eigvalsh's, with factors
+        # that reproduce B
+        hollow = center_gram(scale * random_hollow(np.random.default_rng(6), 60))
+        lam, U = np.linalg.eigh(hollow)
+        dec = decompose(hollow.copy())
+        assert bits(dec.eigenvalues) == bits(lam[::-1])
+        assert bits(dec.eigenvectors) == bits(U[:, ::-1])
+        B = center_gram(scale * gen_simplex(SimplexSpec(120, seed=3)).entries)
+        dec = decompose(B.copy())
+        assert bits(dec.eigenvalues) == bits(np.linalg.eigvalsh(B)[::-1])
+        P, N = dec.factors
+        assert np.abs(P @ P.T - N @ N.T - B).max() <= 1e-12 * np.abs(B).max()
+
+    def test_a_dstein_failure_takes_the_full_branch(self, monkeypatch):
+        # dstein's nonzero info: the tridiagonal form goes on to dstedc and
+        # dormtr, whose eigenvectors are eigh's
+        B = center_gram(gen_simplex(SimplexSpec(120, seed=3)))
+        lam, U = np.linalg.eigh(B)
+        real = core._lapacke()
+        failing = dict(real, dstein=lambda *args: 1)
+        monkeypatch.setattr(core, "_lapacke", lambda: failing)
+        dec = decompose(B.copy())
+        assert dec.factors is None
+        assert bits(dec.eigenvalues) == bits(lam[::-1])
+        assert bits(dec.eigenvectors) == bits(U[:, ::-1])
+
+    def test_a_sketch_follows_the_full_branch_law(self, monkeypatch):
+        # a sliced embedding is the full one rotated within each part, so its
+        # jl-pq sketch has the same law: over 40 seeds the mean violation rate
+        # and the mean median_rel agree within 4 standard errors
+        runs = {"slice": [], "full": []}
+        for seed in range(40):
+            D = gen_simplex(SimplexSpec(300, seed=seed))
+            config = ProjectionConfig(seed=seed)
+            for branch, share in (("slice", core._SLICE_SHARE), ("full", -1.0)):
+                monkeypatch.setattr(core, "_SLICE_SHARE", share)
+                res = run_projection(D, "jl-pq", config)
+                assert (res.decomposition.p, res.decomposition.q) != (0, 0)
+                runs[branch].append((res.pq_check.violation_rate, res.stats.median_rel))
+        slice_runs, full_runs = np.array(runs["slice"]), np.array(runs["full"])
+        gap = np.abs(slice_runs.mean(axis=0) - full_runs.mean(axis=0))
+        se = np.sqrt((slice_runs.var(axis=0, ddof=1) + full_runs.var(axis=0, ddof=1)) / 40)
+        assert np.all(gap <= 4.0 * se), (gap, se)
+        assert not np.array_equal(slice_runs, full_runs)
+
+
+def as_array(D):
+    return D.entries if isinstance(D, DissimilarityMatrix) else np.asarray(D)
+
+
 @pytest.mark.parametrize("factor", [decompose, decompose_power])
 @pytest.mark.parametrize("shape,message", [((3, 4), "square"), ((4,), "square"),
                                            ((0, 0), "matrix is empty")])
@@ -343,12 +442,14 @@ def test_np_linalg_failure_is_a_numerical_error(monkeypatch):
 
 
 def test_lapack_failure_is_a_numerical_error(monkeypatch):
-    # a nonzero info from either in-place routine (no convergence, or a
-    # leading minor that is not positive definite) raises, whatever B's
-    # contents are then, and so does eigvalsh's LinAlgError on the spectrum
-    monkeypatch.setattr(core, "_lapacke", lambda: (lambda *args: 3, lambda *args: 2))
+    # a nonzero info from an in-place routine (no convergence, or a leading
+    # minor that is not positive definite) raises, whatever B's contents are
+    # then, and so does eigvalsh's LinAlgError on the spectrum
+    failing = dict.fromkeys(core._SYMBOLS, lambda *args: 3)
+    failing["dpotrf"] = lambda *args: 2
+    monkeypatch.setattr(core, "_lapacke", lambda: failing)
     B = center_gram(random_hollow(np.random.default_rng(9), 12))
-    with pytest.raises(NumericalError, match="eigendecomposition failed: dsyevd info 3"):
+    with pytest.raises(NumericalError, match="eigendecomposition failed: dsytrd info 3"):
         decompose(B.copy())
     with pytest.raises(NumericalError, match="Cholesky factorization failed: dpotrf info 2"):
         decompose_power(B.copy(), radius=3.0)

@@ -381,10 +381,11 @@ class TestKMeansProjected:
     gen_simplex(SimplexSpec(300, seed=0)),
     gen_balls(BallSpec(300, seed=0)),
 ], ids=["simplex", "balls"])
-def test_row_major_rows_cluster_as_the_column_major_gather(D):
-    # an embedding's parts are column gathers of eigenvectors, Fortran
-    # ordered; k-means clusters row-major copies of the sketch's rows, so C-
-    # and F-ordered parts give the same assignment, cost and sweep count
+def test_row_major_rows_cluster_as_the_column_major_gather(D, full_branch):
+    # a full branch embedding's parts are column gathers of eigenvectors,
+    # Fortran ordered; k-means clusters row-major copies of the sketch's
+    # rows, so C- and F-ordered parts give the same assignment, cost and
+    # sweep count
     emb = embed_pq(decompose(center_gram(D)))
     assert all(part.flags.f_contiguous and not part.flags.c_contiguous
                for part in (emb.pos_coords, emb.neg_coords))

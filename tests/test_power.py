@@ -28,10 +28,12 @@ from dissimjl import (
     squared_distances,
     validate_matrix,
 )
+from dissimjl import core
 from dissimjl.cli import main, write_matrix
 
 from conftest import (
     GRAM_CASES,
+    calls,
     euclideanize,
     grid_hops,
     mc_silhouette,
@@ -296,8 +298,9 @@ EUCLIDEAN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(EUCLIDEAN_CASES))
-def test_euclidean_input_centers_are_the_pq_coordinates(name):
-    """At r = 0 the power centers are embed_pq's coordinates, bit for bit."""
+def test_euclidean_input_centers_are_the_pq_coordinates(name, full_branch):
+    """At r = 0 the power centers are embed_pq's coordinates on the full
+    branch, bit for bit; a sliced embedding is another factor of B."""
     D = validate_matrix(EUCLIDEAN_CASES[name]())
     res = run_projection(D, "jl-power")
     emb = embed_pq(decompose(center_gram(D)))
@@ -439,36 +442,67 @@ class TestCholeskyCenters:
 
 
 class TestSingleEigendecomposition:
-    """LAPACK calls of one jl-power run: eigenvalues plus one Cholesky factor,
-    or eigh after the eigenvalues where the radius leaves a direction at 0."""
+    """LAPACK calls of one run: jl-power's eigenvalues plus one Cholesky
+    factor, or the full branch after the eigenvalues where the radius leaves
+    a direction at 0; jl-pq's one decomposition, on the branch its input's
+    signature picks."""
 
-    # (input, radius override, (eigh, eigvalsh, cholesky) calls), counted as
-    # the routines that give their bits (dsyevd V, eigvalsh, dpotrf); "minimum"
-    # overrides with power_radius, at which B + 2r^2 I is singular.  Full-rank
-    # Euclidean input leaves only the all-ones direction null at r = 0, and
-    # takes eigh like the grid's 50-fold null block
+    # (input, radius override, the kinds of conftest.CALLS the run makes);
+    # "minimum" overrides with power_radius, at which B + 2r^2 I is singular.
+    # Full-rank Euclidean input leaves only the all-ones direction null at
+    # r = 0, and takes the full branch like the grid's 50-fold null block
     CASES = {
-        "default": ("hollow", None, (0, 1, 1)),
-        "override": ("hollow", 5.0, (0, 1, 1)),
-        "euclidean": ("grid", None, (1, 1, 0)),
-        "full-rank-euclidean": ("simplex", None, (1, 1, 0)),
-        "override-at-minimum": ("hollow", "minimum", (1, 1, 0)),
+        "default": ("hollow", None, ("eigvalsh", "cholesky")),
+        "override": ("hollow", 5.0, ("eigvalsh", "cholesky")),
+        "euclidean": ("grid", None, ("eigvalsh", "full")),
+        "full-rank-euclidean": ("simplex-alpha-0", None, ("eigvalsh", "full")),
+        "override-at-minimum": ("hollow", "minimum", ("eigvalsh", "full")),
     }
+
+    # decompose's branch by input: (p, q) at these sizes are simplex (11, 108),
+    # balls (47, 72), hollow (15, 14), grid (14, 0), simplex at alpha 0
+    # (59, 0), points (5, 0) and negated (0, 5); only a smaller part of at
+    # most core._SLICE_SHARE of n slices
+    BRANCHES = {
+        "simplex": ("slice", "vectors"), "balls": ("full",), "hollow": ("full",),
+        "grid": ("slice",), "simplex-alpha-0": ("slice",), "points": ("slice",),
+        "negated": ("slice",),
+    }
+
+    @staticmethod
+    def matrix(kind):
+        points = np.random.default_rng(16).standard_normal((30, 5))
+        return validate_matrix({
+            "simplex": lambda: gen_simplex(SimplexSpec(120, seed=3)),
+            "balls": lambda: gen_balls(BallSpec(120, seed=3)),
+            "hollow": lambda: random_hollow(np.random.default_rng(14), 30),
+            "grid": lambda: grid_hops(8),
+            "simplex-alpha-0": lambda: gen_simplex(SimplexSpec(60, alpha=0.0, seed=4)),
+            "points": lambda: squared_distances(points),
+            "negated": lambda: -squared_distances(points),
+        }[kind]())
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_run_projection_solver_calls(self, lapack_calls, case):
         kind, radius, expected = self.CASES[case]
-        if kind == "grid":
-            D = grid_hops(8)
-        elif kind == "simplex":
-            D = gen_simplex(SimplexSpec(60, alpha=0.0, seed=4))
-        else:
-            D = validate_matrix(random_hollow(np.random.default_rng(14), 30))
+        D = self.matrix(kind)
         if radius == "minimum":
             radius = power_radius(decompose(center_gram(D), vectors=False))
-            lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+            lapack_calls.clear()
         run_projection(D, "jl-power", radius_override=radius)
-        assert tuple(lapack_calls.values()) == expected
+        assert lapack_calls == calls(*expected)
+
+    @pytest.mark.parametrize("kind", sorted(BRANCHES))
+    def test_decompose_takes_one_branch(self, lapack_calls, kind):
+        D = self.matrix(kind)
+        dec = decompose(center_gram(D), vectors=False)
+        expected = self.BRANCHES[kind]
+        assert (min(dec.p, dec.q) <= core._SLICE_SHARE * D.n) == ("slice" in expected)
+        assert (min(dec.p, dec.q) > 0) == ("vectors" in expected or "full" in expected)
+        lapack_calls.clear()
+        res = run_projection(D, "jl-pq")
+        assert lapack_calls == calls(*expected)
+        assert (res.decomposition.p, res.decomposition.q) == (dec.p, dec.q)
 
 
 class TestSilhouette:

@@ -283,7 +283,8 @@ class TestReconstruct:
         assert np.all(np.diag(D) == 0.0)
         assert D.min() < 0.0  # large radius drives close pairs negative
 
-    def test_euclidean_input_routes_agree(self):
+    def test_euclidean_input_routes_agree(self, full_branch):
+        # on the full branch the embedding is the power route's centers
         X = np.random.default_rng(13).standard_normal((9, 4))
         D = validate_matrix(squared_distances(X))
         dec = decompose(center_gram(D))

@@ -379,12 +379,14 @@ def test_validate_holds_no_square_array_on_canonical_input():
 
 @in_place_lapack
 def test_factorizations_hold_no_square_array():
-    # dsyevd and dpotrf run in B's own buffer, the descending order is a
-    # reversed view of B's rows, and the centers are B: what is left is a
-    # tile of the input checks (0.13 of an n x n array at n = 1024), where
-    # eigh's output and the U[:, order] copy took 2.0.  LAPACK's workspace,
-    # and eigvalsh's transient copy of B for decompose_power's spectrum,
-    # are malloc'd inside numpy's linalg, out of tracemalloc's view
+    # balls take decompose's full branch: dsytrd, dormtr and dpotrf run in
+    # B's own buffer, the descending order is a reversed view of B's rows,
+    # and the centers are B: what is left is a tile of the input checks
+    # (0.13 of an n x n array at n = 1024), where eigh's output and the
+    # U[:, order] copy took 2.0.  The full branch's LAPACK workspace comes
+    # from the C heap, as LAPACKE's own did, and eigvalsh's transient copy
+    # of B for decompose_power's spectrum is malloc'd inside numpy's
+    # linalg: both are out of tracemalloc's view
     n = 1024
     for build in (decompose, decompose_power):
         B = center_gram(gen_balls(BallSpec(n, seed=1)))
@@ -395,6 +397,25 @@ def test_factorizations_hold_no_square_array():
         finally:
             tracemalloc.stop()
         assert peak <= 0.2 * n * n * 8
+
+
+def test_spectrum_alone_copies_a_read_only_b_once():
+    # the spectrum alone never writes B, so a read-only view is read where
+    # it is, and eigvalsh's one copy of it is malloc'd inside numpy's linalg:
+    # a tile of the input checks is left (0.13 of an n x n array at n =
+    # 1024), where a copy of B for the in-place solvers made it 1.13
+    n = 1024
+    B = center_gram(gen_balls(BallSpec(n, seed=1)))
+    view = B.view()
+    view.flags.writeable = False
+    tracemalloc.start()
+    try:
+        dec = decompose(view, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dec.eigenvalues, np.linalg.eigvalsh(B.T)[::-1])
+    assert peak <= 1.05 * n * n * 8
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -429,6 +450,23 @@ def test_eigh_branch_run_frees_b_before_scoring():
     finally:
         tracemalloc.stop()
     assert res.representation.radius == 0.0 and res.representation.p == 5
+    assert peak < 2.1 * n * n * 8
+
+
+@pytest.mark.parametrize("method", ["jl", "jl-pq"])
+def test_sliced_low_rank_run_frees_b_before_scoring(method):
+    # points in R^5 take the slice, and their 5-column factor is copied out
+    # of B's buffer, so B goes once the run drops it: 1.95 arrays at n =
+    # 1024, where a view of the factor held all of B through scoring (2.95)
+    n = 1024
+    raw = squared_distances(np.random.default_rng(0).standard_normal((n, 5)))
+    tracemalloc.start()
+    try:
+        res = run_projection(raw, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.embedding.p == 5
     assert peak < 2.1 * n * n * 8
 
 
