@@ -15,13 +15,17 @@ matrices P - Q and P + Q that the tiled bound check never forms, and
 ``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band
 arrays that the bound checks reduce tile by tile.
 
-By default ``ref_pq_bound`` takes the Euclidean interval P + Q off whole
-Gram products of both signature parts.  The jl-pq band pass forms it as
-2Q + D or 2P - D from the smaller part alone, one product per band of
-rows, which rounds apart from it in the last bits, so the default is an
-accuracy oracle; tests/test_tiles.py passes it that one-part formula on
-band products for a bitwise one.  Either way a pair is excluded exactly
-where D is zero.
+``ref_pq_bound`` takes the Euclidean interval P + Q in the jl-pq band
+pass's own form, 2Q + D or 2P - D from the smaller signature part alone,
+by default off one whole Gram product of that part.  The band pass takes
+one product per band of rows, which can round apart from it in the last
+bits, so the default is an accuracy oracle; tests/test_tiles.py passes
+it band products for a bitwise one, and ``whole_euclidean``, P + Q off
+whole products of both parts, for the interval's definition.  A sliced
+embedding's larger part does not reproduce exact zeros of D, where its
+smaller part's rows coincide: there the one-part form is exactly 0 and
+the whole form is not.  Either way a pair is excluded exactly where D
+is zero.
 """
 
 from collections import Counter
@@ -30,12 +34,12 @@ import numpy as np
 import pytest
 
 from dissimjl import (
+    DEFAULT_TAU_REL,
     BallSpec,
     DissimilarityError,
     SimplexSpec,
     as_matrix,
     center_gram,
-    decompose,
     gen_balls,
     gen_simplex,
     graph_hops,
@@ -309,19 +313,19 @@ def euclideanize(D, radius):
 def recover_centers(E):
     """Classical scaling of a Euclidean squared-distance matrix.
 
-    Keeps the eigenvalues above tau of decompose's full branch, eigh's
-    bits, which slicing would skip on Euclidean E; raises
-    DissimilarityError if one lies below -10 tau, i.e. E is not Euclidean.
+    Keeps the eigenpairs of ``np.linalg.eigh`` above tau, decompose's
+    threshold relative to the spectrum; raises DissimilarityError if an
+    eigenvalue lies below -10 tau, i.e. E is not Euclidean.
     """
-    dec = core._decomposition(center_gram(E), sliced=False)
-    mu = dec.eigenvalues
-    if mu.min() < -10.0 * dec.tau:
+    mu, U = np.linalg.eigh(center_gram(E))
+    tau = DEFAULT_TAU_REL * float(np.abs(mu).max())
+    if mu.min() < -10.0 * tau:
         raise DissimilarityError(
             f"matrix is not Euclidean: Gram eigenvalue {mu.min():.6g} "
-            f"below {-10.0 * dec.tau:.6g}"
+            f"below {-10.0 * tau:.6g}"
         )
-    keep = mu > dec.tau
-    return dec.eigenvectors[:, keep] * np.sqrt(mu[keep])
+    keep = mu > tau
+    return U[:, keep] * np.sqrt(mu[keep])
 
 
 def interval_matrices(emb):
@@ -342,20 +346,36 @@ def ref_squared_distances(X):
     return D
 
 
-def ref_pq_bound(A, emb, Ah, epsilon, euclidean=None):
+def one_part_euclidean(A, emb, distances=None):
+    """P + Q over the pairs i < j as the jl-pq band pass forms it: 2Q + D,
+    or 2P - D when q > p, from ``distances`` of the smaller part alone
+    (whole-matrix ``ref_squared_distances`` by default), and at least |D|."""
+    distances = ref_squared_distances if distances is None else distances
+    iu = np.triu_indices(A.shape[0], 1)
+    d = A[iu]
+    if emb.q <= emb.p:
+        euv = 2.0 * distances(emb.neg_coords)[iu] + d
+    else:
+        euv = 2.0 * distances(emb.pos_coords)[iu] - d
+    return np.maximum(euv, np.abs(d))
+
+
+def whole_euclidean(A, emb):
+    """P + Q over the pairs i < j, from whole Gram products of both parts."""
+    iu = np.triu_indices(A.shape[0], 1)
+    return (ref_squared_distances(emb.pos_coords) + ref_squared_distances(emb.neg_coords))[iu]
+
+
+def ref_pq_bound(A, emb, Ah, epsilon, euclidean=one_part_euclidean):
     """(factor, lower, upper, violated, excluded) over ``np.triu_indices`` pairs.
 
     The Euclidean interval is ``euclidean(A, emb)`` over those pairs, by
-    default the whole-matrix P + Q.  The factor is it over |D|, infinite
+    default ``one_part_euclidean``.  The factor is it over |D|, infinite
     where D == 0, and those pairs are excluded.
     """
     iu = np.triu_indices(A.shape[0], 1)
     d, dh = A[iu], Ah[iu]
-    if euclidean is None:
-        euv = (ref_squared_distances(emb.pos_coords)
-               + ref_squared_distances(emb.neg_coords))[iu]
-    else:
-        euv = euclidean(A, emb)
+    euv = euclidean(A, emb)
     excluded = d == 0.0
     factor = np.full(d.shape, np.inf)
     factor[~excluded] = euv[~excluded] / np.abs(d[~excluded])

@@ -93,6 +93,20 @@ def zeros_csv(tmp_path):
 
 
 @pytest.fixture()
+def twin_simplex_csv(tmp_path):
+    # a simplex of 100 points whose point 2 is a twin of point 1 (D_12 = 0):
+    # p = 8 of n slices, and the smaller part's twin rows coincide, so the
+    # one-part P + Q of the twin pair is 0, where whole products of both
+    # parts give 4.5e-13 at 2 BLAS threads
+    path = tmp_path / "twin.csv"
+    A = gen_simplex(SimplexSpec(100, seed=2)).entries.copy()
+    A[2], A[:, 2] = A[1], A[:, 1]
+    A[2, 2] = 0.0
+    write_matrix(str(path), A)
+    return str(path)
+
+
+@pytest.fixture()
 def negated_csv(tmp_path):
     # negated squared distances of seeded points: no positive part (p = 0)
     path = tmp_path / "negated.csv"
@@ -470,25 +484,28 @@ def test_identity_debug_scores_the_unprojected_representation(
 
 
 @pytest.mark.parametrize("identity_debug", [False, True])
-def test_jl_band_is_the_signed_band_at_factor_one(identity_debug, tmp_path, full_branch):
+def test_jl_band_is_the_signed_band_at_factor_one(identity_debug, tmp_path, monkeypatch):
     # squared distances of points in R^5, one point twice: q = 0, so jl-pq's
     # interval P + Q is |D| (factor 1) and both routes project the same rows;
-    # their one D == 0 pair, which the sketch moves off 0, is excluded on both.
-    # A sliced embedding gives the twin rows the same bits, which no sketch
-    # moves apart
+    # their one D == 0 pair is excluded on both, on either branch.  The full
+    # branch's sketch moves it off 0; a sliced embedding gives the twin rows
+    # the same bits, which no sketch moves apart
     X = np.random.default_rng(5).standard_normal((300, 5))
     X[1] = X[2]
     path = str(tmp_path / "twice.csv")
     write_matrix(path, squared_distances(X))
     flags = ["--identity-debug"] * identity_debug
-    jl = validate_csv(path, tmp_path, "--method", "jl", *flags)
-    rows = [line.split(",") for line in
-            validate_csv(path, tmp_path, "--method", "jl-pq", *flags).splitlines()]
-    at = rows[0].index("factor")
-    assert {row[at] for row in rows[1:]} == {"1", "inf"}
-    zero = [row for row in rows[1:] if float(row[2]) == 0.0]
-    assert len(zero) == 1 and (identity_debug or float(zero[0][3]) != 0.0)
-    assert jl == "".join(",".join(row[:at] + row[at + 1:]) + "\n" for row in rows)
+    for share in (core._SLICE_SHARE, -1.0):  # the slice, then the full branch
+        monkeypatch.setattr(core, "_SLICE_SHARE", share)
+        jl = validate_csv(path, tmp_path, "--method", "jl", *flags)
+        rows = [line.split(",") for line in
+                validate_csv(path, tmp_path, "--method", "jl-pq", *flags).splitlines()]
+        at = rows[0].index("factor")
+        assert {row[at] for row in rows[1:]} == {"1", "inf"}
+        zero = [row for row in rows[1:] if float(row[2]) == 0.0]
+        assert len(zero) == 1
+        assert identity_debug or (float(zero[0][3]) != 0.0) == (share < 0.0)
+        assert jl == "".join(",".join(row[:at] + row[at + 1:]) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("balls_seed,seed", [(0, 0), (1, 3), (2, 7)])
@@ -515,19 +532,20 @@ class TestPairCsv:
     @pytest.mark.parametrize("identity_debug", [False, True])
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_reference_formatter(
-        self, method, identity_debug, zeros_csv, tmp_path, full_branch
+        self, method, identity_debug, zeros_csv, twin_simplex_csv, tmp_path, monkeypatch
     ):
-        # the oracle's whole-product P + Q rounds apart from the band pass's
-        # one-part 2Q + D; on the full branch no printed digit shows it, but a
-        # sliced part whose rows coincide at a D == 0 pair prints 0 where the
-        # oracle prints 3.5e-18
+        # on decompose's default branch (full on zeros_csv, the slice on the
+        # twin simplex) and on the forced full branch
         flags = ["--method", method] + ["--identity-debug"] * identity_debug
-        expected = reference_pair_csv(
-            method,
-            *library_pair_inputs(zeros_csv, method, identity_debug),
-            DEFAULT_EPSILON,
-        )
-        assert validate_csv(zeros_csv, tmp_path, *flags) == expected
+        for path in (zeros_csv, twin_simplex_csv):
+            for share in (core._SLICE_SHARE, -1.0):
+                monkeypatch.setattr(core, "_SLICE_SHARE", share)
+                expected = reference_pair_csv(
+                    method,
+                    *library_pair_inputs(path, method, identity_debug),
+                    DEFAULT_EPSILON,
+                )
+                assert validate_csv(path, tmp_path, *flags) == expected
 
     def test_zero_entries_give_every_nonfinite_ratio(self, zeros_csv, tmp_path):
         ratios = set()

@@ -51,6 +51,7 @@ from conftest import (
     band_columns,
     copy_cases,
     in_place_lapack,
+    one_part_euclidean,
     random_hollow,
     ref_power_residual,
     ref_power_summary,
@@ -58,6 +59,7 @@ from conftest import (
     ref_pq_summary,
     ref_squared_distances,
     ref_validate,
+    whole_euclidean,
 )
 
 pytestmark = pytest.mark.one_blas_thread
@@ -145,16 +147,8 @@ def band_distances(X):
 
 
 def band_euclidean(A, emb):
-    """P + Q over the pairs i < j as the jl-pq band pass forms it: 2Q + D,
-    or 2P - D when q > p, from ``band_distances`` of the smaller part,
-    and at least |D|."""
-    iu = np.triu_indices(A.shape[0], 1)
-    d = A[iu]
-    if emb.q <= emb.p:
-        euv = 2.0 * band_distances(emb.neg_coords)[iu] + d
-    else:
-        euv = 2.0 * band_distances(emb.pos_coords)[iu] - d
-    return np.maximum(euv, np.abs(d))
+    """P + Q as the jl-pq band pass forms it, from ``band_distances``."""
+    return one_part_euclidean(A, emb, band_distances)
 
 
 def mirrored(V):
@@ -190,7 +184,8 @@ def assert_pq_near_whole(A, emb, Ah, epsilon, cols):
     p, q = (np.concatenate(list(core._upper_distances(X)))
             for X in (emb.pos_coords, emb.neg_coords))
     assert np.all(np.abs(p - P) + np.abs(q - Q) <= tol)
-    _, lower, upper, violated, excluded = ref_pq_bound(A, emb, Ah, epsilon)
+    _, lower, upper, violated, excluded = ref_pq_bound(
+        A, emb, Ah, epsilon, whole_euclidean)
     assert np.array_equal(np.isinf(cols["factor"]), excluded)
     dh = Ah[iu]
     edge = tol + epsilon * np.abs(A[iu] - (P - Q))
