@@ -93,9 +93,25 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def write_matrix(path: str | None, D) -> None:
-    """Write a matrix as CSV; 17 significant digits round-trip float64."""
-    target = sys.stdout if path is None or path == "-" else path
-    np.savetxt(target, as_matrix(D), delimiter=",", fmt="%.17g")
+    """Write a matrix as CSV, to path or to stdout for None or "-": byte for
+    byte ``np.savetxt(path, D, delimiter=",", fmt="%.17g")``, so 17
+    significant digits round-trip float64.  A 1-D array is one value per
+    line."""
+    X = as_matrix(D)
+    if X.ndim not in (1, 2):
+        raise ValueError(f"Expected 1D or 2D array, got {X.ndim}D array instead")
+    if X.ndim == 1:
+        X = X[:, None]
+    if path is None or path == "-":
+        out = contextlib.nullcontext(sys.stdout)
+    else:  # as savetxt opens it: a .gz, .bz2 or .xz path is compressed
+        open(path, "w").close()
+        out = np.lib.npyio.DataSource(os.curdir).open(path, "wt")
+    # imported (and compiled) only by the commands that write a matrix
+    from ._matrix_text import write_rows
+
+    with out as fh:
+        write_rows(fh, X)
 
 
 def _stream(path: str | None):

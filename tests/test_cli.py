@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import gzip
+import io
 import json
 import math
 import os
@@ -13,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import jsonschema
@@ -24,6 +30,7 @@ from dissimjl import (
     BallSpec,
     ProjectionConfig,
     SimplexSpec,
+    as_matrix,
     center_gram,
     decompose,
     embed_pq,
@@ -229,6 +236,94 @@ class TestGenerate:
         A = read_matrix(str(first))
         write_matrix(str(second), A)
         assert np.array_equal(read_matrix(str(second)), A)
+
+
+def savetxt_text(X) -> str:
+    """The reference write_matrix reproduces byte for byte."""
+    out = io.StringIO()
+    np.savetxt(out, X, delimiter=",", fmt="%.17g")
+    return out.getvalue()
+
+
+def writer_corpus() -> np.ndarray:
+    """Values where a 17-digit formatter built from float arithmetic can
+    slip, both signs."""
+    tens = [float(f"1e{k}") for k in range(-330, 309)]
+    values = tens + [np.nextafter(t, d) for t in tens for d in (0.0, np.inf)]
+    values += [1e-4, 1e17, 0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1e308]
+    values += [2.0**53 + i for i in range(-64, 65)]
+    # 17 nines and more, which round into the next decade or stay just
+    # below it: 99999999999999999 is 1e17 and 99999999999999995e-5 is 1e12,
+    # while 99999999999999995e-21 prints as 9.9999999999999991e-05
+    values += [float(f"{m}e{k}") for m in (99999999999999995, 999999999999999995,
+                                           9999999999999999949, 99999999999999999)
+               for k in range(-26, 2)]
+    # exact decimal ties at the 18th digit: 1e15 + 0.25 prints as ...00.2
+    values += [1e15 + i / 4 for i in range(-8, 9)] + [2.0**50 + i / 8 for i in range(16)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestWriteMatrix:
+    """write_matrix formats blocks of values in numpy, and CPython's
+    "%.17g" only where the exact fast path does not reach; its bytes are
+    np.savetxt's on every input."""
+
+    finite_or_not = st.floats(width=64, allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True)
+    decades = st.builds(lambda m, k: float(f"{m}e{k}"),
+                        st.integers(-10**17, 10**17), st.integers(-340, 310))
+
+    @settings(max_examples=150, deadline=None)
+    @given(X=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                     max_side=12),
+                        elements=st.one_of(finite_or_not, decades, st.floats(-1e17, 1e17),
+                                           st.sampled_from([0.0, -0.0, 1e-4, 1e17]))))
+    @example(X=np.zeros((0, 3)))
+    @example(X=np.zeros((3, 0)))
+    @example(X=np.zeros(0))
+    @example(X=np.array([-2.0, -0.0, 0.5, 1e300]))
+    def test_stdout_matches_savetxt(self, X):
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.simplefilter("error")  # no log10(0) or invalid cast
+            write_matrix(None, X)
+        assert out.getvalue() == savetxt_text(X)
+
+    @pytest.mark.parametrize("cols", [1, 9, 5000])
+    def test_corpus_matches_savetxt_in_a_file(self, cols, tmp_path):
+        values = writer_corpus()
+        X = np.resize(values, (-(-values.size // cols), cols))
+        path = tmp_path / "corpus.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_matrix(str(path), X)
+        assert path.read_text() == savetxt_text(X)
+
+    def test_corpus_matches_savetxt_on_stdout(self, capsys):
+        values = writer_corpus()
+        write_matrix(None, values)
+        assert capsys.readouterr().out == savetxt_text(values)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e306, 1e-9])
+    def test_generated_matrices_match_savetxt(self, scale, tmp_path):
+        for D in (gen_simplex(SimplexSpec(60, seed=2)), gen_simplex(SimplexSpec(60, alpha=0.0)),
+                  gen_balls(BallSpec(60, seed=1)), grid_hops(5)):
+            with np.errstate(over="ignore"):  # inf takes the fallback too
+                X = as_matrix(D) * scale
+            write_matrix(str(tmp_path / "m.csv"), X)
+            assert (tmp_path / "m.csv").read_text() == savetxt_text(X)
+
+    def test_compressed_path_as_savetxt_writes_it(self, tmp_path):
+        X = gen_balls(BallSpec(20, seed=1)).entries
+        write_matrix(str(tmp_path / "m.csv.gz"), X)
+        with gzip.open(tmp_path / "m.csv.gz", "rt") as fh:
+            assert fh.read() == savetxt_text(X)
+
+    @pytest.mark.parametrize("X", [np.float64(1.0), np.zeros((2, 2, 2))])
+    def test_only_one_or_two_dimensions(self, X, tmp_path):
+        with pytest.raises(ValueError, match="Expected 1D or 2D array"):
+            write_matrix(str(tmp_path / "m.csv"), X)
 
 
 class TestIngestGraph:

@@ -45,6 +45,7 @@ from dissimjl import (
     validate_pq_bound,
 )
 from dissimjl import core
+from dissimjl.cli import write_matrix
 from dissimjl.evaluate import _band_tiles
 
 from conftest import (
@@ -369,6 +370,21 @@ def test_validate_holds_no_square_array_on_canonical_input():
     finally:
         tracemalloc.stop()
     assert np.shares_memory(out.entries, raw)
+    assert peak < 0.25 * n * n * 8
+
+
+def test_matrix_writer_holds_no_square_array(tmp_path):
+    # 4,096 values (4 rows at n = 1024) at a time: their digits, text rows,
+    # mask rows and float temporaries (0.17-0.18 of an n x n array); 8,192-value
+    # blocks held 0.35
+    n = 1024
+    D = gen_balls(BallSpec(n, seed=1))
+    tracemalloc.start()
+    try:
+        write_matrix(str(tmp_path / "balls.csv"), D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 0.25 * n * n * 8
 
 
