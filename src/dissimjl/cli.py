@@ -357,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("matrix", help="input CSV matrix")
     _add_projection_flags(validate)
     validate.add_argument(
-        "--sample", type=int, default=None,
-        help="emit exactly this many pair rows, sampled with the run seed",
+        "--sample", type=int, default=None, metavar="N",
+        help="at most N pair rows, sampled with the run seed; every pair when N exceeds them",
     )
     validate.add_argument(
         "--identity-debug", action="store_true",

@@ -157,18 +157,16 @@ class GramDecomposition:
 
     Eigenvalues are in descending order.  The counts (p, q, zero_rank)
     partition n by comparing each eigenvalue against the threshold tau:
-    above +tau, below -tau, or numerically zero.  A full decomposition
-    holds matching eigenvector columns (the solver's ascending output
-    read reversed) and ``factors`` None.  A sliced one holds
-    ``eigenvectors`` None and ``factors`` (P, N), n x p' and n x q', with
-    P P^T - N N^T = B to rounding: the smaller signature part's
-    eigenvectors scaled by sqrt(|lambda|), and a pivoted Cholesky factor
-    of the larger part, whose width may exceed its count by a direction
-    of rounding noise.  A spectrum-only decomposition holds neither.
+    above +tau, below -tau, or numerically zero.  ``factors`` is (P, N),
+    n x p' and n x q', with P P^T - N N^T = B to rounding; a
+    spectrum-only decomposition holds None.  On the full branch P and N
+    are the eigenvectors of the p positive and q negative eigenvalues,
+    scaled by sqrt(|lambda|).  On a slice the smaller part is that, and
+    the larger a pivoted Cholesky factor, whose width may exceed its
+    count by a direction of rounding noise.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
     p: int
     q: int
     zero_rank: int
@@ -194,10 +192,10 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         written.
     vectors : bool
         False computes the eigenvalues alone (about half the time) by
-        ``np.linalg.eigvalsh`` on numpy's own copy of B^T, with neither
-        eigenvectors nor factors, and never writes B.  The eigenvalues
-        agree with the full decomposition's to rounding, and so do
-        (p, q, zero_rank) and tau.
+        ``np.linalg.eigvalsh`` on numpy's own copy of B^T, with no
+        factors, and never writes B.  The eigenvalues agree with the
+        full decomposition's to rounding, and so do (p, q, zero_rank)
+        and tau.
 
     Returns
     -------
@@ -211,19 +209,15 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         input, Euclidean input, its negation), the decomposition is
         sliced: the eigenvalues come from ``dsterf``, the smaller part's
         eigenvectors alone from ``dstebz`` and ``dstein``, and the larger
-        part is a pivoted Cholesky factor (``dpstrf``) of the rest of B,
-        so the factors reproduce B to rounding.  Both stay in B's own
-        buffer, unless together they are at most n/2 wide: then they are
-        copied out, and B's buffer can be freed.  A sliced decomposition
-        holds no eigenvectors; ``np.linalg.eigh(B)`` gives them on any
-        input, with the full branch's bits in ascending order.
+        part is a pivoted Cholesky factor (``dpstrf``) of the rest of B.
+        Both stay in B's own buffer, unless together they are at most
+        n/2 wide: then they are copied out, and B's buffer can be freed.
         Any other input, and any input on the ``np.linalg`` route, takes
-        the full branch: its rows of B hold the eigenvectors in
-        ascending order, and ``eigenvectors`` is the reversed view
-        B[::-1]^T.  Bit for bit, its spectrum and eigenvectors are those
-        of ``np.linalg.eigh`` on exactly symmetric B, reversed:
-        ``lam[::-1]`` and ``U[:, ::-1]``; the spectrum alone is
-        ``eigvalsh(B.T)[::-1]``.
+        the full branch, which leaves the eigenvectors in B's rows and
+        gathers the factors from them.  Bit for bit, on exactly symmetric
+        B, its spectrum is ``np.linalg.eigh``'s reversed, and its factors
+        eigh's ``U[:, ::-1]`` columns above +tau and below -tau, scaled;
+        the spectrum alone is ``eigvalsh(B.T)[::-1]``.
 
     Raises
     ------
@@ -232,11 +226,6 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
     NumericalError
         If B is not finite, or the eigensolver does not converge.
     """
-    return _decomposition(B, vectors)
-
-
-def _decomposition(B, vectors: bool = True, sliced: bool = True) -> GramDecomposition:
-    """:func:`decompose`, where sliced=False takes the full branch on any input."""
     B = _own_square(B) if vectors else _square(np.asarray(B, dtype=np.float64))
     top = _abs_max(B)
     if not np.isfinite(top):
@@ -245,13 +234,13 @@ def _decomposition(B, vectors: bool = True, sliced: bool = True) -> GramDecompos
         raise DissimilarityError("matrix is not symmetric")
     try:
         if vectors:
-            lam, U, factors = _factor(B, top, sliced)
+            lam, factors = _factor(B, top)
         else:
-            lam, U, factors = np.linalg.eigvalsh(B.T)[::-1], None, None
+            lam, factors = np.linalg.eigvalsh(B.T)[::-1], None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     tau, p, q = _bucket(lam)
-    return GramDecomposition(lam, U, p, q, B.shape[0] - p - q, tau, factors)
+    return GramDecomposition(lam, p, q, B.shape[0] - p - q, tau, factors)
 
 
 def _bucket(lam: np.ndarray) -> tuple[float, int, int]:
@@ -374,30 +363,30 @@ def _call(lapack, name: str, *args) -> None:
         raise NumericalError(f"eigendecomposition failed: {name} info {info}")
 
 
-def _factor(a: np.ndarray, top: float, sliced: bool):
-    """(lam, U, factors) of a^T, descending, in a's own buffer.
+def _factor(a: np.ndarray, top: float):
+    """(lam, (pos, neg)) of a^T, descending, in a's own buffer.
 
     a is square, C-ordered, float64, writeable and finite, with top its
     largest magnitude.  dsytrd reduces it to a tridiagonal T in its upper
-    triangle, as dsyevd does, scaled first as dsyevd scales.  With sliced,
-    a Sturm count of T's signature may take the slice branch
-    (:func:`_slice`); otherwise, or where the slice fails, dstedc and
-    dormtr finish dsyevd's own steps, with its workspace sizes: lam and
-    the eigenvectors U = a[::-1]^T are its bits, and factors is None.
-    The ``np.linalg`` route runs eigh on a copy of a^T, with the same
-    bits, and its LinAlgError reaches the caller.
+    triangle, as dsyevd does, scaled first as dsyevd scales.  A Sturm
+    count of T's signature may take the slice branch (:func:`_slice`);
+    otherwise, or where the slice fails, dstedc and dormtr finish
+    dsyevd's own steps, with its workspace sizes: lam and the
+    eigenvectors U = a[::-1]^T are its bits, and the factors are
+    gathered from U (:func:`_scaled_parts`).  The ``np.linalg`` route
+    runs eigh on a copy of a^T, with the same bits, and its LinAlgError
+    reaches the caller.
     """
     lapack = _lapacke()
     if lapack is None:
         lam, U = np.linalg.eigh(a.T)
-        a[...] = U.T
-        return lam[::-1], a[::-1].T, None
+        return lam[::-1], _scaled_parts(lam[::-1], U[:, ::-1])
     n = a.shape[0]
     diag = a.diagonal().copy()
     sigma = _scale(a, top)
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
     _call(lapack, "dsytrd", _COL_MAJOR, b"L", n, a, n, d, e, tau)
-    if sliced and _smaller_part(d, e) <= _SLICE_SHARE * n:
+    if _smaller_part(d, e) <= _SLICE_SHARE * n:
         found = _slice(lapack, a, (d, e, tau), diag, sigma)
         if found is not None:
             return found
@@ -411,7 +400,18 @@ def _factor(a: np.ndarray, top: float, sliced: bool):
         a[...] = z
     if sigma != 1.0:
         d *= 1.0 / sigma
-    return d[::-1], a[::-1].T, None
+    return d[::-1], _scaled_parts(d[::-1], a[::-1].T)
+
+
+def _scaled_parts(lam: np.ndarray, U: np.ndarray):
+    """(pos, neg): the columns of U whose eigenvalue lies above +tau and
+    below -tau, each scaled by sqrt(|lambda|)."""
+    tau, _, _ = _bucket(lam)
+    pos, neg = lam > tau, lam < -tau
+    P, N = U[:, pos], U[:, neg]  # fancy indexing copies, so scale in place
+    P *= np.sqrt(lam[pos])
+    N *= np.sqrt(-lam[neg])
+    return P, N
 
 
 def _scale(a: np.ndarray, top: float) -> float:
@@ -466,8 +466,8 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> float:
 
 
 def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
-    """(lam, None, (pos, neg)) of a^T from its tridiagonal form, or None
-    where dstebz or dstein fail.
+    """(lam, (pos, neg)) of a^T from its tridiagonal form, or None where
+    dstebz or dstein fail.
 
     (d, e, tau) and the upper triangle of a are dsytrd's output, of a
     scaled by sigma, and a's strict lower triangle is untouched; diag is
@@ -512,7 +512,7 @@ def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
                     -1.0 if positive else 1.0, a, n)
     # what dpstrf leaves unfactored has trace at most tau: the full branch's
     # bound on the eigenvalues it counts as zero
-    larger = _pstrf(lapack, a, cut * (1.0 / sigma) / n)
+    larger = _pstrf(a, cut * (1.0 / sigma) / n)
     r = larger.shape[1]
     if 2 * (r + k) <= n:  # a narrow representation is copied out, so B can go
         larger = larger.copy()
@@ -522,19 +522,29 @@ def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
         # n = 1024 simplex peaks at 3.03 n x n arrays, not 3.13)
         a[:, r:r + k] = f.T
         f = a[:, r:r + k].T
-    return w[::-1], None, (f.T, larger) if positive else (larger, f.T)
+    return w[::-1], (f.T, larger) if positive else (larger, f.T)
 
 
-def _pstrf(lapack, a: np.ndarray, tol: float) -> np.ndarray:
+def _pstrf(a: np.ndarray, tol: float) -> np.ndarray:
     """G, n x rank, with G G^T = a's lower triangle mirrored, by dpstrf
     with pivoting, in a's own buffer: G is a view of a's leading columns.
 
-    dpstrf stops at the rank where the largest pivot left is at most tol.
-    It leaves the factor L, with P^T a P = L L^T, in a's lower triangle;
-    the strict upper part of its columns is zeroed, and row k moves to
-    row piv[k] (point piv[k]'s row of G = P L), one cycle of the
-    permutation at a time.
+    dpstrf stops at the rank where the largest pivot left is at most tol,
+    so what G leaves out has trace at most n tol.  It leaves the factor
+    L, with P^T a P = L L^T, in a's lower triangle; the strict upper part
+    of its columns is zeroed, and row k moves to row piv[k] (point
+    piv[k]'s row of G = P L), one cycle of the permutation at a time.
+    The ``np.linalg`` route returns an array of its own: eigh's
+    eigenvectors of the eigenvalues above tol, scaled by their roots.
     """
+    lapack = _lapacke()
+    if lapack is None:
+        try:
+            mu, U = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        keep = mu > tol
+        return U[:, keep] * np.sqrt(mu[keep])
     n = a.shape[0]
     piv, rank = np.empty(n, np.int64), np.zeros(1, np.int64)
     info = lapack["dpstrf"](_COL_MAJOR, b"U", n, a, n, piv, rank, tol)

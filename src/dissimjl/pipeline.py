@@ -115,8 +115,8 @@ def _project(
     else:
         dec = decompose(center_gram(Dm))
         rep = embed_pq(dec)
-    # the representation holds all the run reads of the eigenvectors or factors
-    dec = replace(dec, eigenvectors=None, factors=None)
+    # the representation holds all the run reads of the factors
+    dec = replace(dec, factors=None)
     try:
         if method == "jl":  # the one part of signs-discarded coordinates, kept as rows
             X = rep.coords
@@ -154,8 +154,8 @@ def run_projection(
     which sits just above the minimum (see ``decompose_power``); values
     below the minimum leave the shifted matrix non-Euclidean, and jl and
     jl-pq take no radius: either is a data error.  The result's
-    decomposition keeps the spectrum only: its eigenvectors are dropped
-    once the representation is built.
+    decomposition keeps the spectrum only: its factors are dropped once
+    the representation is built.
 
     This is ``_project`` followed by ``_scored`` on the projection.
     The command line runs the parts it reports: ``validate`` scores

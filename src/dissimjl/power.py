@@ -10,10 +10,10 @@ the all-ones direction, which no center difference sees, so E is never
 formed and never decomposed.  :func:`decompose_power` is the one
 builder: it needs only B's eigenvalues to choose r (``eigvalsh`` on a
 copy), and takes the centers from one Cholesky factorization of
-B + 2r^2 I, or from B's eigenvectors where the radius leaves a
-direction at zero, each in B's own buffer through core's LAPACK
-wrappers.  It returns a ``PseudoEuclideanEmbedding`` (centers, an empty
-negative part, r), the type ``projection.project`` maps.  The same
+B + 2r^2 I, pivoted where the radius leaves a direction at zero, in B's
+own buffer through core's LAPACK wrappers.  It returns a
+``PseudoEuclideanEmbedding`` (centers, an empty negative part, r), the
+type ``projection.project`` maps.  The same
 bilinear form doubles as the closed-form silhouette gap of two isotropic
 Gaussian clusters, :func:`silhouette_gaussian`.
 """
@@ -29,9 +29,9 @@ from .core import (
     DEFAULT_TAU_REL,
     DissimilarityError,
     GramDecomposition,
-    _decomposition,
     _own_square,
     _potrf,
+    _pstrf,
     decompose,
 )
 from .pqspace import PseudoEuclideanEmbedding
@@ -126,18 +126,17 @@ def decompose_power(
     +0.0.  The centers are the Cholesky factor L of B + 2r^2 I, formed
     in B's own buffer with its diagonal shifted in place, and returned
     in it: L L^T is the centers' Gram, so they reproduce D as power
-    distances, in n dimensions.  The decomposition then holds no
-    eigenvectors.
+    distances, in n dimensions.
 
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
-    Cholesky factor.  Then B is decomposed again, on decompose's full
-    branch whatever its signature, and the decomposition holds its
-    eigenvectors, B[::-1]^T; the centers are a copy of them,
-    scaled by sqrt(lambda_k + 2r^2), without the directions where that is
-    within the tolerance of zero.  Bit for bit, spectrum and centers are
-    those of ``np.linalg`` (eigvalsh, then cholesky or eigh) on exactly
-    symmetric B, with eigh's order reversed.
+    Cholesky factor.  The centers are then the pivoted one (``dpstrf``,
+    as in decompose's slice) of B + 2r^2 I + s 11^T / n, s the largest
+    mu, in B's buffer, copied out if at most n/2 wide: a column per mu
+    above the tolerance, and one for the all-ones direction at r = 0.
+    Either way B is factored once, and the decomposition holds no
+    factors.  Bit for bit, the spectrum is ``np.linalg.eigvalsh``'s and
+    the Cholesky centers are ``np.linalg.cholesky``'s on symmetric B.
     """
     B = _own_square(B)
     dec = decompose(B, vectors=False)
@@ -149,17 +148,18 @@ def decompose_power(
             r = math.sqrt(r**2 + DEFAULT_TAU_REL * float(lam[0] - lam[-1]))
     mu, tol = _shifted_spectrum(dec, r)
     r = abs(float(r))  # -0.0 passes every check; the report shows +0.0
-    if mu.min() <= tol:
-        # mu and its drop tolerance from the full spectrum, not the first one
-        dec = _decomposition(B, sliced=False)
-        mu, tol = _shifted_spectrum(dec, r)
-        keep = mu > tol
-        centers = dec.eigenvectors[:, keep]
-        centers *= np.sqrt(mu[keep])
-    else:
-        B.flat[:: B.shape[0] + 1] += 2.0 * r**2
+    n = B.shape[0]
+    B.flat[:: n + 1] += 2.0 * r**2
+    if mu.min() > tol:
         _potrf(B)
         centers = B
+    else:
+        # same pair values; the all-ones direction's rounding-level eigenvalue
+        # e, left null, would reach the last pivot as n e and be dropped there
+        B += mu[0] / n
+        centers = _pstrf(B, tol / n)
+        if 2 * centers.shape[1] <= n:  # a narrow factor is copied out, so B can go
+            centers = centers.copy()
     # the empty negative part is a view of the centers: it allocates no buffer
     return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], r)
 

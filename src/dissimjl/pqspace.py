@@ -73,14 +73,12 @@ class PseudoEuclideanEmbedding:
 def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
     """Coordinates of the signature parts of a decomposition.
 
-    A sliced decomposition's factors (P, N) are wrapped as they are, with
-    no copy: a pivoted Cholesky factor of the larger part, and the
-    smaller part's scaled eigenvectors, both in B's own buffer where they
-    fit.  The factor may be one column wider than its count, by a
-    direction of rounding noise.
-    Otherwise the coordinates are sqrt(|lambda_k|) * U[:, k], split by
-    eigenvalue sign, with the columns where |lambda| <= tau dropped: exactly
-    p positive and q negative coordinates.  Either is exact to rounding,
+    The decomposition's factors (P, N) are wrapped as they are, with no
+    copy: sqrt(|lambda_k|) * U[:, k] split by eigenvalue sign on the full
+    branch, exactly p positive and q negative coordinates; on a slice, a
+    pivoted Cholesky factor of the larger part, which may be one column
+    wider than its count, and the smaller part's scaled eigenvectors,
+    both in B's own buffer where they fit.  Either is exact to rounding,
     and one is the other rotated within each part, which a Gaussian map
     cannot tell apart.
 
@@ -91,18 +89,9 @@ def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
         PseudoEuclideanEmbedding with radius 0 whose signed intervals
         reproduce the dissimilarity matrix behind ``dec``.
     """
-    if dec.factors is not None:
-        return PseudoEuclideanEmbedding(*dec.factors)
-    lam, U = dec.eigenvalues, dec.eigenvectors
-    if U is None:
-        raise DissimilarityError("the decomposition holds no eigenvectors")
-    pos = lam > dec.tau
-    neg = lam < -dec.tau
-    pos_coords = U[:, pos]  # fancy indexing copies, so scale in place
-    pos_coords *= np.sqrt(lam[pos])
-    neg_coords = U[:, neg]
-    neg_coords *= np.sqrt(-lam[neg])
-    return PseudoEuclideanEmbedding(pos_coords, neg_coords)
+    if dec.factors is None:
+        raise DissimilarityError("the decomposition holds no factors")
+    return PseudoEuclideanEmbedding(*dec.factors)
 
 
 def norm_ratio_sample(p: int, q: int, trials: int, seed: int = 0) -> np.ndarray:

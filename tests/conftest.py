@@ -8,8 +8,9 @@ independent derivations instead of the code with itself.
 The power oracles take the long way round that the library avoids:
 ``euclideanize`` forms the shifted matrix E = D + 4r^2 (J - I) and
 ``recover_centers`` runs a second eigendecomposition on it, where
-``decompose_power`` factors B + 2r^2 I, or reads the centers off B's
-own eigenpairs where the radius leaves B + 2r^2 I singular.
+``decompose_power`` factors B + 2r^2 I once, by a pivoted Cholesky
+factorization where the radius leaves it singular.  ``eigh_factors``
+gathers the full branch's factors from ``np.linalg.eigh``.
 ``interval_matrices`` builds the whole signed and Euclidean interval
 matrices P - Q and P + Q that the tiled bound check never forms, and
 ``ref_pq_bound`` and ``ref_power_residual`` are the whole per-pair band
@@ -69,20 +70,32 @@ def lapack_route(request, monkeypatch):
 @pytest.fixture()
 def full_branch(monkeypatch):
     """decompose takes its full branch on every input, as on a signature
-    with no part small enough to slice: its eigenvectors are then eigh's,
-    bit for bit."""
+    with no part small enough to slice: its factors are then
+    ``eigh_factors``, bit for bit."""
     monkeypatch.setattr(core, "_SLICE_SHARE", -1.0)
+
+
+def eigh_factors(B):
+    """The full branch's factors (P, N) of B from ``np.linalg.eigh``: the
+    columns of ``U[:, ::-1]`` whose eigenvalue lies above +tau and below
+    -tau, tau relative to the spectrum, scaled by sqrt(|lambda|)."""
+    lam, U = np.linalg.eigh(B)
+    lam, U = lam[::-1], U[:, ::-1]
+    tau = DEFAULT_TAU_REL * float(np.abs(lam).max())
+    pos, neg = lam > tau, lam < -tau
+    return U[:, pos] * np.sqrt(lam[pos]), U[:, neg] * np.sqrt(-lam[neg])
 
 
 # the routines each branch of decompose calls once, the slice's vectors of
 # a nonempty smaller part, and those of the spectrum alone and of
-# decompose_power's Cholesky centers
+# decompose_power's Cholesky centers, plain or pivoted
 CALLS = {
     "full": Counter(dsytrd=1, dstedc=1, dormtr=1),
     "slice": Counter(dsytrd=1, dsterf=1, dsyrk=1, dpstrf=1),
     "vectors": Counter(dstebz=1, dstein=1, dormtr=1),
     "eigvalsh": Counter(eigvalsh=1),
     "cholesky": Counter(dpotrf=1),
+    "pstrf": Counter(dpstrf=1),
 }
 
 
@@ -326,6 +339,28 @@ def recover_centers(E):
         )
     keep = mu > tau
     return U[:, keep] * np.sqrt(mu[keep])
+
+
+def pivoted_cholesky(A, tol):
+    """G with G G^T = A to rounding, by right-looking outer-product
+    elimination: each step takes the largest diagonal entry left as its
+    pivot, and stops once none is above tol.  Column k is zero in the rows
+    of the first k pivots, so G's rows in pivot order are lower
+    triangular."""
+    S = np.array(A, dtype=float)
+    n = S.shape[0]
+    G, done = np.zeros((n, n)), np.zeros(n, bool)
+    for k in range(n):
+        left = np.where(done, -np.inf, np.diag(S))
+        i = int(np.argmax(left))
+        if left[i] <= tol:
+            return G[:, :k]
+        column = S[:, i] / np.sqrt(S[i, i])
+        column[done] = 0.0
+        G[:, k] = column
+        S -= np.outer(column, column)
+        done[i] = True
+    return G
 
 
 def interval_matrices(emb):

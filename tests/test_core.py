@@ -27,6 +27,7 @@ from conftest import (
     ORDER_CASES,
     copy_cases,
     dense_gram_oracle,
+    eigh_factors,
     grid_hops,
     in_place_lapack,
     pairwise_sq_oracle,
@@ -161,15 +162,19 @@ class TestDecompose:
         assert dec.eigenvalues[-1] < 0  # triangle-violating input
 
     def test_descending_order_with_matching_vectors(self):
+        # the full branch's factors are eigenvectors scaled by sqrt(|lambda|):
+        # column k of P is one of lambda_k, and column k of N of lambda_(n-q+k)
         B = center_gram(random_hollow(np.random.default_rng(11), 20))
         dec = decompose(B.copy())
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-        for k in range(dec.n):
-            assert_allclose(
-                B @ dec.eigenvectors[:, k],
-                dec.eigenvalues[k] * dec.eigenvectors[:, k],
-                atol=1e-8,
-            )
+        P, N = dec.factors
+        assert (P.shape[1], N.shape[1]) == (dec.p, dec.q)
+        lam = dec.eigenvalues
+        for x, value in zip(np.hstack([P, N]).T,
+                            np.concatenate([lam[:dec.p], lam[dec.n - dec.q:]])):
+            assert_allclose(np.linalg.norm(x) ** 2, abs(value), rtol=1e-12)
+            assert_allclose(B @ x, value * x, atol=1e-8 * np.sqrt(abs(value)))
+        assert np.abs(P @ P.T - N @ N.T - B).max() <= 1e-12 * np.abs(B).max()
 
     def test_eigenvalues_match_independent_solver(self):
         B = center_gram(random_hollow(np.random.default_rng(5), 25))
@@ -182,7 +187,8 @@ class TestDecompose:
         for n in (5, 20, 50):
             B = center_gram(random_hollow(rng, n))
             dec = decompose(B.copy())
-            rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+            P, N = dec.factors
+            rebuilt = P @ P.T - N @ N.T
             scale = max(1.0, np.abs(B).max())
             assert np.abs(rebuilt - B).max() <= 1e-7 * scale
 
@@ -196,10 +202,13 @@ class TestDecompose:
         D = random_hollow(np.random.default_rng(9), 15)
         dec = decompose(center_gram(D))
         assert dec.zero_rank >= 1
-        zero = np.abs(dec.eigenvalues) <= dec.tau
-        Uz = dec.eigenvectors[:, zero]
-        ones = np.ones(dec.n)
-        assert_allclose(Uz @ (Uz.T @ ones), ones, atol=1e-8)
+        # the factors' columns are the other eigenvectors, scaled: the
+        # all-ones direction is orthogonal to every one of them
+        lam = dec.eigenvalues
+        P, N = dec.factors
+        kept = np.hstack([P / np.sqrt(lam[:dec.p]), N / np.sqrt(-lam[dec.n - dec.q:])])
+        assert kept.shape[1] == dec.n - dec.zero_rank
+        assert_allclose(kept.T @ np.ones(dec.n), 0.0, atol=1e-8)
 
     def test_all_zero_matrix(self):
         dec = decompose(np.zeros((4, 4)))
@@ -245,6 +254,10 @@ def bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and bits(a) == bits(b)
+
+
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
 def test_descending_order_is_the_solver_order_reversed_bitwise(name, full_branch):
     # tied eigenvalues come with their vectors in reverse solver order:
@@ -252,11 +265,11 @@ def test_descending_order_is_the_solver_order_reversed_bitwise(name, full_branch
     # order carries no meaning.  Simplex, grid and zero input would slice
     make, tied = ORDER_CASES[name]
     B = make()
-    lam, U = np.linalg.eigh(B)
+    lam = np.linalg.eigh(B)[0]
     assert bool(np.any(lam[:-1] == lam[1:])) == tied
     dec = decompose(B.copy())
     assert bits(dec.eigenvalues) == bits(lam[::-1])
-    assert bits(dec.eigenvectors) == bits(U[:, ::-1])
+    assert all(map(same_bits, dec.factors, eigh_factors(B)))
     alone = np.linalg.eigvalsh(B)
     assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(alone[::-1])
 
@@ -265,16 +278,13 @@ def test_descending_order_is_the_solver_order_reversed_bitwise(name, full_branch
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_both_lapack_routes_give_numpys_bits(name, lapack_route, full_branch):
     # in B's own buffer or through the np.linalg fallback, on the full
-    # branch: eigh's and eigvalsh's bits, reversed
+    # branch: eigh's and eigvalsh's bits, reversed, and the factors
+    # gathered from eigh's eigenvectors
     B = GRAM_CASES[name]()
-    lam, U = np.linalg.eigh(B)
-    work = B.copy()
-    dec = decompose(work)
+    lam = np.linalg.eigh(B)[0]
+    dec = decompose(B.copy())
     assert bits(dec.eigenvalues) == bits(lam[::-1])
-    assert bits(dec.eigenvectors) == bits(U[:, ::-1])
-    # each eigenvector is one contiguous row of B
-    assert dec.eigenvectors.strides[0] == 8
-    assert np.shares_memory(dec.eigenvectors, work)
+    assert all(map(same_bits, dec.factors, eigh_factors(B)))
     alone = np.linalg.eigvalsh(B)
     assert bits(decompose(B.copy(), vectors=False).eigenvalues) == bits(alone[::-1])
 
@@ -308,13 +318,15 @@ def test_eigenvalues_alone_leave_a_nearly_symmetric_b_as_it_was():
 def test_factorizations_run_in_b_own_buffer(monkeypatch):
     # numpy's LAPACKE is found, so no factorization reaches np.linalg (the
     # spectrum alone is eigvalsh's, on a copy), and decompose leaves the
-    # eigenvectors in B's rows, in eigh's own order
+    # eigenvectors in B's rows, in eigh's own order, and gathers the
+    # factors from them
     B = center_gram(random_hollow(np.random.default_rng(7), 40))
     lam, U = np.linalg.eigh(B)
+    oracle = eigh_factors(B)
     for name in ("eigh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)
     dec = decompose(B)
-    assert np.shares_memory(dec.eigenvectors, B)
+    assert all(map(same_bits, dec.factors, oracle))
     assert bits(B) == bits(U.T)
     assert bits(dec.eigenvalues) == bits(lam[::-1])
     for method in METHODS:  # a call of np.linalg would raise
@@ -350,7 +362,7 @@ class TestSlice:
         alone = np.linalg.eigvalsh(B)
         dec = decompose(B)
         assert (dec.p, dec.q) == signature and dec.p + dec.q + dec.zero_rank == dec.n
-        assert dec.eigenvectors is None and dec.factors is not None
+        assert dec.factors is not None
         # the spectrum is dsterf's after dsytrd: eigvalsh's own steps and bits
         assert bits(dec.eigenvalues) == bits(alone[::-1])
         emb = embed_pq(dec)
@@ -370,10 +382,10 @@ class TestSlice:
         # branch keeps eigh's bits, and the slice eigvalsh's, with factors
         # that reproduce B
         hollow = center_gram(scale * random_hollow(np.random.default_rng(6), 60))
-        lam, U = np.linalg.eigh(hollow)
+        lam = np.linalg.eigh(hollow)[0]
         dec = decompose(hollow.copy())
         assert bits(dec.eigenvalues) == bits(lam[::-1])
-        assert bits(dec.eigenvectors) == bits(U[:, ::-1])
+        assert all(map(same_bits, dec.factors, eigh_factors(hollow)))
         B = center_gram(scale * gen_simplex(SimplexSpec(120, seed=3)).entries)
         dec = decompose(B.copy())
         assert bits(dec.eigenvalues) == bits(np.linalg.eigvalsh(B)[::-1])
@@ -382,16 +394,15 @@ class TestSlice:
 
     def test_a_dstein_failure_takes_the_full_branch(self, monkeypatch):
         # dstein's nonzero info: the tridiagonal form goes on to dstedc and
-        # dormtr, whose eigenvectors are eigh's
+        # dormtr, whose eigenvectors are eigh's, and so are the factors'
         B = center_gram(gen_simplex(SimplexSpec(120, seed=3)))
-        lam, U = np.linalg.eigh(B)
+        lam = np.linalg.eigh(B)[0]
         real = core._lapacke()
         failing = dict(real, dstein=lambda *args: 1)
         monkeypatch.setattr(core, "_lapacke", lambda: failing)
         dec = decompose(B.copy())
-        assert dec.factors is None
         assert bits(dec.eigenvalues) == bits(lam[::-1])
-        assert bits(dec.eigenvectors) == bits(U[:, ::-1])
+        assert all(map(same_bits, dec.factors, eigh_factors(B)))
 
     def test_a_sketch_follows_the_full_branch_law(self, monkeypatch):
         # a sliced embedding is the full one rotated within each part, so its
@@ -479,7 +490,7 @@ def test_input_that_cannot_be_factored_in_place_is_not_written(kind):
     decompose_power(arg)
     assert bits(arg) == bits(before) and arg.flags.f_contiguous == before.flags.f_contiguous
     if kind != "float32":
-        assert bits(full.eigenvectors) == bits(decompose(B.copy()).eigenvectors)
+        assert all(map(same_bits, full.factors, decompose(B.copy()).factors))
 
 
 class TestSquaredDistances:

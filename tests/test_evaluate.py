@@ -382,8 +382,8 @@ class TestKMeansProjected:
     gen_balls(BallSpec(300, seed=0)),
 ], ids=["simplex", "balls"])
 def test_row_major_rows_cluster_as_the_column_major_gather(D, full_branch):
-    # a full branch embedding's parts are column gathers of eigenvectors,
-    # Fortran ordered; k-means clusters row-major copies of the sketch's
+    # a full branch decomposition's factors are column gathers of
+    # eigenvectors, Fortran ordered; k-means clusters row-major copies of the sketch's
     # rows, so C- and F-ordered parts give the same assignment, cost and
     # sweep count
     emb = embed_pq(decompose(center_gram(D)))

@@ -11,6 +11,7 @@ from dissimjl import (
     BallSpec,
     DissimilarityError,
     GaussianCluster,
+    ProjectionConfig,
     PseudoEuclideanEmbedding,
     SimplexSpec,
     as_matrix,
@@ -36,7 +37,9 @@ from conftest import (
     calls,
     euclideanize,
     grid_hops,
+    in_place_lapack,
     mc_silhouette,
+    pivoted_cholesky,
     random_hollow,
     recover_centers,
 )
@@ -196,7 +199,8 @@ def max_rel_offdiag(E, Ehat):
 
 # (matrix, radius factor over power_radius, additive radius); None keeps
 # the default radius, and a factor of 1 overrides with the minimal radius,
-# at which B + 2r^2 I is singular and the centers are B's eigenvectors
+# at which B + 2r^2 I is singular and the centers are its pivoted
+# Cholesky factor
 EQUIVALENCE_CASES = {
     "simplex": (lambda: gen_simplex(SimplexSpec(120, seed=3)), None, 0.0),
     "simplex-minimum": (lambda: gen_simplex(SimplexSpec(120, seed=3)), 1.0, 0.0),
@@ -298,14 +302,45 @@ EUCLIDEAN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(EUCLIDEAN_CASES))
-def test_euclidean_input_centers_are_the_pq_coordinates(name, full_branch):
-    """At r = 0 the power centers are embed_pq's coordinates on the full
-    branch, bit for bit; a sliced embedding is another factor of B."""
+def test_euclidean_input_centers_reproduce_d(name):
+    """At r = 0 the centers are a pivoted Cholesky factor of B with its
+    all-ones direction lifted: one column per positive eigenvalue and one
+    for that direction, reproducing D within 1e-12 of max|D|.  A factor at
+    most n/2 wide is copied out of B's buffer."""
     D = validate_matrix(EUCLIDEAN_CASES[name]())
-    res = run_projection(D, "jl-power")
-    emb = embed_pq(decompose(center_gram(D)))
-    assert res.representation.radius == 0.0 and emb.q == 0
-    assert np.array_equal(res.representation.centers, emb.pos_coords)
+    B = center_gram(D)
+    p = decompose(B.copy(), vectors=False).p
+    dec, rep = decompose_power(B)
+    assert rep.radius == 0.0 and dec.q == 0 and dec.factors is None
+    assert rep.p == p + 1
+    assert np.shares_memory(rep.centers, B) == (2 * rep.p > D.n)
+    scale = np.abs(D.entries).max()
+    assert np.abs(reconstruct(rep) - D.entries).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda: squared_distances(np.random.default_rng(16).standard_normal((300, 5))),
+    lambda: gen_simplex(SimplexSpec(300, alpha=0.0, seed=0)),
+], ids=["points", "simplex-alpha-0"])
+def test_euclidean_input_sketch_follows_the_jl_law(make):
+    """At r = 0 a pair's sketch is its centers' squared distance, D to
+    rounding, times chi^2_m / m: per pair, D-hat / D has mean 1 and
+    variance 2 / m.  Over 40 seeds, each seed's mean over pairs of the
+    ratio and of its squared deviation from 1 are within 4 standard
+    errors of 1 and of 2 / m."""
+    D = validate_matrix(make())
+    iu = np.triu_indices(D.n, 1)
+    d = D.entries[iu]
+    seeds = []
+    for seed in range(40):
+        res = run_projection(D, "jl-power", ProjectionConfig(seed=seed))
+        assert res.representation.radius == 0.0
+        ratio = res.reconstructed[iu] / d
+        seeds.append((ratio.mean(), ((ratio - 1.0) ** 2).mean()))
+    seeds = np.array(seeds)
+    gap = np.abs(seeds.mean(axis=0) - [1.0, 2.0 / res.out_dim])
+    se = seeds.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+    assert np.all(gap <= 4.0 * se), (gap, se)
 
 
 def test_negative_zero_radius_is_returned_as_positive_zero():
@@ -328,7 +363,7 @@ SPECTRUM_CASES = {
 def test_eigenvalues_alone_give_the_same_signature(name):
     B = center_gram(validate_matrix(as_matrix(SPECTRUM_CASES[name]())))
     full, alone = decompose(B.copy()), decompose(B.copy(), vectors=False)
-    assert alone.eigenvectors is None
+    assert alone.factors is None
     assert (alone.p, alone.q, alone.zero_rank) == (full.p, full.q, full.zero_rank)
     assert_allclose(alone.tau, full.tau, rtol=1e-12)
     assert_allclose(alone.eigenvalues, full.eigenvalues,
@@ -336,36 +371,42 @@ def test_eigenvalues_alone_give_the_same_signature(name):
 
 
 # the branch each GRAM_CASES input takes at the default radius: r > 0 factors
-# B + 2r^2 I; Euclidean input (r = 0) keeps a null direction and takes eigh
+# B + 2r^2 I; Euclidean input (r = 0) keeps a null direction and takes its
+# pivoted Cholesky factor
 POWER_BRANCHES = {"simplex": "cholesky", "balls": "cholesky", "random": "cholesky",
-                  "grid": "eigh", "simplex-alpha-0": "eigh", "zero": "eigh"}
+                  "grid": "pstrf", "simplex-alpha-0": "pstrf", "zero": "pstrf"}
 
 
 @pytest.mark.one_blas_thread
 @pytest.mark.parametrize("name", sorted(GRAM_CASES))
 def test_both_lapack_routes_give_numpys_centers(name, lapack_route):
     # in B's own buffer or through the np.linalg fallback: eigvalsh's
-    # spectrum, and cholesky's factor or eigh's scaled vectors, bit for bit
+    # spectrum, and cholesky's factor bit for bit; at a singular radius a
+    # factor of B + 2r^2 I + s 11^T / n (s the largest mu) to rounding, one
+    # column per eigenvalue above the tolerance and one for the lifted
+    # all-ones direction, where it was null (dpstrf's, or on the fallback
+    # eigh's vectors above the tolerance, scaled)
     B = GRAM_CASES[name]()
     n = B.shape[0]
     dec, rep = decompose_power(B.copy())
     r = rep.radius
     alone = np.linalg.eigvalsh(B)
+    assert dec.factors is None
+    assert dec.eigenvalues.tobytes() == alone[::-1].tobytes()
+    shifted = B.copy()
+    shifted.flat[:: n + 1] += 2.0 * r**2
     if POWER_BRANCHES[name] == "cholesky":
-        assert dec.eigenvectors is None
-        assert dec.eigenvalues.tobytes() == alone[::-1].tobytes()
-        shifted = B.copy()
-        shifted.flat[:: n + 1] += 2.0 * r**2
         oracle = np.linalg.cholesky(shifted)
         assert rep.centers.flags.c_contiguous
+        assert np.ascontiguousarray(rep.centers).tobytes() == oracle.tobytes()
     else:
-        lam, U = np.linalg.eigh(B)
-        order = np.arange(n)[::-1]
-        assert dec.eigenvalues.tobytes() == lam[order].tobytes()
-        keep = order[: rep.p]  # mu = lambda + 2r^2 is descending: kept first
-        oracle = U[:, keep] * np.sqrt(lam[keep] + 2.0 * r**2)
-    assert np.ascontiguousarray(rep.centers).tobytes() == np.ascontiguousarray(
-        oracle).tobytes()
+        mu = alone + 2.0 * r**2
+        tol = DEFAULT_TAU_REL * max(np.abs(mu).max(), np.abs(alone).max())
+        count = int(np.sum(mu > tol))
+        assert rep.p == count + (mu.max() > 0.0)
+        shifted += mu.max() / n
+        residual = np.abs(rep.centers @ rep.centers.T - shifted).max()
+        assert residual <= 1e-12 * np.abs(shifted).max()
 
 
 class TestCholeskyCenters:
@@ -377,7 +418,7 @@ class TestCholeskyCenters:
         B = center_gram(D)
         full = decompose(B.copy())
         dec, rep = decompose_power(B.copy())
-        assert dec.eigenvectors is None and rep.p == D.n
+        assert dec.factors is None and rep.p == D.n
         assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
         # r^2 = -e_n / 2 + m with the margin m = 1e-9 (e_1 - e_n)
@@ -412,51 +453,58 @@ class TestCholeskyCenters:
         assert np.array_equal(B, np.tril(B))
         assert_allclose(B @ B.T, gram, atol=1e-12 * np.abs(gram).max())
 
-    def test_override_at_the_minimal_radius_takes_eigh(self):
+    @in_place_lapack
+    def test_override_at_the_minimal_radius_takes_the_pivoted_factor(self):
         D = validate_matrix(random_hollow(np.random.default_rng(19), 30))
-        full = decompose(center_gram(D))
-        r_min = power_radius(full)
-        dec, rep = decompose_power(center_gram(D), r_min)
+        B = center_gram(D)
+        alone = decompose(B.copy(), vectors=False)
+        r_min = power_radius(alone)
+        dec, rep = decompose_power(B.copy(), r_min)
         # the direction of e_n has no length left, so it is dropped
-        assert dec.eigenvectors is not None
+        assert dec.factors is None
         assert rep.radius == r_min and rep.p == D.n - 1
-        # B's eigenvectors scaled by sqrt(mu), mu = lambda + 2r^2, without
-        # the directions at or below the tolerance
-        lam = full.eigenvalues
+        # the pivoted Cholesky factor of B + 2r^2 I + s 11^T / n, s the
+        # largest mu, stopped at the tolerance over n: the same pivots, so
+        # the same zeros, and the same values to rounding
+        lam = alone.eigenvalues
         mu = lam + 2.0 * r_min**2
-        keep = mu > DEFAULT_TAU_REL * max(np.abs(mu).max(), np.abs(lam).max())
-        oracle = full.eigenvectors[:, keep] * np.sqrt(mu[keep])
-        assert np.array_equal(rep.centers, oracle)
+        tol = DEFAULT_TAU_REL * max(np.abs(mu).max(), np.abs(lam).max())
+        gram = B + 2.0 * r_min**2 * np.eye(D.n) + mu[0] / D.n
+        oracle = pivoted_cholesky(gram, tol / D.n)
+        assert rep.centers.shape == oracle.shape
+        assert np.array_equal(rep.centers == 0.0, oracle == 0.0)
+        assert_allclose(rep.centers, oracle, rtol=0.0,
+                        atol=1e-12 * np.sqrt(np.abs(gram).max()))
         assert np.abs(reconstruct(rep) - D.entries).max() <= (
             1e-12 * np.abs(D.entries).max())
         res = run_projection(D, "jl-power", radius_override=r_min)
         assert res.representation.radius == r_min
-        # the run keeps the spectrum only; its centers are eigh's
-        assert res.decomposition.eigenvectors is None
-        assert np.array_equal(res.representation.centers, oracle)
+        # the run keeps the spectrum only, and the same centers
+        assert res.decomposition.factors is None
+        assert np.array_equal(res.representation.centers, rep.centers)
 
     def test_vectorless_decomposition_has_no_eigenvector_route(self):
         dec = decompose(center_gram(THREE_POINT), vectors=False)
-        with pytest.raises(DissimilarityError, match="no eigenvectors"):
+        with pytest.raises(DissimilarityError, match="no factors"):
             embed_pq(dec)
 
 
 class TestSingleEigendecomposition:
     """LAPACK calls of one run: jl-power's eigenvalues plus one Cholesky
-    factor, or the full branch after the eigenvalues where the radius leaves
-    a direction at 0; jl-pq's one decomposition, on the branch its input's
-    signature picks."""
+    factor, pivoted where the radius leaves a direction at 0, and never a
+    second reduction of B; jl-pq's one decomposition, on the branch its
+    input's signature picks."""
 
     # (input, radius override, the kinds of conftest.CALLS the run makes);
     # "minimum" overrides with power_radius, at which B + 2r^2 I is singular.
     # Full-rank Euclidean input leaves only the all-ones direction null at
-    # r = 0, and takes the full branch like the grid's 50-fold null block
+    # r = 0, and takes the pivoted factor like the grid's 50-fold null block
     CASES = {
         "default": ("hollow", None, ("eigvalsh", "cholesky")),
         "override": ("hollow", 5.0, ("eigvalsh", "cholesky")),
-        "euclidean": ("grid", None, ("eigvalsh", "full")),
-        "full-rank-euclidean": ("simplex-alpha-0", None, ("eigvalsh", "full")),
-        "override-at-minimum": ("hollow", "minimum", ("eigvalsh", "full")),
+        "euclidean": ("grid", None, ("eigvalsh", "pstrf")),
+        "full-rank-euclidean": ("simplex-alpha-0", None, ("eigvalsh", "pstrf")),
+        "override-at-minimum": ("hollow", "minimum", ("eigvalsh", "pstrf")),
     }
 
     # decompose's branch by input: (p, q) at these sizes are simplex (11, 108),

@@ -17,5 +17,5 @@ def test_python_blocks_run_in_order():
             exec(compile(block, str(README), "exec"), namespace)
     assert out.getvalue()
     # the decomposition and representation decompose_power returns
-    assert namespace["dec_power"].eigenvectors is None
+    assert namespace["dec_power"].factors is None
     assert namespace["rep_power"].centers.shape[0] == namespace["D"].n

@@ -392,8 +392,9 @@ def test_matrix_writer_holds_no_square_array(tmp_path):
 def test_factorizations_hold_no_square_array():
     # balls take decompose's full branch: dsytrd, dormtr and dpotrf run in
     # B's own buffer, the descending order is a reversed view of B's rows,
-    # and the centers are B: what is left is a tile of the input checks
-    # (0.13 of an n x n array at n = 1024), where eigh's output and the
+    # and the centers are B: what is left beside the factors decompose
+    # returns (its column gathers, 1.00 of an n x n array at n = 1024) is a
+    # tile of the input checks (0.03 to 0.14), where eigh's output and the
     # U[:, order] copy took 2.0.  The full branch's LAPACK workspace comes
     # from the C heap, as LAPACKE's own did, and eigvalsh's transient copy
     # of B for decompose_power's spectrum is malloc'd inside numpy's
@@ -403,11 +404,12 @@ def test_factorizations_hold_no_square_array():
         B = center_gram(gen_balls(BallSpec(n, seed=1)))
         tracemalloc.start()
         try:
-            build(B)
+            out = build(B)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.2 * n * n * 8
+        factors = (out if build is decompose else out[0]).factors or ()
+        assert peak <= 0.2 * n * n * 8 + sum(part.nbytes for part in factors)
 
 
 def test_spectrum_alone_copies_a_read_only_b_once():
@@ -445,13 +447,12 @@ def test_run_projection_keeps_no_copy_of_canonical_input(method):
     assert peak < 3.1 * n * n * 8
 
 
-def test_eigh_branch_run_frees_b_before_scoring():
-    # jl-power at r = 0 on low-rank Euclidean input takes the eigh branch,
-    # whose centers are a scaled copy of B's kept eigenvectors, so B goes
-    # once the run drops them: 1.95 arrays at n = 1024.  Scaling B's rows
-    # in place and returning a view of them would keep all of B through
-    # scoring (2.95 measured), though it cuts decompose_power's own peak
-    # (1.01 to 0.14 arrays on the alpha = 0 simplex)
+def test_singular_radius_run_frees_b_before_scoring():
+    # jl-power at r = 0 on low-rank Euclidean input takes the pivoted
+    # Cholesky factor of B, 6 columns wide with the lifted all-ones one,
+    # which is copied out of B's buffer, so B goes once the run drops it:
+    # 1.95 arrays at n = 1024, where a view of the factor would hold all of
+    # B through scoring
     n = 1024
     raw = squared_distances(np.random.default_rng(0).standard_normal((n, 5)))
     tracemalloc.start()
@@ -460,7 +461,7 @@ def test_eigh_branch_run_frees_b_before_scoring():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.representation.radius == 0.0 and res.representation.p == 5
+    assert res.representation.radius == 0.0 and res.representation.p == 6
     assert peak < 2.1 * n * n * 8
 
 
