@@ -158,12 +158,13 @@ class GramDecomposition:
     Eigenvalues are in descending order.  The counts (p, q, zero_rank)
     partition n by comparing each eigenvalue against the threshold tau:
     above +tau, below -tau, or numerically zero.  ``factors`` is (P, N),
-    n x p' and n x q', with P P^T - N N^T = B to rounding; a
-    spectrum-only decomposition holds None.  On the full branch P and N
-    are the eigenvectors of the p positive and q negative eigenvalues,
-    scaled by sqrt(|lambda|).  On a slice the smaller part is that, and
-    the larger a pivoted Cholesky factor, whose width may exceed its
-    count by a direction of rounding noise.
+    n x p' and n x q', with P P^T - N N^T = B to rounding, up to a
+    multiple of 11^T that no pair sees; a spectrum-only decomposition
+    holds None.  On the full branch P and N are the eigenvectors of the
+    p positive and q negative eigenvalues, scaled by sqrt(|lambda|).  On
+    a slice the smaller part is that, and the larger a pivoted Cholesky
+    factor lifted along the all-ones direction, one column wider than
+    its count (:func:`_pstrf`).
     """
 
     eigenvalues: np.ndarray
@@ -209,9 +210,10 @@ def decompose(B, vectors: bool = True) -> GramDecomposition:
         input, Euclidean input, its negation), the decomposition is
         sliced: the eigenvalues come from ``dsterf``, the smaller part's
         eigenvectors alone from ``dstebz`` and ``dstein``, and the larger
-        part is a pivoted Cholesky factor (``dpstrf``) of the rest of B.
-        Both stay in B's own buffer, unless together they are at most
-        n/2 wide: then they are copied out, and B's buffer can be freed.
+        part is a pivoted Cholesky factor (``dpstrf``) of the rest of B,
+        lifted along the all-ones direction.  It stays in B's own buffer,
+        with the smaller part beside it where that fits, unless it is at
+        most n/2 wide: then it is copied out, and B's buffer can be freed.
         Any other input, and any input on the ``np.linalg`` route, takes
         the full branch, which leaves the eigenvectors in B's rows and
         gathers the factors from them.  Bit for bit, on exactly symmetric
@@ -278,7 +280,7 @@ _SYMBOLS = {
         ("dstebz", "LAPACKE_dstebz"), ("dstein", "LAPACKE_dstein"),
         ("dstedc", "LAPACKE_dstedc_work"), ("dormtr", "LAPACKE_dormtr_work"),
         ("dsyrk", "cblas_dsyrk"), ("dpstrf", "LAPACKE_dpstrf"),
-        ("dpotrf", "LAPACKE_dpotrf"),
+        ("dpotrf", "LAPACKE_dpotrf"), ("dlapmt", "LAPACKE_dlapmt"),
     )
 }
 
@@ -314,6 +316,7 @@ def _lapacke():
         "dsyrk": [e, e, e, n, n, d, m, n, d, m, n],
         "dpstrf": [e, c, n, m, n, iv, iv, d],
         "dpotrf": [e, c, n, m, n],
+        "dlapmt": [e, n, n, n, m, n, iv],
     }
     for name, routine in found.items():
         routine.argtypes = argtypes[name]
@@ -476,8 +479,8 @@ def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
     dstein, back-transformed by dormtr, and F is them scaled by
     sqrt(|lambda|).  dsyrk forms F F^T -+ a in a's lower triangle, with
     the sign that leaves the larger part, and dpstrf factors it there
-    (:func:`_pstrf`): F and that factor reproduce a.  d, e and tau are
-    left as they were, so a failure can go on to the full branch.
+    (:func:`_pstrf`): F and that factor reproduce a, lifted.  d, e and
+    tau are left as they were, so a failure can go on to the full branch.
     """
     d, e, tau = tridiagonal
     n = d.size
@@ -514,10 +517,8 @@ def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
     # bound on the eigenvalues it counts as zero
     larger = _pstrf(a, cut * (1.0 / sigma) / n)
     r = larger.shape[1]
-    if 2 * (r + k) <= n:  # a narrow representation is copied out, so B can go
-        larger = larger.copy()
-    elif r + k <= n:
-        # the smaller part fits beside the larger, in a's own buffer: a run
+    if 2 * r > n and r + k <= n:
+        # the larger part is a view of a, and the smaller fits beside it: a run
         # that holds B then holds no k x n array more (a jl-pq run on the
         # n = 1024 simplex peaks at 3.03 n x n arrays, not 3.13)
         a[:, r:r + k] = f.T
@@ -526,17 +527,25 @@ def _slice(lapack, a: np.ndarray, tridiagonal, diag: np.ndarray, sigma: float):
 
 
 def _pstrf(a: np.ndarray, tol: float) -> np.ndarray:
-    """G, n x rank, with G G^T = a's lower triangle mirrored, by dpstrf
-    with pivoting, in a's own buffer: G is a view of a's leading columns.
+    """G, n x rank, with G G^T = a + s 11^T / n, s a's largest diagonal
+    entry, by dpstrf with pivoting in a's own buffer: a view of a's
+    leading columns, or a copy if at most n/2 wide, so that a can go.
 
-    dpstrf stops at the rank where the largest pivot left is at most tol,
-    so what G leaves out has trace at most n tol.  It leaves the factor
-    L, with P^T a P = L L^T, in a's lower triangle; the strict upper part
-    of its columns is zeroed, and row k moves to row piv[k] (point
-    piv[k]'s row of G = P L), one cycle of the permutation at a time.
-    The ``np.linalg`` route returns an array of its own: eigh's
-    eigenvectors of the eigenvalues above tol, scaled by their roots.
+    a is positive semidefinite with the all-ones vector as an
+    eigenvector, null on a centered Gram matrix; only its lower triangle
+    is read.  The lift changes no distance between G's rows and keeps
+    that direction out of the last pivot, where its rounding-level
+    eigenvalue e would arrive as n e and be kept or dropped by chance
+    (1.1e-10 of max|D| lost on the alpha = 0 simplex at n = 1000).
+    dpstrf stops where the largest pivot left is at most tol, so what G
+    leaves out has trace at most n tol.  It leaves L, with
+    P^T a P = L L^T, in a's lower triangle; the strict upper part of its
+    columns is zeroed, and dlapmt moves row k to row piv[k] (G = P L).
+    The ``np.linalg`` route returns eigh's eigenvectors of the lifted
+    a's eigenvalues above tol, scaled by their roots.
     """
+    n = a.shape[0]
+    a += a.diagonal().max() / n
     lapack = _lapacke()
     if lapack is None:
         try:
@@ -545,7 +554,6 @@ def _pstrf(a: np.ndarray, tol: float) -> np.ndarray:
             raise NumericalError(f"eigendecomposition failed: {exc}") from exc
         keep = mu > tol
         return U[:, keep] * np.sqrt(mu[keep])
-    n = a.shape[0]
     piv, rank = np.empty(n, np.int64), np.zeros(1, np.int64)
     info = lapack["dpstrf"](_COL_MAJOR, b"U", n, a, n, piv, rank, tol)
     if info < 0:
@@ -555,19 +563,10 @@ def _pstrf(a: np.ndarray, tol: float) -> np.ndarray:
         a[r0:r1, r1:r] = 0.0
         block = a[r0:r1, r0:r1]
         block[np.triu_indices(r1 - r0, 1)] = 0.0
-    dest = (piv - 1).tolist()
-    for start in range(n):
-        if dest[start] < 0:
-            continue
-        carried, k = a[start, :r].copy(), dest[start]
-        dest[start] = -1
-        while k != start:
-            held = a[k, :r].copy()
-            a[k, :r] = carried
-            carried = held
-            dest[k], k = -1, dest[k]
-        a[start, :r] = carried
-    return a[:, :r]
+    # a's rows are the columns of the r x n column-major matrix at a with
+    # leading dimension n: dlapmt's backward permutation moves column k to piv[k]
+    _call(lapack, "dlapmt", _COL_MAJOR, 0, r, n, a, n, piv)
+    return a[:, :r].copy() if 2 * r <= n else a[:, :r]
 
 
 def _potrf(a: np.ndarray) -> None:

@@ -131,9 +131,10 @@ def decompose_power(
     A radius that leaves B + 2r^2 I singular within the tolerance (r = 0
     on Euclidean input, or an explicit radius at the minimum) has no
     Cholesky factor.  The centers are then the pivoted one (``dpstrf``,
-    as in decompose's slice) of B + 2r^2 I + s 11^T / n, s the largest
-    mu, in B's buffer, copied out if at most n/2 wide: a column per mu
-    above the tolerance, and one for the all-ones direction at r = 0.
+    as in decompose's slice, :func:`~dissimjl.core._pstrf`) of
+    B + 2r^2 I + s 11^T / n, s its largest diagonal entry, in B's
+    buffer, copied out if at most n/2 wide: a column per mu above the
+    tolerance, and one for the all-ones direction at r = 0.
     Either way B is factored once, and the decomposition holds no
     factors.  Bit for bit, the spectrum is ``np.linalg.eigvalsh``'s and
     the Cholesky centers are ``np.linalg.cholesky``'s on symmetric B.
@@ -154,12 +155,7 @@ def decompose_power(
         _potrf(B)
         centers = B
     else:
-        # same pair values; the all-ones direction's rounding-level eigenvalue
-        # e, left null, would reach the last pivot as n e and be dropped there
-        B += mu[0] / n
         centers = _pstrf(B, tol / n)
-        if 2 * centers.shape[1] <= n:  # a narrow factor is copied out, so B can go
-            centers = centers.copy()
     # the empty negative part is a view of the centers: it allocates no buffer
     return dec, PseudoEuclideanEmbedding(centers, centers[:, :0], r)
 

@@ -76,11 +76,12 @@ def embed_pq(dec: GramDecomposition) -> PseudoEuclideanEmbedding:
     The decomposition's factors (P, N) are wrapped as they are, with no
     copy: sqrt(|lambda_k|) * U[:, k] split by eigenvalue sign on the full
     branch, exactly p positive and q negative coordinates; on a slice, a
-    pivoted Cholesky factor of the larger part, which may be one column
-    wider than its count, and the smaller part's scaled eigenvectors,
-    both in B's own buffer where they fit.  Either is exact to rounding,
-    and one is the other rotated within each part, which a Gaussian map
-    cannot tell apart.
+    pivoted Cholesky factor of the larger part, one column wider than its
+    count for the lifted all-ones direction, and the smaller part's
+    scaled eigenvectors, both in B's own buffer where they fit.  Either
+    is exact to rounding, and one is the other rotated within each part,
+    up to the lifted direction that no pair difference sees, which a
+    Gaussian map cannot tell apart.
 
     Args:
         dec: decomposition of the centered Gram matrix.

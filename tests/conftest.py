@@ -91,11 +91,11 @@ def eigh_factors(B):
 # decompose_power's Cholesky centers, plain or pivoted
 CALLS = {
     "full": Counter(dsytrd=1, dstedc=1, dormtr=1),
-    "slice": Counter(dsytrd=1, dsterf=1, dsyrk=1, dpstrf=1),
+    "slice": Counter(dsytrd=1, dsterf=1, dsyrk=1, dpstrf=1, dlapmt=1),
     "vectors": Counter(dstebz=1, dstein=1, dormtr=1),
     "eigvalsh": Counter(eigvalsh=1),
     "cholesky": Counter(dpotrf=1),
-    "pstrf": Counter(dpstrf=1),
+    "pstrf": Counter(dpstrf=1, dlapmt=1),
 }
 
 

@@ -334,16 +334,24 @@ def test_factorizations_run_in_b_own_buffer(monkeypatch):
 
 
 POINTS = np.random.default_rng(5).standard_normal((300, 5))
+# 100 points in R^(48, 5): the larger factor is 49 wide, at most n/2, so it
+# is copied out, although both parts together are wider
+PQ_POINTS = np.random.default_rng(5).standard_normal((100, 53))
 
 # inputs whose smaller signature part is sliced off, with (p, q): the part
-# is empty on all but the default simplex (alpha 6)
+# is empty on all but the default simplex (alpha 6).  Without the all-ones
+# lift, the alpha 0 simplex at n = 1000 lost 1.1e-10 of max|D|
 SLICE_CASES = {
     "simplex": (lambda: gen_simplex(SimplexSpec(300, seed=0)), (29, 270)),
     "simplex-alpha-0.2": (lambda: gen_simplex(SimplexSpec(300, alpha=0.2, seed=0)), (299, 0)),
     "simplex-alpha-0": (lambda: gen_simplex(SimplexSpec(300, alpha=0.0, seed=0)), (299, 0)),
+    "simplex-alpha-0-n1000": (
+        lambda: gen_simplex(SimplexSpec(1000, alpha=0.0, seed=0)), (999, 0)),
     "grid": (lambda: grid_hops(8), (14, 0)),
     "points": (lambda: validate_matrix(squared_distances(POINTS)), (5, 0)),
     "negated": (lambda: validate_matrix(-squared_distances(POINTS)), (0, 5)),
+    "points-48-5": (lambda: validate_matrix(squared_distances(PQ_POINTS[:, :48])
+                                            - squared_distances(PQ_POINTS[:, 48:])), (48, 5)),
 }
 
 
@@ -352,10 +360,11 @@ SLICE_CASES = {
 class TestSlice:
     @pytest.mark.parametrize("name", sorted(SLICE_CASES))
     def test_factors_reproduce_d(self, name):
-        # P P^T - N N^T is B to rounding, so every pair of the unprojected
-        # embedding is D's within 1e-9 relative; the smaller part is its
-        # count of eigenvectors wide, and both live in B's buffer unless
-        # together they are at most n/2 wide
+        # P P^T - N N^T is B plus the lift s 11^T / n to rounding, so every
+        # pair of the unprojected embedding is D's within 1e-9 relative and
+        # 1e-13 of max|D|; the smaller part is its count of eigenvectors
+        # wide, the larger one column wider, for the lifted all-ones
+        # direction, and it lives in B's buffer unless at most n/2 wide
         make, signature = SLICE_CASES[name]
         D = as_array(make())
         B = center_gram(D)
@@ -368,19 +377,20 @@ class TestSlice:
         emb = embed_pq(dec)
         smaller, larger = sorted((emb.pos_coords, emb.neg_coords), key=lambda x: x.shape[1])
         assert smaller.shape[1] == min(dec.p, dec.q)
-        assert larger.shape[1] - max(dec.p, dec.q) in (0, 1)
-        assert np.shares_memory(larger, B) == (2 * (emb.p + emb.q) > dec.n)
+        assert larger.shape[1] == max(dec.p, dec.q) + 1
+        assert np.shares_memory(larger, B) == (2 * larger.shape[1] > dec.n)
         signed = squared_distances(emb.pos_coords) - squared_distances(emb.neg_coords)
         scale = np.abs(D).max()
         nonzero = D != 0.0
         assert (np.abs(signed - D)[nonzero] / np.abs(D[nonzero])).max() <= 1e-9
         assert np.abs(signed[~nonzero]).max() <= 1e-9 * scale
+        assert np.abs(signed - D).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_a_b_beyond_dsyevds_range_is_scaled_as_dsyevd_scales(self, scale):
         # below 1e-146 or above 1e146 dsyevd reduces a scaled copy: the full
         # branch keeps eigh's bits, and the slice eigvalsh's, with factors
-        # that reproduce B
+        # that reproduce B once doubly centered, which removes the lift
         hollow = center_gram(scale * random_hollow(np.random.default_rng(6), 60))
         lam = np.linalg.eigh(hollow)[0]
         dec = decompose(hollow.copy())
@@ -390,7 +400,9 @@ class TestSlice:
         dec = decompose(B.copy())
         assert bits(dec.eigenvalues) == bits(np.linalg.eigvalsh(B)[::-1])
         P, N = dec.factors
-        assert np.abs(P @ P.T - N @ N.T - B).max() <= 1e-12 * np.abs(B).max()
+        C = np.eye(B.shape[0]) - 1.0 / B.shape[0]
+        rebuilt = C @ (P @ P.T - N @ N.T) @ C
+        assert np.abs(rebuilt - B).max() <= 1e-12 * np.abs(B).max()
 
     def test_a_dstein_failure_takes_the_full_branch(self, monkeypatch):
         # dstein's nonzero info: the tridiagonal form goes on to dstedc and

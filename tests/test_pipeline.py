@@ -72,9 +72,9 @@ def test_jl_projects_the_signs_discarded_coords_as_one_part(D):
     # jl is project's one-part case: the plain rows of the classical map
     # of both parts side by side, drawn from the run's seed alone
     config = ProjectionConfig(seed=7)
-    dec = decompose(center_gram(D))
+    emb = embed_pq(decompose(center_gram(D)))
     m = target_dim(D.n, config)
-    expected = embed_pq(dec).coords @ gaussian_map(m, dec.p + dec.q, config.seed).T
+    expected = emb.coords @ gaussian_map(m, emb.p + emb.q, config.seed).T
     projected = run_projection(D, "jl", config).projected
     assert type(projected) is np.ndarray
     assert projected.tobytes() == expected.tobytes()

@@ -382,10 +382,10 @@ POWER_BRANCHES = {"simplex": "cholesky", "balls": "cholesky", "random": "cholesk
 def test_both_lapack_routes_give_numpys_centers(name, lapack_route):
     # in B's own buffer or through the np.linalg fallback: eigvalsh's
     # spectrum, and cholesky's factor bit for bit; at a singular radius a
-    # factor of B + 2r^2 I + s 11^T / n (s the largest mu) to rounding, one
-    # column per eigenvalue above the tolerance and one for the lifted
-    # all-ones direction, where it was null (dpstrf's, or on the fallback
-    # eigh's vectors above the tolerance, scaled)
+    # factor of B + 2r^2 I + s 11^T / n (s its largest diagonal entry) to
+    # rounding, one column per eigenvalue above the tolerance and one for
+    # the lifted all-ones direction, where s > 0 (dpstrf's, or on the
+    # fallback eigh's vectors above the tolerance, scaled)
     B = GRAM_CASES[name]()
     n = B.shape[0]
     dec, rep = decompose_power(B.copy())
@@ -403,8 +403,9 @@ def test_both_lapack_routes_give_numpys_centers(name, lapack_route):
         mu = alone + 2.0 * r**2
         tol = DEFAULT_TAU_REL * max(np.abs(mu).max(), np.abs(alone).max())
         count = int(np.sum(mu > tol))
-        assert rep.p == count + (mu.max() > 0.0)
-        shifted += mu.max() / n
+        s = shifted.diagonal().max()
+        assert rep.p == count + (s > 0.0)
+        shifted += s / n
         residual = np.abs(rep.centers @ rep.centers.T - shifted).max()
         assert residual <= 1e-12 * np.abs(shifted).max()
 
@@ -463,13 +464,14 @@ class TestCholeskyCenters:
         # the direction of e_n has no length left, so it is dropped
         assert dec.factors is None
         assert rep.radius == r_min and rep.p == D.n - 1
-        # the pivoted Cholesky factor of B + 2r^2 I + s 11^T / n, s the
-        # largest mu, stopped at the tolerance over n: the same pivots, so
-        # the same zeros, and the same values to rounding
+        # the pivoted Cholesky factor of B + 2r^2 I + s 11^T / n, s its
+        # largest diagonal entry, stopped at the tolerance over n: the same
+        # pivots, so the same zeros, and the same values to rounding
         lam = alone.eigenvalues
         mu = lam + 2.0 * r_min**2
         tol = DEFAULT_TAU_REL * max(np.abs(mu).max(), np.abs(lam).max())
-        gram = B + 2.0 * r_min**2 * np.eye(D.n) + mu[0] / D.n
+        gram = B + 2.0 * r_min**2 * np.eye(D.n)
+        gram += gram.diagonal().max() / D.n
         oracle = pivoted_cholesky(gram, tol / D.n)
         assert rep.centers.shape == oracle.shape
         assert np.array_equal(rep.centers == 0.0, oracle == 0.0)

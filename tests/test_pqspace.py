@@ -37,7 +37,7 @@ def factors(emb):
 
 
 class TestEmbedPq:
-    def test_two_point_single_positive_coordinate(self):
+    def test_two_point_single_positive_coordinate(self, full_branch):
         emb = embed(np.array([[0.0, 2.0], [2.0, 0.0]]))
         assert (emb.p, emb.q) == (1, 0)
         assert_allclose(np.abs(emb.pos_coords).ravel(),

@@ -168,7 +168,8 @@ def balls_embedding():
 
 
 def negated_points_embedding():
-    """p = 0: D = -(squared distances of 5 points in R^4) has q = 4."""
+    """p = 0: D = -(squared distances of 5 points in R^4) has q = 4, and
+    its sliced negative part is 5 wide, with the lifted all-ones direction."""
     X = np.random.default_rng(14).standard_normal((5, 4))
     return embed_pq(decompose(center_gram(validate_matrix(-squared_distances(X)))))
 
@@ -229,7 +230,7 @@ class TestProject:
 
     def test_empty_positive_part_stays_empty(self):
         emb = negated_points_embedding()
-        assert (emb.p, emb.q) == (0, 4)
+        assert (emb.p, emb.q) == (0, 5)
         proj = project(emb, ProjectionConfig())
         assert proj.pos_coords.shape == (5, 0)
         assert proj.neg_coords.shape[1] == target_dim(5, ProjectionConfig())

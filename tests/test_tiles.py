@@ -467,9 +467,10 @@ def test_singular_radius_run_frees_b_before_scoring():
 
 @pytest.mark.parametrize("method", ["jl", "jl-pq"])
 def test_sliced_low_rank_run_frees_b_before_scoring(method):
-    # points in R^5 take the slice, and their 5-column factor is copied out
-    # of B's buffer, so B goes once the run drops it: 1.95 arrays at n =
-    # 1024, where a view of the factor held all of B through scoring (2.95)
+    # points in R^5 take the slice, and their 6-column factor (5 directions
+    # and the lifted all-ones one) is copied out of B's buffer, so B goes
+    # once the run drops it: 1.95 arrays at n = 1024, where a view of the
+    # factor held all of B through scoring (2.95)
     n = 1024
     raw = squared_distances(np.random.default_rng(0).standard_normal((n, 5)))
     tracemalloc.start()
@@ -478,7 +479,7 @@ def test_sliced_low_rank_run_frees_b_before_scoring(method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.embedding.p == 5
+    assert res.decomposition.p == 5 and res.embedding.p == 6
     assert peak < 2.1 * n * n * 8
 
 
